@@ -14,7 +14,6 @@ from .augment import (
     SynonymTable,
     augment_dataset,
     augment_sentence,
-    bert_augment,
     sample_replacement,
     synonym_augment,
     synonym_augment_dataset,

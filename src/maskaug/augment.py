@@ -150,18 +150,6 @@ def augment_sentence(
     return new
 
 
-def bert_augment(
-    params: dict[str, Tensor],
-    config: EncoderConfig,
-    example: LabeledExample,
-    policy: AugmentationPolicy,
-    rng: np.random.Generator,
-) -> LabeledExample:
-    """Label-blind variant: same masking, but the neutral condition 0."""
-    new, _ = _substitute(params, config, example, policy, rng, cond_id=0)
-    return new
-
-
 # ---------------------------------------------------------------------------
 # synonym table
 # ---------------------------------------------------------------------------

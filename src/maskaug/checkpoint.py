@@ -79,8 +79,3 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after checkpoint payload: {path}")
     return out
-
-
-def load_params(path) -> dict[str, Tensor]:
-    """Load a checkpoint as trainable Tensors."""
-    return {k: Tensor(v, requires_grad=True) for k, v in load_arrays(path).items()}

@@ -4,7 +4,8 @@ Two evaluators measure what an augmented training set buys: a convolutional
 classifier (filter widths over word embeddings, max-over-time pooling, a
 two-layer ReLU head, softmax) and a recurrent one (single-layer LSTM whose
 final state feeds an affine layer with softmax). Both train with Adam and
-dropout and stop early on validation accuracy.
+dropout through the shared `training.fit` loop and stop early on validation
+accuracy.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .optim import adam_step, clip_by_global_norm, init_adam
 from .seeding import derive_rng
 from .tensor import Tensor
-from .text import Dataset, LabeledExample, PAD_ID
+from .text import Dataset, LabeledExample, PAD_ID, pad_rows
+from .training import fit
 
 RECORDS_FORMAT = "# maskaug-ab-records v1"
 CLF_CONFIG_FORMAT = "maskaug-classifier-config v1"
+_CLIP_NORM = 5.0  # global gradient-norm cap for both classifiers
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,9 @@ class Classifier:
 def _pad_batch(
     examples: Sequence[LabeledExample], min_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = max(max(len(ex.tokens) for ex in examples), min_len)
-    b = len(examples)
-    token_ids = np.full((b, t), PAD_ID, dtype=np.int64)
-    lengths = np.zeros(b, dtype=np.int64)
-    labels = np.zeros(b, dtype=np.int64)
-    for i, ex in enumerate(examples):
-        token_ids[i, : len(ex.tokens)] = ex.tokens
-        lengths[i] = len(ex.tokens)
-        labels[i] = ex.label
+    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
+    token_ids = pad_rows([ex.tokens for ex in examples], PAD_ID, max(lengths.max(), min_len))
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
     return token_ids, lengths, labels
 
 
@@ -302,57 +298,33 @@ def _train_classifier(
         raise ValueError("a validation split is required for early stopping")
     if vocab_size is None:
         vocab_size = _data_vocab_size(dataset)
-    init_rng = derive_rng(cfg.seed, kind, "init")
-    shuffle_rng = derive_rng(cfg.seed, kind, "shuffle")
-    drop_rng = derive_rng(cfg.seed, kind, "dropout")
-    if kind == "cnn":
-        params = _init_cnn(cfg, vocab_size, dataset.num_labels, init_rng)
-        logits_fn = _cnn_logits
-        min_len = max(cfg.filter_widths)
-    else:
-        params = _init_rnn(cfg, vocab_size, dataset.num_labels, init_rng)
-        logits_fn = _rnn_logits
-        min_len = 1
-    state = init_adam(params, lr=cfg.lr)
-
+    init = _init_cnn if kind == "cnn" else _init_rnn
+    params = init(cfg, vocab_size, dataset.num_labels, derive_rng(cfg.seed, kind, "init"))
     clf = Classifier(kind, params, cfg, vocab_size, dataset.num_labels)
-    best_acc = -1.0
-    best_params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
-    best_epoch = 0
-    since_best = 0
-    train_examples = dataset.train
+    logits_fn, min_len = _logits_fn(clf), _min_len(clf)
+    drop_rng = derive_rng(cfg.seed, kind, "dropout")
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_examples))
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [train_examples[i] for i in order[start : start + cfg.batch_size]]
-            token_ids, lengths, labels = _pad_batch(chunk, min_len)
-            logits = logits_fn(params, cfg, token_ids, lengths, True, drop_rng)
-            loss, _ = T.cross_entropy(logits, labels)
-            loss.backward()
-            grads = {k: p.grad for k, p in params.items()}
-            grads = clip_by_global_norm(grads, 5.0)
-            params, state = adam_step(params, grads, state)
+    def chunk_loss(params, chunk):
+        token_ids, lengths, labels = _pad_batch(chunk, min_len)
+        logits = logits_fn(params, cfg, token_ids, lengths, True, drop_rng)
+        loss, _ = T.cross_entropy(logits, labels)
+        return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
+
+    def validate(params, epoch, train_loss, train_acc):
         clf.params = params
-        val_acc = evaluate(clf, dataset.val, "val").accuracy["val"]
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        return evaluate(clf, dataset.val, "val").accuracy["val"]
 
-    clf.params = best_params
-    clf.epochs_used = best_epoch
+    clf.params, clf.epochs_used = fit(
+        params, dataset.train, chunk_loss, validate,
+        epochs=cfg.max_epochs, batch_size=cfg.batch_size, lr=cfg.lr, patience=cfg.patience,
+        clip_norm=_CLIP_NORM, shuffle_rng=derive_rng(cfg.seed, kind, "shuffle"), phase=kind,
+    )
     train_report = evaluate(clf, dataset.train, "train")
     val_report = evaluate(clf, dataset.val, "val")
     report = EvalReport(
         accuracy={**train_report.accuracy, **val_report.accuracy},
         confusion={**train_report.confusion, **val_report.confusion},
-        epochs_used=best_epoch,
+        epochs_used=clf.epochs_used,
         seed=cfg.seed,
     )
     return clf, report

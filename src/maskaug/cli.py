@@ -102,6 +102,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in str(text).split(",") if p.strip())
 
 
+def _load_encoder(path, vocab):
+    """Encoder checkpoint whose vocabulary size matches the vocab file."""
+    params, config = load_encoder(path)
+    if config.vocab_size != len(vocab):
+        raise CheckpointError(
+            f"checkpoint vocabulary size {config.vocab_size} != vocab file {len(vocab)}"
+        )
+    return params, config
+
+
 def _load_dataset(args: argparse.Namespace, vocab, *, val_fraction=None, test=None, max_len=None):
     return load_tsv(
         args.data,
@@ -165,11 +175,7 @@ def cmd_finetune(args) -> int:
     _require(args, "data", "vocab", "init")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
-    params, config = load_encoder(args.init)
-    if config.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"checkpoint vocabulary size {config.vocab_size} != vocab file {len(vocab)}"
-        )
+    params, config = _load_encoder(args.init, vocab)
     dataset = _load_dataset(args, vocab, max_len=config.max_len)
     policy = MaskPolicy(mode="ratio", ratio=args.mask_ratio)
     cfg = TrainConfig(
@@ -204,11 +210,7 @@ def cmd_augment(args) -> int:
     )
     if args.augmenter in ("cbert", "bert"):
         _require(args, "model")
-        params, config = load_encoder(args.model)
-        if config.vocab_size != len(vocab):
-            raise CheckpointError(
-                f"checkpoint vocabulary size {config.vocab_size} != vocab file {len(vocab)}"
-            )
+        params, config = _load_encoder(args.model, vocab)
         augmented, report = augment_dataset(
             params, config, dataset, policy, unconditional=(args.augmenter == "bert")
         )
@@ -333,13 +335,13 @@ def cmd_ab_experiment(args) -> int:
             augmenters[arm] = None
         elif arm == "cbert":
             _require(args, "model")
-            params, config = load_encoder(args.model)
+            params, config = _load_encoder(args.model, vocab)
             augmenters[arm] = (
                 lambda d, s, p=params, c=config: augment_dataset(p, c, d, policy, seed=s)[0]
             )
         elif arm == "bert":
             _require(args, "pretrained")
-            params, config = load_encoder(args.pretrained)
+            params, config = _load_encoder(args.pretrained, vocab)
             augmenters[arm] = (
                 lambda d, s, p=params, c=config: augment_dataset(
                     p, c, d, policy, unconditional=True, seed=s
@@ -375,7 +377,7 @@ def cmd_style_transfer(args) -> int:
     _require(args, "data", "vocab", "model", "classifier_ckpt")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
-    params, config = load_encoder(args.model)
+    params, config = _load_encoder(args.model, vocab)
     clf = load_classifier(args.classifier_ckpt)
     dataset = _load_dataset(args, vocab, val_fraction=0.0)
     if args.target_label is None and dataset.num_labels != 2:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .tensor import Tensor
-from .text import CLS_ID, MASK_ID, PAD_ID
+from .text import CLS_ID, MASK_ID, PAD_ID, pad_rows
 
 CONFIG_FORMAT = "maskaug-encoder-config v1"
 
@@ -84,17 +84,11 @@ def batch_from_examples(
     pad_to: int | None = None,
 ) -> InputBatch:
     """Right-pad variable-length id sequences into one InputBatch."""
-    longest = max(len(s) for s in sequences)
-    t = max(longest, pad_to or 0)
-    b = len(sequences)
-    tokens = np.full((b, t), PAD_ID, dtype=np.int64)
-    conds = np.zeros((b, t), dtype=np.int64)
-    mask = np.zeros((b, t), dtype=np.float64)
-    for i, (seq, cond) in enumerate(zip(sequences, cond_ids)):
-        tokens[i, : len(seq)] = seq
-        conds[i, : len(seq)] = cond
-        mask[i, : len(seq)] = 1.0
-    return InputBatch(tokens, conds, mask)
+    lengths = np.array([len(s) for s in sequences])
+    t = max(lengths.max(), pad_to or 0)
+    live = np.arange(t) < lengths[:, None]
+    conds = np.where(live, np.asarray(cond_ids, dtype=np.int64)[:, None], 0)
+    return InputBatch(pad_rows(sequences, PAD_ID, t), conds, live)
 
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -312,7 +306,3 @@ def load_encoder(
             )
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     return params, config
-
-
-def with_num_conditions(config: EncoderConfig, n: int) -> EncoderConfig:
-    return replace(config, num_conditions=n)

@@ -32,7 +32,6 @@ class AttributionScores:
 
     positions: tuple[int, ...]
     scores: np.ndarray
-    method: str = "deletion"
 
 
 def attribute_words(clf: Classifier, example: LabeledExample) -> AttributionScores:

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .seeding import derive_rng
 
 PAD_ID, UNK_ID, MASK_ID, CLS_ID = 0, 1, 2, 3
@@ -49,11 +51,6 @@ class Vocabulary:
         if not 0 <= idx < len(self.id_to_token):
             raise IndexError(f"token id {idx} out of range [0, {len(self.id_to_token)})")
         return self.id_to_token[idx]
-
-    @property
-    def content_ids(self) -> range:
-        """ids of non-special tokens."""
-        return range(NUM_SPECIALS, len(self.id_to_token))
 
 
 def _make_vocab(tokens: Sequence[str]) -> Vocabulary:
@@ -105,6 +102,14 @@ def decode(ids: Sequence[int], vocab: Vocabulary) -> str:
     return " ".join(kept)
 
 
+def pad_rows(rows: Sequence[Sequence[int]], fill: int, width: int) -> np.ndarray:
+    """Right-pad integer rows with `fill` into one (len(rows), width) int64 matrix."""
+    out = np.full((len(rows), width), fill, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
 def save_vocab(vocab: Vocabulary, path) -> None:
     Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
 
@@ -135,11 +140,6 @@ class Dataset:
     val: list[LabeledExample]
     test: list[LabeledExample]
     num_labels: int
-
-    def split(self, name: str) -> list[LabeledExample]:
-        if name not in ("train", "val", "test"):
-            raise ValueError(f"unknown split '{name}'")
-        return getattr(self, name)
 
 
 def read_tsv(path) -> list[tuple[int, str]]:

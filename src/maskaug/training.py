@@ -1,17 +1,20 @@
-"""Masking policy and the two masked-LM training loops.
+"""Masking policy, the shared fit loop, and masked-LM training.
 
-`pretrain_mlm` trains the encoder on corrupted sentences with condition id
-0 everywhere; `finetune_cmlm` resizes the condition table to the label
-count and trains with each sentence's label as its condition, which turns
-the cloze distribution into a label-aware one. Both loops are bitwise
-reproducible for a fixed seed.
+`fit` is the one training loop of the package: the masked LMs here and the
+downstream classifiers in `classify` all run through it. `pretrain_mlm`
+trains the encoder on corrupted sentences with condition id 0 everywhere;
+`finetune_cmlm` resizes the condition table to the label count and trains
+with each sentence's label as its condition, which turns the cloze
+distribution into a label-aware one. Training is bitwise reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,15 +22,15 @@ from . import tensor as T
 from .encoder import (
     EncoderConfig,
     InputBatch,
+    batch_from_examples,
     forward,
     init_params,
     swap_condition_table,
-    with_num_conditions,
 )
 from .optim import adam_step, clip_by_global_norm, init_adam
 from .seeding import derive_rng
 from .tensor import Tensor
-from .text import Dataset, LabeledExample, MASK_ID, NUM_SPECIALS, PAD_ID
+from .text import Dataset, LabeledExample, MASK_ID, NUM_SPECIALS, pad_rows
 
 IGNORE_ID = -1
 METRICS_FORMAT = "# maskaug-metrics v1"
@@ -88,16 +91,10 @@ class TrainConfig:
 
 
 @dataclass
-class MaskedBatch:
-    """A padded InputBatch plus per-position prediction targets."""
+class MaskedBatch(InputBatch):
+    """A padded InputBatch of corrupted ids plus per-position prediction targets."""
 
-    token_ids: np.ndarray  # (B, T) corrupted ids
-    cond_ids: np.ndarray  # (B, T)
-    pad_mask: np.ndarray  # (B, T)
     targets: np.ndarray  # (B, T), original id at masked positions else IGNORE_ID
-
-    def input_batch(self) -> InputBatch:
-        return InputBatch(self.token_ids, self.cond_ids, self.pad_mask)
 
 
 def maskable_positions(tokens: Sequence[int]) -> list[int]:
@@ -161,19 +158,9 @@ def collate_masked(
         rows.append((corrupted, targets, ex.label if label_conditions else 0))
     if not rows:
         return None
-    t = max(len(c) for c, _, _ in rows)
-    b = len(rows)
-    token_ids = np.full((b, t), PAD_ID, dtype=np.int64)
-    cond_ids = np.zeros((b, t), dtype=np.int64)
-    pad_mask = np.zeros((b, t), dtype=np.float64)
-    targets = np.full((b, t), IGNORE_ID, dtype=np.int64)
-    for i, (corrupted, tgt, cond) in enumerate(rows):
-        n = len(corrupted)
-        token_ids[i, :n] = corrupted
-        cond_ids[i, :n] = cond
-        pad_mask[i, :n] = 1.0
-        targets[i, :n] = tgt
-    return MaskedBatch(token_ids, cond_ids, pad_mask, targets)
+    inputs = batch_from_examples([c for c, _, _ in rows], [cond for _, _, cond in rows])
+    targets = pad_rows([tgt for _, tgt, _ in rows], IGNORE_ID, inputs.token_ids.shape[1])
+    return MaskedBatch(inputs.token_ids, inputs.cond_ids, inputs.pad_mask, targets)
 
 
 def masked_loss(
@@ -184,7 +171,7 @@ def masked_loss(
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, int, float]:
     """Cross-entropy over masked positions; returns (loss, scored, accuracy)."""
-    logits = forward(params, config, batch.input_batch(), train=train, rng=rng)
+    logits = forward(params, config, batch, train=train, rng=rng)
     b, t, v = logits.data.shape
     flat_logits = T.reshape(logits, (b * t, v))
     flat_targets = batch.targets.reshape(-1)
@@ -230,6 +217,75 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
 
 
+def fit(
+    params: dict[str, Tensor],
+    examples: Sequence[LabeledExample],
+    chunk_loss: Callable[
+        [dict[str, Tensor], list[LabeledExample]], tuple[Tensor, int, float] | None
+    ],
+    validate: Callable[[dict[str, Tensor], int, float, float], float],
+    *,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    patience: int,
+    clip_norm: float | None,
+    shuffle_rng: np.random.Generator,
+    phase: str,
+) -> tuple[dict[str, Tensor], int]:
+    """Adam over shuffled chunks of `examples`, keeping the best epoch.
+
+    `chunk_loss(params, chunk)` returns (loss, weight, accuracy) for one
+    chunk, or None to skip it; the epoch's weighted mean loss and accuracy
+    go to `validate(params, epoch, train_loss, train_acc)`, which scores
+    the parameters, higher is better. Returns a copy of the parameters of
+    the first epoch that beat all earlier ones, with that epoch number;
+    stops after `patience` epochs without a new best. A non-finite loss or
+    a parameter left without gradient raises TrainingError.
+    """
+    # private copy: backward() must never deposit gradients on caller tensors
+    params = _snapshot(params)
+    state = init_adam(params, lr=lr)
+    best_score, best_params, best_epoch = -math.inf, _snapshot(params), 0
+    since_best = 0
+    step = 0
+
+    for epoch in range(1, epochs + 1):
+        order = shuffle_rng.permutation(len(examples))
+        ep_loss, ep_weight, ep_correct = 0.0, 0, 0.0
+        for start in range(0, len(order), batch_size):
+            out = chunk_loss(params, [examples[i] for i in order[start : start + batch_size]])
+            if out is None:
+                continue
+            loss, weight, acc = out
+            step += 1
+            if not np.isfinite(loss.data):
+                raise TrainingError(f"{phase}: loss diverged at step {step}")
+            loss.backward()
+            grads = {k: p.grad for k, p in params.items()}
+            missing = [k for k, g in grads.items() if g is None]
+            if missing:
+                raise TrainingError(f"{phase}: no gradient for {missing}")
+            if clip_norm is not None:
+                grads = clip_by_global_norm(grads, clip_norm)
+            params, state = adam_step(params, grads, state)
+            ep_loss += float(loss.data) * weight
+            ep_weight += weight
+            ep_correct += acc * weight
+
+        train_loss = ep_loss / ep_weight if ep_weight else float("nan")
+        train_acc = ep_correct / ep_weight if ep_weight else 0.0
+        score = validate(params, epoch, train_loss, train_acc)
+        if score > best_score:
+            best_score, best_params, best_epoch = score, _snapshot(params), epoch
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    return best_params, best_epoch
+
+
 def _train_masked_lm(
     train_examples: Sequence[LabeledExample],
     val_examples: Sequence[LabeledExample],
@@ -242,47 +298,19 @@ def _train_masked_lm(
 ) -> tuple[dict[str, Tensor], list[dict]]:
     if not train_examples:
         raise TrainingError(f"{phase}: empty training split")
-    # private copy: backward() must never deposit gradients on caller tensors
-    params = _snapshot(params)
     vocab_size = config.vocab_size
-    shuffle_rng = derive_rng(cfg.seed, phase, "shuffle")
     mask_rng = derive_rng(cfg.seed, phase, "mask")
     drop_rng = derive_rng(cfg.seed, phase, "dropout")
-    state = init_adam(params, lr=cfg.lr)
     history: list[dict] = []
-    best_loss = float("inf")
-    best_params = _snapshot(params)
-    since_best = 0
-    step = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(train_examples))
-        ep_loss, ep_scored, ep_correct = 0.0, 0, 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [train_examples[i] for i in order[start : start + cfg.batch_size]]
-            batch = collate_masked(chunk, policy, vocab_size, mask_rng, label_conditions)
-            if batch is None:
-                continue
-            step += 1
-            loss, scored, acc = masked_loss(params, config, batch, train=True, rng=drop_rng)
-            if scored == 0:
-                continue
-            if not np.isfinite(loss.data):
-                raise TrainingError(f"{phase}: loss diverged at step {step}")
-            loss.backward()
-            grads = {k: p.grad for k, p in params.items()}
-            if any(g is None for g in grads.values()):
-                missing = [k for k, g in grads.items() if g is None]
-                raise TrainingError(f"{phase}: no gradient for {missing}")
-            if cfg.clip_norm is not None:
-                grads = clip_by_global_norm(grads, cfg.clip_norm)
-            params, state = adam_step(params, grads, state)
-            ep_loss += float(loss.data) * scored
-            ep_scored += scored
-            ep_correct += acc * scored
+    def chunk_loss(params, chunk):
+        batch = collate_masked(chunk, policy, vocab_size, mask_rng, label_conditions)
+        if batch is None:
+            return None
+        loss, scored, acc = masked_loss(params, config, batch, train=True, rng=drop_rng)
+        return (loss, scored, acc) if scored else None
 
-        train_loss = ep_loss / ep_scored if ep_scored else float("nan")
-        train_acc = ep_correct / ep_scored if ep_scored else 0.0
+    def validate(params, epoch, train_loss, train_acc):
         history.append(
             {"epoch": epoch, "split": "train", "loss": train_loss, "masked_acc": train_acc}
         )
@@ -298,15 +326,15 @@ def _train_masked_lm(
         )
         if np.isnan(val_loss):
             raise TrainingError(f"{phase}: validation loss became NaN at epoch {epoch}")
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = _snapshot(params)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-    return best_params, history
+        return -val_loss
+
+    best, _ = fit(
+        params, train_examples, chunk_loss, validate,
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, patience=cfg.patience,
+        clip_norm=cfg.clip_norm, shuffle_rng=derive_rng(cfg.seed, phase, "shuffle"),
+        phase=phase,
+    )
+    return best, history
 
 
 def pretrain_mlm(
@@ -343,7 +371,7 @@ def finetune_cmlm(
     params = swap_condition_table(
         pretrained, dataset.num_labels, derive_rng(cfg.seed, "cond-swap")
     )
-    tuned_config = with_num_conditions(config, dataset.num_labels)
+    tuned_config = replace(config, num_conditions=dataset.num_labels)
     best, history = _train_masked_lm(
         dataset.train, dataset.val, params, tuned_config, policy, cfg,
         label_conditions=True, phase="finetune",

@@ -6,7 +6,6 @@ from maskaug.augment import (
     SynonymTable,
     augment_dataset,
     augment_sentence,
-    bert_augment,
     sample_replacement,
     synonym_augment,
     synonym_augment_dataset,
@@ -121,8 +120,10 @@ class TestAugmentSentence:
     def test_unconditional_copies_label_too(self, model):
         params, config = model
         policy = AugmentationPolicy(k=1, sampler="greedy")
-        out = bert_augment(params, config, example(4, label=1), policy, np.random.default_rng(0))
-        assert out.label == 1
+        dataset = Dataset(train=[example(4, label=1)], val=[], test=[], num_labels=2)
+        out, report = augment_dataset(params, config, dataset, policy, unconditional=True)
+        assert report.generated == 1 and report.provenance[0][1] == "bert"
+        assert out.train[1].label == 1
 
     def test_deterministic_under_seed(self, model):
         params, config = model

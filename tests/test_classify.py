@@ -25,6 +25,7 @@ from maskaug.gradcheck import gradient_disagreement, numeric_gradient
 from maskaug.tensor import Tensor
 from maskaug import tensor as T
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample
+from maskaug.training import TrainingError
 
 ALPHA = NUM_SPECIALS  # word that marks label 1
 BETA = NUM_SPECIALS + 1  # word that marks label 0
@@ -105,6 +106,12 @@ class TestCnn:
         l1 = _cnn_logits(params, cfg, s1, lengths, False, None).data
         l2 = _cnn_logits(params, cfg, s2, lengths, False, None).data
         assert np.array_equal(l1, l2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_training_error(self):
+        dataset = separable_dataset(n=20)
+        with pytest.raises(TrainingError, match="cnn: loss diverged"):
+            train_cnn(dataset, CnnConfig(lr=1e200, max_epochs=2), VOCAB_SIZE)
 
 
 class TestRnn:

@@ -8,6 +8,7 @@ from maskaug.cli import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TRAINING,
     EXIT_USAGE,
     main,
 )
@@ -226,6 +227,34 @@ class TestErrorCategories:
             "--init", str(pretrained), "--epochs", "1", "--out", str(tmp_path / "ft"),
         ])
         assert code == EXIT_CHECKPOINT
+
+    @pytest.mark.parametrize("subcommand", ["style-transfer", "ab-experiment"])
+    def test_vocab_mismatch_with_encoder_is_checkpoint_error(
+        self, subcommand, workdir, finetuned, classifier_ckpt, tmp_path, capsys
+    ):
+        tiny_vocab = tmp_path / "tiny.txt"
+        tiny_vocab.write_text("<pad>\n<unk>\n<mask>\n<cls>\nonly\n")
+        extra = (
+            ["--classifier-ckpt", str(classifier_ckpt)]
+            if subcommand == "style-transfer"
+            else ["--test", str(workdir / "test.tsv"), "--arms", "cbert", "--seeds", "1"]
+        )
+        code = main([
+            subcommand, "--data", str(workdir / "train.tsv"), "--vocab", str(tiny_vocab),
+            "--model", str(finetuned), "--out", str(tmp_path / "run"), *extra,
+        ])
+        assert code == EXIT_CHECKPOINT
+        assert "vocabulary size" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_classifier_divergence_is_training_error(self, workdir, vocab_file, tmp_path, capsys):
+        code = main([
+            "train-classifier", "--data", str(workdir / "train.tsv"),
+            "--vocab", str(vocab_file), "--lr", "1e200", "--epochs", "2",
+            "--out", str(tmp_path / "clf"),
+        ])
+        assert code == EXIT_TRAINING
+        assert capsys.readouterr().err.startswith("error[training]: cnn: loss diverged")
 
     def test_missing_required_flag(self, tmp_path):
         assert main(["pretrain", "--out", str(tmp_path / "x")]) == EXIT_USAGE

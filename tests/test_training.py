@@ -191,12 +191,14 @@ class TestFinetune:
         tuned, tuned_config, hist_cond = finetune_cmlm(flat, params, config, policy, cfg)
         assert tuned_config.num_conditions == 1
 
-        from maskaug.encoder import swap_condition_table, with_num_conditions
+        from dataclasses import replace
+
+        from maskaug.encoder import swap_condition_table
         from maskaug.seeding import derive_rng
 
         start = swap_condition_table(params, 1, derive_rng(cfg.seed, "cond-swap"))
         plain, hist_plain = _train_masked_lm(
-            flat.train, flat.val, start, with_num_conditions(config, 1), policy, cfg,
+            flat.train, flat.val, start, replace(config, num_conditions=1), policy, cfg,
             label_conditions=False, phase="finetune",
         )
         assert hist_cond == hist_plain
