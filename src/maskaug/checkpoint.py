@@ -11,13 +11,17 @@ Layout (little-endian):
 
 float64 payloads are written verbatim, so a save/load round trip is
 byte-exact.
+
+A model file is such a container plus a JSON sidecar, `<path>.json`, that
+describes the architecture; only `save_model` / `load_model` touch sidecars.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -79,3 +83,43 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after checkpoint payload: {path}")
     return out
+
+
+def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path) -> None:
+    """Arrays to `path`, `meta` (keys in the given order) to `<path>.json`."""
+    save_arrays(params, path)
+    Path(str(path) + ".json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+
+
+def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tensor]]:
+    """(description, params) of a model file written by `save_model`.
+
+    The sidecar must be a JSON object tagged `fmt`; `build(meta)` returns the
+    description and a reference parameter set whose names and shapes the
+    stored arrays must match. Every failure raises CheckpointError.
+    """
+    sidecar = Path(str(path) + ".json")
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CheckpointError(f"cannot read model sidecar {sidecar}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"malformed sidecar {sidecar}: {exc}") from None
+    if not isinstance(meta, dict) or meta.get("format") != fmt:
+        raise CheckpointError(f"sidecar {sidecar} is not tagged {fmt!r}")
+    try:
+        model, reference = build(meta)
+    except KeyError as exc:
+        raise CheckpointError(f"sidecar {sidecar} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad sidecar {sidecar}: {type(exc).__name__}: {exc}") from None
+    arrays = load_arrays(path)
+    if set(arrays) != set(reference):
+        raise CheckpointError(f"parameter names in {path} do not match the architecture")
+    for name, ref in reference.items():
+        if arrays[name].shape != ref.data.shape:
+            raise CheckpointError(
+                f"parameter '{name}' in {path} has shape {arrays[name].shape}, "
+                f"expected {ref.data.shape}"
+            )
+    return model, {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}

@@ -10,15 +10,14 @@ accuracy.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError, load_arrays, save_arrays
+from .checkpoint import load_model, save_model
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import Dataset, LabeledExample, PAD_ID, pad_rows
@@ -43,6 +42,7 @@ class CnnConfig:
     patience: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
         if not self.filter_widths or any(w < 1 for w in self.filter_widths):
             raise ValueError(f"filter widths must be positive, got {self.filter_widths}")
         for name in ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience"):
@@ -225,8 +225,22 @@ def _rnn_logits(
 # ---------------------------------------------------------------------------
 
 
-def _logits_fn(clf: Classifier) -> Callable:
-    return _cnn_logits if clf.kind == "cnn" else _rnn_logits
+class _Kind(NamedTuple):
+    config: type
+    init: Callable
+    logits: Callable
+
+
+_KINDS = {
+    "cnn": _Kind(CnnConfig, _init_cnn, _cnn_logits),
+    "rnn": _Kind(RnnConfig, _init_rnn, _rnn_logits),
+}
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    return _KINDS[kind]
 
 
 def _min_len(clf: Classifier) -> int:
@@ -246,7 +260,7 @@ def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
     _check_vocab(clf, examples)
     token_ids, lengths, _ = _pad_batch(examples, _min_len(clf))
-    logits = _logits_fn(clf)(clf.params, clf.config, token_ids, lengths, False, None)
+    logits = _KINDS[clf.kind].logits(clf.params, clf.config, token_ids, lengths, False, None)
     return logits.data
 
 
@@ -289,24 +303,30 @@ def _data_vocab_size(dataset: Dataset) -> int:
     )
 
 
-def _train_classifier(
-    dataset: Dataset, cfg, kind: str, vocab_size: int | None = None
+def train_classifier(
+    dataset: Dataset,
+    kind: str,
+    cfg: "CnnConfig | RnnConfig | None" = None,
+    vocab_size: int | None = None,
 ) -> tuple[Classifier, EvalReport]:
+    """Train a `kind` ("cnn" or "rnn") classifier; `cfg` defaults to the
+    kind's default config, `vocab_size` to the largest id in the data + 1."""
+    spec = _kind(kind)
+    cfg = spec.config() if cfg is None else cfg
     if not dataset.train:
         raise ValueError("training split is empty")
     if not dataset.val:
         raise ValueError("a validation split is required for early stopping")
     if vocab_size is None:
         vocab_size = _data_vocab_size(dataset)
-    init = _init_cnn if kind == "cnn" else _init_rnn
-    params = init(cfg, vocab_size, dataset.num_labels, derive_rng(cfg.seed, kind, "init"))
+    params = spec.init(cfg, vocab_size, dataset.num_labels, derive_rng(cfg.seed, kind, "init"))
     clf = Classifier(kind, params, cfg, vocab_size, dataset.num_labels)
-    logits_fn, min_len = _logits_fn(clf), _min_len(clf)
+    min_len = _min_len(clf)
     drop_rng = derive_rng(cfg.seed, kind, "dropout")
 
     def chunk_loss(params, chunk):
         token_ids, lengths, labels = _pad_batch(chunk, min_len)
-        logits = logits_fn(params, cfg, token_ids, lengths, True, drop_rng)
+        logits = spec.logits(params, cfg, token_ids, lengths, True, drop_rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
 
@@ -333,13 +353,13 @@ def _train_classifier(
 def train_cnn(
     dataset: Dataset, cfg: CnnConfig | None = None, vocab_size: int | None = None
 ) -> tuple[Classifier, EvalReport]:
-    return _train_classifier(dataset, cfg or CnnConfig(), "cnn", vocab_size)
+    return train_classifier(dataset, "cnn", cfg, vocab_size)
 
 
 def train_rnn(
     dataset: Dataset, cfg: RnnConfig | None = None, vocab_size: int | None = None
 ) -> tuple[Classifier, EvalReport]:
-    return _train_classifier(dataset, cfg or RnnConfig(), "rnn", vocab_size)
+    return train_classifier(dataset, "rnn", cfg, vocab_size)
 
 
 def cross_validate(
@@ -358,9 +378,7 @@ def cross_validate(
         raise ValueError("cross-validation needs at least 2 folds")
     if len(examples) < folds:
         raise ValueError(f"{len(examples)} examples cannot fill {folds} folds")
-    if cfg is None:
-        cfg = CnnConfig() if kind == "cnn" else RnnConfig()
-    train = train_cnn if kind == "cnn" else train_rnn
+    cfg = _kind(kind).config() if cfg is None else cfg
     order = derive_rng(cfg.seed, "cv-folds").permutation(len(examples))
     assignment = [order[i::folds].tolist() for i in range(folds)]
     scores: list[float] = []
@@ -372,7 +390,7 @@ def cross_validate(
             train=rest[cut:], val=rest[:cut],
             test=[examples[i] for i in held_out], num_labels=num_labels,
         )
-        clf, _ = train(fold_data, cfg, vocab_size)
+        clf, _ = train_classifier(fold_data, kind, cfg, vocab_size)
         scores.append(evaluate(clf, fold_data.test, "test").accuracy["test"])
     return float(np.mean(scores)), scores
 
@@ -392,9 +410,7 @@ def grid_search(
     `grid` maps config field names to candidate values; all combinations are
     tried with everything else held at `cfg`. Returns (best config, trials).
     """
-    if cfg is None:
-        cfg = CnnConfig() if kind == "cnn" else RnnConfig()
-    train = train_cnn if kind == "cnn" else train_rnn
+    cfg = _kind(kind).config() if cfg is None else cfg
     names = list(grid)
     combos: list[dict] = [{}]
     for name in names:
@@ -403,7 +419,7 @@ def grid_search(
     best_cfg, best_acc = cfg, -1.0
     for combo in combos:
         candidate = replace(cfg, **combo)
-        _, rep = train(dataset, candidate, vocab_size)
+        _, rep = train_classifier(dataset, kind, candidate, vocab_size)
         acc = rep.accuracy["val"]
         trials.append({**combo, "val_accuracy": acc})
         if acc > best_acc:
@@ -417,7 +433,6 @@ def grid_search(
 
 
 def save_classifier(clf: Classifier, path) -> None:
-    save_arrays(clf.params, path)
     meta = {
         "format": CLF_CONFIG_FORMAT,
         "kind": clf.kind,
@@ -426,26 +441,22 @@ def save_classifier(clf: Classifier, path) -> None:
         "num_labels": clf.num_labels,
         "epochs_used": clf.epochs_used,
     }
-    Path(str(path) + ".json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    save_model(clf.params, meta, path)
 
 
 def load_classifier(path) -> Classifier:
-    sidecar = Path(str(path) + ".json")
-    if not sidecar.exists():
-        raise CheckpointError(f"missing classifier sidecar: {sidecar}")
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    if meta.get("format") != CLF_CONFIG_FORMAT:
-        raise CheckpointError("classifier sidecar has an unknown format tag")
-    raw = meta["config"]
-    if meta["kind"] == "cnn":
-        raw["filter_widths"] = tuple(raw["filter_widths"])
-        cfg = CnnConfig(**raw)
-    else:
-        cfg = RnnConfig(**raw)
-    params = {k: Tensor(v, requires_grad=True) for k, v in load_arrays(path).items()}
-    return Classifier(
-        meta["kind"], params, cfg, meta["vocab_size"], meta["num_labels"], meta["epochs_used"]
-    )
+    def build(meta):
+        spec = _kind(meta["kind"])
+        clf = Classifier(
+            meta["kind"], {}, spec.config(**meta["config"]),
+            meta["vocab_size"], meta["num_labels"], meta["epochs_used"],
+        )
+        rng = np.random.default_rng(0)
+        return clf, spec.init(clf.config, clf.vocab_size, clf.num_labels, rng)
+
+    clf, params = load_model(path, CLF_CONFIG_FORMAT, build)
+    clf.params = params
+    return clf
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +484,16 @@ def ab_experiment(
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    if classifier not in ("cnn", "rnn"):
-        raise ValueError(f"unknown classifier kind {classifier!r}")
-    if cfg is None:
-        cfg = CnnConfig() if classifier == "cnn" else RnnConfig()
+    spec = _kind(classifier)
+    cfg = spec.config() if cfg is None else cfg
     if vocab_size is None:
         vocab_size = _data_vocab_size(dataset)
-    train = train_cnn if classifier == "cnn" else train_rnn
     records: list[dict] = []
     for seed in seeds:
         for arm, fn in augmenters.items():
             arm_data = fn(dataset, seed) if fn is not None else dataset
             run_cfg = replace(cfg, seed=seed)
-            clf, _ = train(arm_data, run_cfg, vocab_size)
+            clf, _ = train_classifier(arm_data, classifier, run_cfg, vocab_size)
             test_acc = evaluate(clf, arm_data.test, "test").accuracy["test"]
             records.append(
                 {

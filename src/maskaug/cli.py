@@ -39,8 +39,7 @@ from .classify import (
     grid_search,
     load_classifier,
     save_classifier,
-    train_cnn,
-    train_rnn,
+    train_classifier,
     write_records,
 )
 from .encoder import EncoderConfig, load_encoder, save_encoder
@@ -112,11 +111,14 @@ def _load_encoder(path, vocab):
     return params, config
 
 
-def _load_dataset(args: argparse.Namespace, vocab, *, val_fraction=None, test=None, max_len=None):
+def _load_dataset(args: argparse.Namespace, vocab, *encoders, val_fraction=None, test=None):
+    """--data (and `test`), each sentence cut to --max-len ids, capped at the
+    smallest max_len of the given encoder configs (None entries are skipped)."""
+    caps = [getattr(args, "max_len", None)] + [c.max_len for c in encoders if c is not None]
     return load_tsv(
         args.data,
         vocab,
-        max_len=max_len if max_len is not None else args.max_len,
+        max_len=min(cap for cap in caps if cap is not None),
         val_fraction=args.val_fraction if val_fraction is None else val_fraction,
         seed=args.seed,
         test_path=test,
@@ -176,7 +178,7 @@ def cmd_finetune(args) -> int:
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.init, vocab)
-    dataset = _load_dataset(args, vocab, max_len=config.max_len)
+    dataset = _load_dataset(args, vocab, config)
     policy = MaskPolicy(mode="ratio", ratio=args.mask_ratio)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
@@ -193,36 +195,45 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def cmd_augment(args) -> int:
-    _require(args, "data", "vocab")
-    out = _out_dir(args)
-    vocab = load_vocab(args.vocab)
-    dataset = _load_dataset(args, vocab, val_fraction=0.0)
-    n_originals = len(dataset.train)
+def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
+    """The `name` augmenter (cbert, bert or synonym) under the sampler flags.
+
+    Returns `(fn, config)`: `fn(dataset, seed)` gives (Dataset,
+    AugmentReport), and `config` is the EncoderConfig of the checkpoint
+    named by the `model_flag` flag (cbert and bert) or None (synonym).
+    """
     policy = AugmentationPolicy(
         k=_parse_k(args.k),
         sampler=args.sampler,
         top_k=args.top_k,
         temperature=args.temperature,
-        exclude_original=not args.keep_original,
+        exclude_original=not getattr(args, "keep_original", False),
         multiplier=args.multiplier,
         seed=args.seed,
     )
-    if args.augmenter in ("cbert", "bert"):
-        _require(args, "model")
-        params, config = _load_encoder(args.model, vocab)
-        augmented, report = augment_dataset(
-            params, config, dataset, policy, unconditional=(args.augmenter == "bert")
-        )
-    elif args.augmenter == "synonym":
+    if name in ("cbert", "bert"):
+        _require(args, model_flag)
+        params, config = _load_encoder(getattr(args, model_flag), vocab)
+        bert = name == "bert"
+        return (
+            lambda d, s: augment_dataset(params, config, d, policy, unconditional=bert, seed=s)
+        ), config
+    if name == "synonym":
         _require(args, "synonyms")
         table = SynonymTable.load(args.synonyms)
         k = policy.k if isinstance(policy.k, int) else policy.k[1]
-        augmented, report = synonym_augment_dataset(
-            dataset, table, vocab, k=k, multiplier=args.multiplier, seed=args.seed
-        )
-    else:
-        raise ValueError(f"unknown augmenter {args.augmenter!r}")
+        return (lambda d, s: synonym_augment_dataset(d, table, vocab, k, args.multiplier, s)), None
+    raise ValueError(f"unknown augmenter {name!r}")
+
+
+def cmd_augment(args) -> int:
+    _require(args, "data", "vocab")
+    out = _out_dir(args)
+    vocab = load_vocab(args.vocab)
+    augment, encoder = _augmenter(args, vocab, args.augmenter, "model")
+    dataset = _load_dataset(args, vocab, encoder, val_fraction=0.0)
+    n_originals = len(dataset.train)
+    augmented, report = augment(dataset, args.seed)
     write_augmented_tsv(out / "augmented.tsv", augmented, n_originals, report, vocab)
     (out / "report.json").write_text(
         json.dumps({"generated": report.generated, "skipped": report.skipped}, indent=2)
@@ -237,30 +248,18 @@ def cmd_augment(args) -> int:
 
 
 def _classifier_config(args) -> "CnnConfig | RnnConfig":
+    shared = dict(
+        emb_dim=args.emb_dim,
+        dropout=args.dropout_rate,
+        lr=args.lr,
+        seed=args.seed,
+        max_epochs=args.epochs,
+        batch_size=args.batch_size,
+        patience=args.patience,
+    )
     if args.classifier == "cnn":
-        return CnnConfig(
-            num_filters=args.num_filters,
-            emb_dim=args.emb_dim,
-            hidden_dim=args.hidden_dim,
-            dropout=args.dropout_rate,
-            lr=args.lr,
-            seed=args.seed,
-            max_epochs=args.epochs,
-            batch_size=args.batch_size,
-            patience=args.patience,
-        )
-    if args.classifier == "rnn":
-        return RnnConfig(
-            emb_dim=args.emb_dim,
-            state_dim=args.hidden_dim,
-            dropout=args.dropout_rate,
-            lr=args.lr,
-            seed=args.seed,
-            max_epochs=args.epochs,
-            batch_size=args.batch_size,
-            patience=args.patience,
-        )
-    raise ValueError(f"unknown classifier kind {args.classifier!r}")
+        return CnnConfig(num_filters=args.num_filters, hidden_dim=args.hidden_dim, **shared)
+    return RnnConfig(state_dim=args.hidden_dim, **shared)  # train_classifier rejects other kinds
 
 
 def cmd_train_classifier(args) -> int:
@@ -272,8 +271,7 @@ def cmd_train_classifier(args) -> int:
     trials = None
     if args.grid:
         cfg, trials = grid_search(dataset, args.classifier, cfg, vocab_size=len(vocab))
-    train = train_cnn if args.classifier == "cnn" else train_rnn
-    clf, report = train(dataset, cfg, vocab_size=len(vocab))
+    clf, report = train_classifier(dataset, args.classifier, cfg, vocab_size=len(vocab))
     save_classifier(clf, out / "classifier.ckpt")
     summary = {
         "accuracy": report.accuracy,
@@ -319,45 +317,16 @@ def cmd_ab_experiment(args) -> int:
     _require(args, "data", "test", "vocab")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
-    dataset = _load_dataset(args, vocab, test=args.test)
-    arms = [a.strip() for a in args.arms.split(",") if a.strip()]
-    policy = AugmentationPolicy(
-        k=_parse_k(args.k),
-        sampler=args.sampler,
-        top_k=args.top_k,
-        temperature=args.temperature,
-        multiplier=args.multiplier,
-        seed=args.seed,
-    )
     augmenters: dict[str, object] = {}
-    for arm in arms:
+    encoders = []
+    for arm in (a.strip() for a in args.arms.split(",") if a.strip()):
         if arm == "none":
             augmenters[arm] = None
-        elif arm == "cbert":
-            _require(args, "model")
-            params, config = _load_encoder(args.model, vocab)
-            augmenters[arm] = (
-                lambda d, s, p=params, c=config: augment_dataset(p, c, d, policy, seed=s)[0]
-            )
-        elif arm == "bert":
-            _require(args, "pretrained")
-            params, config = _load_encoder(args.pretrained, vocab)
-            augmenters[arm] = (
-                lambda d, s, p=params, c=config: augment_dataset(
-                    p, c, d, policy, unconditional=True, seed=s
-                )[0]
-            )
-        elif arm == "synonym":
-            _require(args, "synonyms")
-            table = SynonymTable.load(args.synonyms)
-            k = policy.k if isinstance(policy.k, int) else policy.k[1]
-            augmenters[arm] = (
-                lambda d, s, t=table: synonym_augment_dataset(
-                    d, t, vocab, k=k, multiplier=args.multiplier, seed=s
-                )[0]
-            )
-        else:
-            raise ValueError(f"unknown arm {arm!r}; choose from none,synonym,bert,cbert")
+            continue
+        augment, encoder = _augmenter(args, vocab, arm, "pretrained" if arm == "bert" else "model")
+        augmenters[arm] = lambda d, s, augment=augment: augment(d, s)[0]
+        encoders.append(encoder)
+    dataset = _load_dataset(args, vocab, *encoders, test=args.test)
     records, summary = ab_experiment(
         dataset,
         augmenters,
@@ -379,7 +348,7 @@ def cmd_style_transfer(args) -> int:
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.model, vocab)
     clf = load_classifier(args.classifier_ckpt)
-    dataset = _load_dataset(args, vocab, val_fraction=0.0)
+    dataset = _load_dataset(args, vocab, config, val_fraction=0.0)
     if args.target_label is None and dataset.num_labels != 2:
         raise ValueError("--target-label is required for non-binary datasets")
     pairs = []
@@ -406,6 +375,9 @@ def cmd_style_transfer(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+_CAPPED_MAX_LEN_HELP = "truncate sentences to this many ids, capped at the encoder's max_len"
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -478,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vocab")
     sp.add_argument("--init", help="pretrained encoder checkpoint")
     _add_train_flags(sp, epochs=10)
-    sp.add_argument("--max-len", type=int, default=64)
     _add_common(sp)
     sp.set_defaults(func=cmd_finetune)
 
@@ -490,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--augmenter", choices=("cbert", "bert", "synonym"), default="cbert")
     sp.add_argument("--keep-original", action="store_true",
                     help="allow a masked slot to re-sample its original word")
-    sp.add_argument("--max-len", type=int, default=64)
+    sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
     _add_sampler_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_augment)
@@ -525,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--synonyms", help="synonym table (synonym arm)")
     sp.add_argument("--arms", default="none,synonym,bert,cbert")
     sp.add_argument("--seeds", default="1,2,3")
-    sp.add_argument("--max-len", type=int, default=64)
+    sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
     _add_sampler_flags(sp)
     _add_classifier_flags(sp)
     _add_common(sp)
@@ -539,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target-label", type=int, default=None)
     sp.add_argument("--top-m", type=int, default=1)
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--max-len", type=int, default=64)
+    sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
     _add_common(sp)
     sp.set_defaults(func=cmd_style_transfer)
 
@@ -547,13 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_defaults(argv: list[str]) -> dict:
-    if "--config" not in argv:
+    """The JSON object of the --config file, in either the `--config path`
+    or the `--config=path` spelling; {} without --config."""
+    pre = argparse.ArgumentParser(prog="maskaug", add_help=False)
+    pre.add_argument("--config")
+    name = pre.parse_known_args(argv)[0].config
+    if name is None:
         return {}
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    path = Path(argv[idx + 1])
-    if not path.exists():
+    path = Path(name)
+    if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -567,13 +540,12 @@ def _config_defaults(argv: list[str]) -> dict:
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        defaults = _config_defaults(argv)
         parser = build_parser()
-        if defaults:
+        try:
+            defaults = _config_defaults(argv)
             for action in parser._subparsers._group_actions[0].choices.values():
                 known = {a.dest for a in action._actions}
                 action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)

@@ -11,16 +11,14 @@ tied to the token embedding, plus a free output bias.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError, load_arrays, save_arrays
+from .checkpoint import CheckpointError, load_model, save_model
 from .tensor import Tensor
 from .text import CLS_ID, MASK_ID, PAD_ID, pad_rows
 
@@ -49,17 +47,6 @@ class EncoderConfig:
             raise ValueError("max_len must be >= 2")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-    def to_json(self) -> str:
-        payload = {"format": CONFIG_FORMAT, **asdict(self)}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "EncoderConfig":
-        payload = json.loads(text)
-        if payload.pop("format", None) != CONFIG_FORMAT:
-            raise CheckpointError("config sidecar has an unknown format tag")
-        return EncoderConfig(**payload)
 
 
 @dataclass
@@ -262,13 +249,9 @@ def swap_condition_table(
 # ---------------------------------------------------------------------------
 
 
-def _sidecar(path) -> Path:
-    return Path(str(path) + ".json")
-
-
 def save_encoder(params: dict[str, Tensor], config: EncoderConfig, path) -> None:
-    save_arrays(params, path)
-    _sidecar(path).write_text(config.to_json() + "\n", encoding="utf-8")
+    meta = {"format": CONFIG_FORMAT, **asdict(config)}
+    save_model(params, dict(sorted(meta.items())), path)  # encoder sidecars keep sorted keys
 
 
 def load_encoder(
@@ -279,30 +262,21 @@ def load_encoder(
     With `expected`, any mismatch raises CheckpointError; a differing
     num_conditions gets a message pointing at swap_condition_table.
     """
-    sidecar = _sidecar(path)
-    if not sidecar.exists():
-        raise CheckpointError(f"missing config sidecar: {sidecar}")
-    config = EncoderConfig.from_json(sidecar.read_text(encoding="utf-8"))
-    arrays = load_arrays(path)
-    if expected is not None:
-        if config.num_conditions != expected.num_conditions:
-            raise CheckpointError(
-                f"checkpoint has {config.num_conditions} condition rows but "
-                f"{expected.num_conditions} were requested; load with the stored "
-                "config and call swap_condition_table to resize"
-            )
-        if config != expected:
-            raise CheckpointError(
-                f"checkpoint config {config} does not match requested {expected}"
-            )
-    reference = init_params(config, np.random.default_rng(0))
-    if set(arrays) != set(reference):
-        raise CheckpointError("checkpoint parameter names do not match the architecture")
-    for name, ref in reference.items():
-        if arrays[name].shape != ref.data.shape:
-            raise CheckpointError(
-                f"parameter '{name}' has shape {arrays[name].shape}, "
-                f"expected {ref.data.shape}"
-            )
-    params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+
+    def build(meta):
+        config = EncoderConfig(**{k: v for k, v in meta.items() if k != "format"})
+        if expected is not None:
+            if config.num_conditions != expected.num_conditions:
+                raise CheckpointError(
+                    f"checkpoint has {config.num_conditions} condition rows but "
+                    f"{expected.num_conditions} were requested; load with the stored "
+                    "config and call swap_condition_table to resize"
+                )
+            if config != expected:
+                raise CheckpointError(
+                    f"checkpoint config {config} does not match requested {expected}"
+                )
+        return config, init_params(config, np.random.default_rng(0))
+
+    config, params = load_model(path, CONFIG_FORMAT, build)
     return params, config

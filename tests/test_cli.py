@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,7 +190,108 @@ class TestArtifacts:
             assert arm in table
 
 
+@pytest.fixture(scope="module")
+def short_encoder(workdir, vocab_file):
+    """An encoder whose position table (4) is shorter than the corpus
+    sentences (6 ids with the leading CLS)."""
+    out = workdir / "pre-short"
+    code = main([
+        "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+        "--epochs", "1", "--hidden", "16", "--ff", "32", "--layers", "1",
+        "--max-len", "4", "--out", str(out), "--seed", "5",
+    ])
+    assert code == EXIT_OK
+    return out / "encoder.ckpt"
+
+
+@pytest.mark.parametrize("subcommand", ["augment", "style-transfer", "ab-experiment"])
+def test_sentences_are_capped_at_the_encoder_max_len(
+    subcommand, workdir, vocab_file, short_encoder, classifier_ckpt, tmp_path
+):
+    extra = {
+        "augment": ["--augmenter", "cbert", "--k", "1"],
+        "style-transfer": ["--classifier-ckpt", str(classifier_ckpt), "--limit", "4"],
+        "ab-experiment": [
+            "--test", str(workdir / "test.tsv"), "--arms", "cbert", "--seeds", "1",
+            "--epochs", "1",
+        ],
+    }[subcommand]
+    out = tmp_path / "run"
+    code = main([
+        subcommand, "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+        "--model", str(short_encoder), "--out", str(out), *extra,
+    ])
+    assert code == EXIT_OK
+    if subcommand == "augment":
+        rows = [r for r in (out / "augmented.tsv").read_text().splitlines() if r[:1] != "#"]
+        assert {len(row.split("\t")[1].split()) for row in rows} == {3}  # CLS + 3 words
+
+
+def _edit_sidecar(edit):
+    def apply(ckpt):
+        sidecar = Path(f"{ckpt}.json")
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+    return apply
+
+
+def _malformed_sidecar(ckpt):
+    Path(f"{ckpt}.json").write_text("{nope")
+
+
+def _truncate(n_bytes):
+    def apply(ckpt):
+        ckpt.write_bytes(ckpt.read_bytes()[:n_bytes])
+    return apply
+
+
+# (model file, fault) pairs; encoders load through `finetune --init`,
+# classifiers through `eval`
+MODEL_FILE_FAULTS = [
+    pytest.param("encoder", _edit_sidecar(lambda m: m.update(extra=1)), id="encoder-extra-key"),
+    pytest.param("encoder", _edit_sidecar(lambda m: m.update(hidden="x")), id="encoder-bad-value"),
+    pytest.param("encoder", _malformed_sidecar, id="encoder-malformed-json"),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m["config"].update(extra=1)),
+        id="classifier-extra-config-key",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(kind="gru")), id="classifier-unknown-kind"
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.pop("kind")), id="classifier-missing-kind"
+    ),
+    pytest.param("classifier", _malformed_sidecar, id="classifier-malformed-json"),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(vocab_size=1000)),
+        id="classifier-vocab-size-mismatch",
+    ),
+    pytest.param("classifier", _truncate(12), id="classifier-truncated-header"),
+    pytest.param("classifier", _truncate(300), id="classifier-truncated-payload"),
+]
+
+
 class TestErrorCategories:
+    @pytest.mark.parametrize("model, fault", MODEL_FILE_FAULTS)
+    def test_bad_model_file_is_one_line_checkpoint_error(
+        self, model, fault, workdir, vocab_file, pretrained, classifier_ckpt, tmp_path, capsys
+    ):
+        source = pretrained if model == "encoder" else classifier_ckpt
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copy(source, ckpt)
+        shutil.copy(f"{source}.json", f"{ckpt}.json")
+        fault(ckpt)
+        if model == "encoder":
+            argv = ["finetune", "--data", str(workdir / "train.tsv"), "--init", str(ckpt),
+                    "--epochs", "1"]
+        else:
+            argv = ["eval", "--data", str(workdir / "test.tsv"), "--classifier-ckpt", str(ckpt)]
+        code = main([*argv, "--vocab", str(vocab_file), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECKPOINT, err
+        assert err.startswith("error[checkpoint]: ") and err.count("\n") == 1, err
+
     def test_missing_data_file(self, workdir, tmp_path):
         code = main(["build-vocab", "--data", str(workdir / "absent.tsv"),
                      "--out", str(tmp_path / "v")])
@@ -278,13 +381,15 @@ class TestErrorCategories:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_win(self, workdir, vocab_file, tmp_path):
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    def test_config_supplies_defaults_and_flags_win(self, spelling, workdir, vocab_file, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"epochs": 1, "hidden": 16, "ff": 32, "layers": 1}))
+        flag = ["--config", str(cfg)] if spelling == "space" else [f"--config={cfg}"]
         out = tmp_path / "pre"
         code = main([
             "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
-            "--config", str(cfg), "--epochs", "2", "--out", str(out), "--seed", "1",
+            *flag, "--epochs", "2", "--out", str(out), "--seed", "1",
         ])
         assert code == EXIT_OK
         archived = json.loads((out / "config.json").read_text())

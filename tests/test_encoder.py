@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=10, hidden=10, heads=3)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
+        # the config travels in the checkpoint's JSON sidecar, keys sorted
         config = EncoderConfig(vocab_size=21, num_conditions=5)
-        assert EncoderConfig.from_json(config.to_json()) == config
+        path = tmp_path / "enc.ckpt"
+        save_encoder(init_params(config, np.random.default_rng(0)), config, path)
+        assert load_encoder(path)[1] == config
+        sidecar = json.loads((tmp_path / "enc.ckpt.json").read_text())
+        assert sidecar["format"] == "maskaug-encoder-config v1"
+        assert list(sidecar) == sorted(sidecar)
 
     def test_condition_count_floor(self):
         with pytest.raises(ValueError):
