@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .checkpoint import check_field_types
 from .encoder import EncoderConfig, mlm_distribution
 from .seeding import derive_rng
 from .tensor import Tensor
@@ -48,6 +49,7 @@ class AugmentationPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         ks = (self.k,) if isinstance(self.k, int) else tuple(self.k)
         if any(k < 1 for k in ks):
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -79,6 +81,22 @@ def _draw_k(policy: AugmentationPolicy, rng: np.random.Generator) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
+def _keep_top_k(p: np.ndarray, k: int) -> np.ndarray:
+    """`p` with all but its k largest entries zeroed.
+
+    Ties at the k-th largest value keep the lowest ids, the keep-set of a
+    stable descending sort, found here by one O(V) partition.
+    """
+    if k >= p.size:
+        return p
+    kth = np.partition(p, p.size - k)[p.size - k]
+    above = p > kth
+    ties = np.flatnonzero(p == kth)[: k - np.count_nonzero(above)]
+    kept = np.where(above, p, 0.0)
+    kept[ties] = kth
+    return kept
+
+
 def sample_replacement(
     probs: np.ndarray,
     original: int,
@@ -107,11 +125,7 @@ def sample_replacement(
     if policy.sampler == "greedy":
         return int(np.argmax(p))
     if policy.sampler == "top_k":
-        order = np.argsort(-p, kind="stable")
-        keep = order[: policy.top_k]
-        trimmed = np.zeros_like(p)
-        trimmed[keep] = p[keep]
-        p = trimmed
+        p = _keep_top_k(p, policy.top_k)
     p = p / p.sum()
     return int(rng.choice(p.size, p=p))
 

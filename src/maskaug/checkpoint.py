@@ -18,7 +18,9 @@ describes the architecture; only `save_model` / `load_model` touch sidecars.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
 import struct
 from pathlib import Path
 from typing import Callable, Mapping
@@ -83,6 +85,34 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after checkpoint payload: {path}")
     return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first ill-typed field of a config dataclass.
+
+    Fields annotated `int` take an integer, `tuple[int, ...]` a tuple of
+    them and `float` a real number; a bool is none of these. Sidecar and
+    config-file values arrive from JSON, so without this a string or a
+    fraction surfaces as an unrelated error deep inside the model, or not
+    at all.
+    """
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type in ("int", int):
+            kind, ok = "an int", _is_int(value)
+        elif field.type == "tuple[int, ...]":
+            kind, ok = "a tuple of ints", all(_is_int(v) for v in value)
+        elif field.type in ("float", float):
+            kind = "a real number"
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{field.name} must be {kind}, got {value!r}")
 
 
 def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path) -> None:

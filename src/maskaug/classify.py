@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_model, save_model
+from .checkpoint import check_field_types, load_model, save_model
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import Dataset, LabeledExample, PAD_ID, pad_rows
@@ -43,6 +43,7 @@ class CnnConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
+        check_field_types(self)
         if not self.filter_widths or any(w < 1 for w in self.filter_widths):
             raise ValueError(f"filter widths must be positive, got {self.filter_widths}")
         for name in ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience"):
@@ -62,6 +63,7 @@ class RnnConfig:
     patience: int = 5
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("emb_dim", "state_dim", "max_epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

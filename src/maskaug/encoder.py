@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError, load_model, save_model
+from .checkpoint import CheckpointError, check_field_types, load_model, save_model
 from .tensor import Tensor
 from .text import CLS_ID, MASK_ID, PAD_ID, pad_rows
 
@@ -37,6 +37,9 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.heads < 1:
+            raise ValueError("heads must be >= 1")
         if self.hidden % self.heads != 0:
             raise ValueError(
                 f"hidden size {self.hidden} not divisible by {self.heads} heads"
@@ -129,13 +132,21 @@ def forward(
     batch: InputBatch,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    rows: Sequence[int] | np.ndarray | None = None,
 ) -> Tensor:
     """Vocabulary logits (B, T, V) for every position of the batch.
+
+    With `rows`, a 1-d sequence of flat `b * T + t` position indices, the
+    masked-LM head runs on those positions only and the result is
+    (len(rows), V), in the order given. The head has no dropout, so both
+    forms consume `rng` identically.
 
     Padding is excluded from attention by an additive score mask large
     enough that pad keys receive exactly zero weight.
     """
     b, t = batch.token_ids.shape
+    if rows is not None and np.ndim(rows) != 1:
+        raise ValueError(f"rows must be a 1-d index sequence, got shape {np.shape(rows)}")
     if t > config.max_len:
         raise ValueError(f"sequence length {t} exceeds max_len {config.max_len}")
     if batch.cond_ids.max(initial=0) >= config.num_conditions:
@@ -182,6 +193,9 @@ def forward(
         x = T.add(x, T.dropout(out, p, rng, train))
 
     x = T.layer_norm(x, params["final_ln_gain"], params["final_ln_bias"])
+    if rows is not None:
+        # the gather's scatter-add backward routes gradients to the chosen rows only
+        x = T.embedding_lookup(T.reshape(x, (b * t, h)), rows)
     head = T.gelu(T.add(T.matmul(x, params["mlm_w"]), params["mlm_b"]))
     head = T.layer_norm(head, params["mlm_ln_gain"], params["mlm_ln_bias"])
     logits = T.add(T.matmul(head, T.transpose(params["token_emb"])), params["mlm_out_bias"])
@@ -199,7 +213,8 @@ def mlm_distribution(
 
     The tokens at `masked_positions` are replaced by the mask id, one eval
     forward pass is run under `cond_id`, and the softmax rows at those
-    positions are returned as an (n_masked, V) array.
+    positions are returned as an (n_masked, V) array; the head runs on
+    those positions only.
     """
     positions = list(masked_positions)
     if not positions:
@@ -216,9 +231,8 @@ def mlm_distribution(
     for pos in positions:
         corrupted[pos] = MASK_ID
     batch = batch_from_examples([corrupted], [cond_id])
-    logits = forward(params, config, batch, train=False)
-    probs = T.softmax(logits, axis=-1).data[0]
-    return probs[np.asarray(positions, dtype=np.int64)]
+    logits = forward(params, config, batch, train=False, rows=positions)
+    return T.softmax(logits, axis=-1).data
 
 
 def swap_condition_table(

@@ -160,12 +160,30 @@ def scale(x, s: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; `a` may carry leading batch axes, inner extents must agree."""
+    """Matrix product; `a` may carry leading batch axes, inner extents must agree.
+
+    A weight product, (..., H) @ (H, N), folds the batch axes of `a` into
+    rows, so the forward pass and both gradients are single 2-d GEMMs and
+    the weight gradient is never built per batch entry and summed down.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+
+        def _bwd_folded(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, a2.T @ g2)
+
+        return _node(out_data, (a, b), _bwd_folded)
+
     out_data = np.matmul(a.data, b.data)
 
     def _bwd(g):

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import check_field_types
 from .encoder import (
     EncoderConfig,
     InputBatch,
@@ -60,6 +61,7 @@ class MaskPolicy:
     corrupt_split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in ("ratio", "fixed_k"):
             raise ValueError(f"unknown mask mode {self.mode!r}")
         if not 0.0 < self.ratio <= 1.0:
@@ -82,6 +84,7 @@ class TrainConfig:
     clip_norm: float | None = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 1 <= self.epochs <= 50:
             raise ValueError(f"epochs must lie in [1, 50], got {self.epochs}")
         if self.batch_size < 1:
@@ -170,17 +173,18 @@ def masked_loss(
     train: bool,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, int, float]:
-    """Cross-entropy over masked positions; returns (loss, scored, accuracy)."""
-    logits = forward(params, config, batch, train=train, rng=rng)
-    b, t, v = logits.data.shape
-    flat_logits = T.reshape(logits, (b * t, v))
+    """Cross-entropy over masked positions; returns (loss, scored, accuracy).
+
+    Only the scored positions go through the vocabulary head.
+    """
     flat_targets = batch.targets.reshape(-1)
-    loss, scored = T.cross_entropy(flat_logits, flat_targets, ignore_index=IGNORE_ID)
+    rows = np.flatnonzero(flat_targets != IGNORE_ID)
+    logits = forward(params, config, batch, train=train, rng=rng, rows=rows)
+    targets = flat_targets[rows]
+    loss, scored = T.cross_entropy(logits, targets)
     if scored == 0:
         return loss, 0, 0.0
-    live = flat_targets != IGNORE_ID
-    pred = flat_logits.data[live].argmax(axis=1)
-    acc = float((pred == flat_targets[live]).mean())
+    acc = float((logits.data.argmax(axis=1) == targets).mean())
     return loss, scored, acc
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from maskaug.augment import (
     AugmentationPolicy,
+    _keep_top_k,
     SynonymTable,
     augment_dataset,
     augment_sentence,
@@ -51,6 +52,13 @@ class TestPolicy:
         with pytest.raises(ValueError):
             AugmentationPolicy(multiplier=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("top_k", "5"), ("temperature", "hot"), ("multiplier", 1.5)]
+    )
+    def test_ill_typed_field_raises_value_error_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AugmentationPolicy(**{field: value})
+
 
 class TestSampleReplacement:
     def test_specials_never_sampled(self):
@@ -79,6 +87,33 @@ class TestSampleReplacement:
         rng = np.random.default_rng(1)
         picks = {sample_replacement(probs, 7, policy, rng) for _ in range(200)}
         assert picks <= {4, 5}
+
+
+    @staticmethod
+    def _stable_sort_top_k(p, k):
+        keep = np.argsort(-p, kind="stable")[:k]
+        kept = np.zeros_like(p)
+        kept[keep] = p[keep]
+        return kept
+
+    def test_top_k_matches_stable_sort_on_random_rows(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            p = rng.random(int(rng.integers(1, 80)))
+            p[rng.random(p.size) < 0.2] = 0.0
+            k = int(rng.integers(1, p.size + 3))
+            assert np.array_equal(_keep_top_k(p, k), self._stable_sort_top_k(p, k))
+
+    def test_top_k_matches_stable_sort_with_ties_at_the_boundary(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            above, tied = int(rng.integers(0, 5)), int(rng.integers(2, 8))
+            p = rng.permutation(
+                np.concatenate([rng.uniform(0.6, 1.0, above), np.full(tied, 0.5),
+                                rng.uniform(0.0, 0.4, int(rng.integers(0, 20)))])
+            )
+            k = above + int(rng.integers(1, tied))  # the k-th value is the tied one
+            assert np.array_equal(_keep_top_k(p, k), self._stable_sort_top_k(p, k))
 
 
 class TestAugmentSentence:

@@ -61,6 +61,17 @@ def order_dataset(n=160, seed=1):
     return Dataset(train=examples[cut:], val=examples[:cut], test=examples[:cut], num_labels=2)
 
 
+@pytest.mark.parametrize(
+    "make, field, value",
+    [(CnnConfig, "num_filters", "8"), (CnnConfig, "emb_dim", 2.5), (CnnConfig, "seed", True),
+     (CnnConfig, "lr", "0.1"), (CnnConfig, "filter_widths", ("3",)),
+     (RnnConfig, "dropout", "a"), (RnnConfig, "state_dim", 4.0), (RnnConfig, "patience", None)],
+)
+def test_ill_typed_config_field_raises_value_error_naming_it(make, field, value):
+    with pytest.raises(ValueError, match=field):
+        make(**{field: value})
+
+
 class TestCnn:
     def test_separable_data_reaches_perfect_validation(self):
         dataset = separable_dataset()

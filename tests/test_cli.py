@@ -246,36 +246,47 @@ def _truncate(n_bytes):
     return apply
 
 
-# (model file, fault) pairs; encoders load through `finetune --init`,
-# classifiers through `eval`
+# (model file, fault, a word the message must name) triples; encoders load
+# through `finetune --init`, classifiers through `eval`
 MODEL_FILE_FAULTS = [
-    pytest.param("encoder", _edit_sidecar(lambda m: m.update(extra=1)), id="encoder-extra-key"),
-    pytest.param("encoder", _edit_sidecar(lambda m: m.update(hidden="x")), id="encoder-bad-value"),
-    pytest.param("encoder", _malformed_sidecar, id="encoder-malformed-json"),
     pytest.param(
-        "classifier", _edit_sidecar(lambda m: m["config"].update(extra=1)),
+        "encoder", _edit_sidecar(lambda m: m.update(extra=1)), "extra", id="encoder-extra-key"
+    ),
+    pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(hidden="x")), "hidden",
+        id="encoder-bad-value",
+    ),
+    pytest.param("encoder", _malformed_sidecar, "malformed", id="encoder-malformed-json"),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m["config"].update(extra=1)), "extra",
         id="classifier-extra-config-key",
     ),
     pytest.param(
-        "classifier", _edit_sidecar(lambda m: m.update(kind="gru")), id="classifier-unknown-kind"
+        "classifier", _edit_sidecar(lambda m: m["config"].update(dropout="a")), "dropout",
+        id="classifier-ill-typed-config-value",
     ),
     pytest.param(
-        "classifier", _edit_sidecar(lambda m: m.pop("kind")), id="classifier-missing-kind"
+        "classifier", _edit_sidecar(lambda m: m.update(kind="gru")), "gru",
+        id="classifier-unknown-kind",
     ),
-    pytest.param("classifier", _malformed_sidecar, id="classifier-malformed-json"),
     pytest.param(
-        "classifier", _edit_sidecar(lambda m: m.update(vocab_size=1000)),
+        "classifier", _edit_sidecar(lambda m: m.pop("kind")), "kind",
+        id="classifier-missing-kind",
+    ),
+    pytest.param("classifier", _malformed_sidecar, "malformed", id="classifier-malformed-json"),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(vocab_size=1000)), "shape",
         id="classifier-vocab-size-mismatch",
     ),
-    pytest.param("classifier", _truncate(12), id="classifier-truncated-header"),
-    pytest.param("classifier", _truncate(300), id="classifier-truncated-payload"),
+    pytest.param("classifier", _truncate(12), "truncated", id="classifier-truncated-header"),
+    pytest.param("classifier", _truncate(300), "truncated", id="classifier-truncated-payload"),
 ]
 
 
 class TestErrorCategories:
-    @pytest.mark.parametrize("model, fault", MODEL_FILE_FAULTS)
+    @pytest.mark.parametrize("model, fault, named", MODEL_FILE_FAULTS)
     def test_bad_model_file_is_one_line_checkpoint_error(
-        self, model, fault, workdir, vocab_file, pretrained, classifier_ckpt, tmp_path, capsys
+        self, model, fault, named, workdir, vocab_file, pretrained, classifier_ckpt, tmp_path, capsys
     ):
         source = pretrained if model == "encoder" else classifier_ckpt
         ckpt = tmp_path / "model.ckpt"
@@ -291,6 +302,7 @@ class TestErrorCategories:
         err = capsys.readouterr().err
         assert code == EXIT_CHECKPOINT, err
         assert err.startswith("error[checkpoint]: ") and err.count("\n") == 1, err
+        assert named in err, err
 
     def test_missing_data_file(self, workdir, tmp_path):
         code = main(["build-vocab", "--data", str(workdir / "absent.tsv"),
@@ -395,3 +407,18 @@ class TestConfigFile:
         archived = json.loads((out / "config.json").read_text())
         assert archived["epochs"] == 2  # flag beat the config file
         assert archived["hidden"] == 16  # config beat the built-in default
+
+    @pytest.mark.parametrize("field, value", [("epochs", 1.5), ("hidden", 16.0)])
+    def test_ill_typed_config_value_is_one_line_config_error(
+        self, field, value, workdir, vocab_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({field: value}))
+        code = main([
+            "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--config", str(cfg), "--out", str(tmp_path / "pre"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err.startswith("error[config]: ") and err.count("\n") == 1, err
+        assert field in err, err

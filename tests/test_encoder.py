@@ -17,7 +17,7 @@ from maskaug.encoder import (
 )
 from maskaug.gradcheck import gradient_disagreement, numeric_gradient
 from maskaug.tensor import Tensor
-from maskaug.text import CLS_ID, PAD_ID
+from maskaug.text import CLS_ID, MASK_ID, PAD_ID
 from maskaug.training import IGNORE_ID
 
 
@@ -49,6 +49,18 @@ class TestConfig:
     def test_condition_count_floor(self):
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=10, num_conditions=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hidden", "x"), ("vocab_size", "10"), ("layers", 1.5), ("layers", True),
+         ("max_len", None), ("dropout", "a"), ("dropout", False), ("heads", 0)],
+    )
+    def test_bad_field_raises_value_error_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EncoderConfig(**{"vocab_size": 10, field: value})
+
+    def test_integral_dropout_accepted(self):
+        assert EncoderConfig(vocab_size=10, dropout=0).dropout == 0
 
 
 class TestForward:
@@ -151,6 +163,38 @@ class TestMlmDistribution:
         params, config = tiny
         with pytest.raises(IndexError):
             mlm_distribution(params, config, [CLS_ID, 5], [5], cond_id=0)
+
+
+class TestScoredRows:
+    """The head on chosen rows against the full (B, T, V) forward it replaces."""
+
+    def test_forward_rows_match_full_forward(self, tiny):
+        params, config = tiny
+        batch = batch_from_examples([[CLS_ID, 5, 6, 7, 8], [CLS_ID, 9, 10]], [0, 1])
+        full = forward(params, config, batch).data
+        b, t, v = full.shape
+        rows = np.array([6, 1, 3, 3, 9, 0])  # unordered, repeated, one pad slot
+        got = forward(params, config, batch, rows=rows).data
+        assert got.shape == (rows.size, v)
+        assert np.max(np.abs(got - full.reshape(b * t, v)[rows])) <= 1e-12
+
+    def test_bad_rows_rejected(self, tiny):
+        params, config = tiny
+        batch = batch_from_examples([[CLS_ID, 5, 6]], [0])
+        with pytest.raises(IndexError):
+            forward(params, config, batch, rows=[3])
+        with pytest.raises(ValueError):
+            forward(params, config, batch, rows=[[1]])
+
+    def test_mlm_distribution_matches_full_forward_softmax(self, tiny):
+        params, config = tiny
+        tokens, positions = [CLS_ID, 5, 6, 7, 8], [3, 1, 4]
+        corrupted = [MASK_ID if i in positions else tok for i, tok in enumerate(tokens)]
+        logits = forward(params, config, batch_from_examples([corrupted], [1]))
+        want = T.softmax(logits, axis=-1).data[0][positions]
+        got = mlm_distribution(params, config, tokens, positions, cond_id=1)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestSwapConditionTable:

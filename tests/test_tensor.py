@@ -45,6 +45,26 @@ class TestMatmul:
         assert err < GRAD_TOL
 
 
+    @pytest.mark.parametrize(
+        "a_shape, n", [((2, 3, 4), 5), ((3, 1, 2, 6), 4), ((5, 7, 3), 1), ((1, 4, 8), 8)]
+    )
+    def test_weight_product_matches_batched_formula(self, a_shape, n):
+        # (..., H) @ (H, N) runs as one folded GEMM; the reference is the
+        # per-batch product with its gradients summed down by _unbroadcast
+        rng = np.random.default_rng(sum(a_shape) + n)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=(a_shape[-1], n)), requires_grad=True)
+        g = rng.normal(size=a_shape[:-1] + (n,))
+        out = T.matmul(a, b)
+        out.backward(g)
+        want_ga = T._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        want_gb = T._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        want_out = np.matmul(a.data, b.data)
+        for got, want in [(out.data, want_out), (a.grad, want_ga), (b.grad, want_gb)]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = T.softmax(Tensor([0.0, 0.0, 0.0, 0.0]))

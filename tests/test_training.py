@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maskaug.encoder import EncoderConfig, init_params
+from maskaug import tensor as T
+from maskaug.encoder import EncoderConfig, forward, init_params
 from maskaug.text import CLS_ID, MASK_ID, NUM_SPECIALS, Dataset, LabeledExample
 from maskaug.training import (
     IGNORE_ID,
@@ -13,6 +14,7 @@ from maskaug.training import (
     collate_masked,
     finetune_cmlm,
     mask_tokens,
+    masked_loss,
     maskable_positions,
     pretrain_mlm,
     write_metrics,
@@ -45,6 +47,15 @@ class TestConfigs:
             TrainConfig(epochs=51)
         TrainConfig(epochs=1)
         TrainConfig(epochs=50)
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [(TrainConfig, "epochs", 1.5), (TrainConfig, "lr", "0.1"), (TrainConfig, "seed", True),
+         (MaskPolicy, "ratio", "0.2"), (MaskPolicy, "k", 2.0)],
+    )
+    def test_ill_typed_field_raises_value_error_naming_it(self, make, field, value):
+        with pytest.raises(ValueError, match=field):
+            make(**{field: value})
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -215,3 +226,50 @@ def test_write_metrics_format(tmp_path, trained):
     epoch, split, loss, acc = lines[2].split("\t")
     assert split in ("train", "val")
     float(loss), float(acc)
+
+
+def _full_head_loss(params, config, batch, rng):
+    """Masked loss over every (B * T) head row, the formula the scored-row head replaces."""
+    logits = forward(params, config, batch, train=True, rng=rng)
+    b, t, v = logits.data.shape
+    flat = T.reshape(logits, (b * t, v))
+    targets = batch.targets.reshape(-1)
+    loss, scored = T.cross_entropy(flat, targets, ignore_index=IGNORE_ID)
+    live = targets != IGNORE_ID
+    acc = float((flat.data[live].argmax(axis=1) == targets[live]).mean()) if scored else 0.0
+    return loss, scored, acc
+
+
+@pytest.mark.parametrize("all_ignored", [False, True], ids=["scored", "all-ignored"])
+def test_masked_loss_matches_full_head_cross_entropy(all_ignored):
+    config = EncoderConfig(
+        vocab_size=14, layers=1, hidden=8, heads=2, ff=16, max_len=8,
+        num_conditions=2, dropout=0.2,
+    )
+    batch = collate_masked(
+        template_dataset().train[:6], MaskPolicy(ratio=0.4), config.vocab_size,
+        np.random.default_rng(0), label_conditions=True,
+    )
+    if all_ignored:
+        batch.targets[:] = IGNORE_ID
+
+    def run(loss_fn):
+        params = init_params(config, np.random.default_rng(5))
+        rng = np.random.default_rng(9)
+        loss, scored, acc = loss_fn(params, config, batch, rng)
+        if scored:
+            loss.backward()
+        grads = {k: p.grad for k, p in params.items()}
+        return float(loss.data), scored, acc, grads, rng.random()
+
+    fast = run(lambda p, c, b, rng: masked_loss(p, c, b, train=True, rng=rng))
+    slow = run(_full_head_loss)
+    assert fast[1] == slow[1] == (0 if all_ignored else int((batch.targets != IGNORE_ID).sum()))
+    assert abs(fast[0] - slow[0]) <= 1e-12 and abs(fast[2] - slow[2]) <= 1e-12
+    assert fast[4] == slow[4]  # dropout drew the same stream
+    for name, want in slow[3].items():
+        got = fast[3][name]
+        if want is None:
+            assert got is None, name
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12, name
