@@ -38,6 +38,7 @@ from .encoder import (
     init_params,
     load_encoder,
     mlm_distribution,
+    mlm_distributions,
     save_encoder,
     swap_condition_table,
 )

@@ -17,13 +17,14 @@ running under the same seed mask the same slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .checkpoint import check_field_types
-from .encoder import EncoderConfig, mlm_distribution
+from .encoder import EncoderConfig, mlm_distributions
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import Dataset, LabeledExample, NUM_SPECIALS, ParseError, Vocabulary, decode
@@ -31,6 +32,18 @@ from .training import SkipExample, maskable_positions
 
 AUGMENTED_TSV_FORMAT = "# maskaug-augmented-tsv v1"
 SYNONYM_FORMAT = "# maskaug-synonyms v1"
+
+# sentences per batched encoder forward in a dataset pass; chunks are cut
+# from the non-skipped sentences in dataset order, so their make-up never
+# depends on timing
+CHUNK_SIZE = 32
+
+# a sentence ready for its model call: the example, its random stream, and
+# what was drawn from that stream so far (mask positions, or a finished
+# synonym variant); its outcome is the new example plus the changed slots,
+# or the SkipExample that rejected it
+Pick = tuple[LabeledExample, np.random.Generator, object]
+Outcome = tuple[LabeledExample, tuple[int, ...]] | SkipExample
 
 
 @dataclass(frozen=True)
@@ -130,26 +143,43 @@ def sample_replacement(
     return int(rng.choice(p.size, p=p))
 
 
-def _substitute(
-    params: dict[str, Tensor],
-    config: EncoderConfig,
-    example: LabeledExample,
-    policy: AugmentationPolicy,
-    rng: np.random.Generator,
-    cond_id: int,
-) -> tuple[LabeledExample, tuple[int, ...]]:
-    """Mask, predict, refill. Returns the new example and the masked slots."""
+def _mask_positions(
+    example: LabeledExample, policy: AugmentationPolicy, rng: np.random.Generator
+) -> list[int]:
+    """Draw k, then k distinct maskable positions, from the sentence's stream."""
     candidates = maskable_positions(example.tokens)
     k = _draw_k(policy, rng)
     if len(candidates) < k:
         raise SkipExample(f"{len(candidates)} maskable tokens < k={k}")
     chosen = sorted(rng.choice(len(candidates), size=k, replace=False).tolist())
-    positions = [candidates[i] for i in chosen]
-    probs = mlm_distribution(params, config, example.tokens, positions, cond_id)
-    tokens = list(example.tokens)
-    for row, pos in enumerate(positions):
-        tokens[pos] = sample_replacement(probs[row], example.tokens[pos], policy, rng)
-    return LabeledExample(tuple(tokens), example.label), tuple(positions)
+    return [candidates[i] for i in chosen]
+
+
+def _refill(
+    params: dict[str, Tensor],
+    config: EncoderConfig,
+    policy: AugmentationPolicy,
+    picks: list[Pick],
+    unconditional: bool,
+) -> list[Outcome]:
+    """One batched encoder forward for a chunk of masked sentences, each
+    under its label (or 0 when unconditional), then each sentence's slots
+    sampled from that sentence's own stream."""
+    queries = [
+        (ex.tokens, positions, 0 if unconditional else ex.label) for ex, _, positions in picks
+    ]
+    dists = mlm_distributions(params, config, queries)
+    outcomes: list[Outcome] = []
+    for (example, rng, positions), probs in zip(picks, dists):
+        tokens = list(example.tokens)
+        try:
+            for row, pos in enumerate(positions):
+                tokens[pos] = sample_replacement(probs[row], example.tokens[pos], policy, rng)
+        except SkipExample as skip:
+            outcomes.append(skip)
+            continue
+        outcomes.append((LabeledExample(tuple(tokens), example.label), tuple(positions)))
+    return outcomes
 
 
 def augment_sentence(
@@ -159,9 +189,13 @@ def augment_sentence(
     policy: AugmentationPolicy,
     rng: np.random.Generator,
 ) -> LabeledExample:
-    """One label-conditional variant of `example` (condition = its label)."""
-    new, _ = _substitute(params, config, example, policy, rng, cond_id=example.label)
-    return new
+    """One label-conditional variant of `example` (condition = its label),
+    made as a one-sentence chunk of a dataset pass."""
+    pick = (example, rng, _mask_positions(example, policy, rng))
+    [outcome] = _refill(params, config, policy, [pick], unconditional=False)
+    if isinstance(outcome, SkipExample):
+        raise outcome
+    return outcome[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +280,38 @@ def _dataset_pass(
     multiplier: int,
     seed: int,
     name: str,
-    substitute_one: Callable[[LabeledExample, np.random.Generator], tuple[LabeledExample, tuple[int, ...]]],
     stream_tag: str,
+    pick: Callable[[LabeledExample, np.random.Generator], object],
+    fill: Callable[[list[Pick]], list[Outcome]],
 ) -> tuple[Dataset, AugmentReport]:
+    """`multiplier` rounds over the train split. Each round walks the split
+    in order, derives each sentence's stream and runs `pick` on it (a
+    SkipExample tallies a skip); the picked sentences go to `fill` in
+    chunks of CHUNK_SIZE, and results keep dataset order."""
     report = AugmentReport()
     generated: list[LabeledExample] = []
-    for round_no in range(1, multiplier + 1):
+
+    def picked(round_no: int) -> Iterator[tuple[int, Pick]]:
         for idx, example in enumerate(dataset.train):
             rng = derive_rng(seed, "augment", stream_tag, round_no, idx)
             try:
-                new, positions = substitute_one(example, rng)
+                drawn = pick(example, rng)
             except SkipExample:
                 report.skipped += 1
                 continue
-            generated.append(new)
-            report.generated += 1
-            report.provenance.append((idx, name, positions))
+            yield idx, (example, rng, drawn)
+
+    for round_no in range(1, multiplier + 1):
+        queue = picked(round_no)
+        while chunk := list(islice(queue, CHUNK_SIZE)):
+            for (idx, _), outcome in zip(chunk, fill([p for _, p in chunk])):
+                if isinstance(outcome, SkipExample):
+                    report.skipped += 1
+                    continue
+                new, positions = outcome
+                generated.append(new)
+                report.generated += 1
+                report.provenance.append((idx, name, positions))
     augmented = Dataset(
         train=list(dataset.train) + generated,
         val=list(dataset.val),
@@ -282,18 +332,18 @@ def augment_dataset(
 ) -> tuple[Dataset, AugmentReport]:
     """Grow the train split: originals first, then `multiplier` passes of
     generated variants in sentence order. Deterministic for a fixed seed;
-    too-short sentences are skipped and tallied, never errors.
+    too-short sentences are skipped and tallied, never errors. The encoder
+    runs once per chunk of CHUNK_SIZE sentences.
     """
     seed = policy.seed if seed is None else seed
     name = "bert" if unconditional else "cbert"
-
-    def one(example, rng):
-        cond = 0 if unconditional else example.label
-        return _substitute(params, config, example, policy, rng, cond)
-
     # one shared stream tag: conditional and unconditional passes under the
     # same seed mask the same positions and differ only through the model
-    return _dataset_pass(dataset, policy.multiplier, seed, name, one, "mlm")
+    return _dataset_pass(
+        dataset, policy.multiplier, seed, name, "mlm",
+        lambda example, rng: _mask_positions(example, policy, rng),
+        lambda picks: _refill(params, config, policy, picks, unconditional),
+    )
 
 
 def synonym_augment_dataset(
@@ -304,14 +354,15 @@ def synonym_augment_dataset(
     multiplier: int = 1,
     seed: int = 0,
 ) -> tuple[Dataset, AugmentReport]:
-    def one(example, rng):
-        new = synonym_augment(example, table, k, rng, vocab)
-        changed = tuple(
-            i for i, (a, b) in enumerate(zip(example.tokens, new.tokens)) if a != b
-        )
-        return new, changed
+    def changed(example, new):
+        return tuple(i for i, (a, b) in enumerate(zip(example.tokens, new.tokens)) if a != b)
 
-    return _dataset_pass(dataset, multiplier, seed, "synonym", one, "synonym")
+    # the variant is finished when picked: there is no model to batch
+    return _dataset_pass(
+        dataset, multiplier, seed, "synonym", "synonym",
+        lambda example, rng: synonym_augment(example, table, k, rng, vocab),
+        lambda picks: [(new, changed(example, new)) for example, _, new in picks],
+    )
 
 
 def write_augmented_tsv(

@@ -111,6 +111,16 @@ def _load_encoder(path, vocab):
     return params, config
 
 
+def _load_classifier(path, vocab):
+    """Classifier checkpoint whose vocabulary size matches the vocab file."""
+    clf = load_classifier(path)
+    if clf.vocab_size != len(vocab):
+        raise CheckpointError(
+            f"classifier vocabulary size {clf.vocab_size} != vocab file {len(vocab)}"
+        )
+    return clf
+
+
 def _load_dataset(args: argparse.Namespace, vocab, *encoders, val_fraction=None, test=None):
     """--data (and `test`), each sentence cut to --max-len ids, capped at the
     smallest max_len of the given encoder configs (None entries are skipped)."""
@@ -300,7 +310,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, val_fraction=0.0)
-    clf = load_classifier(args.classifier_ckpt)
+    clf = _load_classifier(args.classifier_ckpt, vocab)
     report = evaluate(clf, dataset.train, "test")
     payload = {
         "accuracy": report.accuracy["test"],
@@ -347,7 +357,7 @@ def cmd_style_transfer(args) -> int:
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.model, vocab)
-    clf = load_classifier(args.classifier_ckpt)
+    clf = _load_classifier(args.classifier_ckpt, vocab)
     dataset = _load_dataset(args, vocab, config, val_fraction=0.0)
     if args.target_label is None and dataset.num_labels != 2:
         raise ValueError("--target-label is required for non-binary datasets")

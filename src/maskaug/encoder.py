@@ -202,6 +202,48 @@ def forward(
     return logits
 
 
+def mlm_distributions(
+    params: dict[str, Tensor],
+    config: EncoderConfig,
+    queries: Sequence[tuple[Sequence[int], Sequence[int], int]],
+) -> list[np.ndarray]:
+    """Cloze distributions for a batch of `(tokens, masked_positions,
+    cond_id)` queries, one (n_masked, V) array per query, in query order.
+
+    Each query's tokens at its masked positions are replaced by the mask
+    id; the corrupted sentences are right-padded into one batch and one
+    eval forward pass, each row under its own condition, runs the head on
+    the masked positions only. Padding gets zero attention weight, so a
+    query's rows match a batch-1 pass up to floating-point summation order.
+    """
+    sequences, conds, masked = [], [], []
+    for tokens, masked_positions, cond_id in queries:
+        positions = list(masked_positions)
+        if not positions:
+            raise ValueError("masked_positions must be non-empty")
+        tokens = list(tokens)
+        for pos in positions:
+            if not 0 <= pos < len(tokens):
+                raise IndexError(f"masked position {pos} out of range for length {len(tokens)}")
+            if tokens[pos] == CLS_ID or pos == 0:
+                raise ValueError("cannot mask the CLS anchor position")
+            if tokens[pos] == PAD_ID:
+                raise ValueError(f"cannot mask padding at position {pos}")
+        for pos in positions:
+            tokens[pos] = MASK_ID
+        sequences.append(tokens)
+        conds.append(cond_id)
+        masked.append(positions)
+    if not sequences:
+        raise ValueError("queries must be non-empty")
+    batch = batch_from_examples(sequences, conds)
+    t = batch.token_ids.shape[1]
+    rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
+    logits = forward(params, config, batch, train=False, rows=rows)
+    probs = T.softmax(logits, axis=-1).data
+    return np.split(probs, np.cumsum([len(positions) for positions in masked])[:-1])
+
+
 def mlm_distribution(
     params: dict[str, Tensor],
     config: EncoderConfig,
@@ -209,30 +251,9 @@ def mlm_distribution(
     masked_positions: Sequence[int],
     cond_id: int,
 ) -> np.ndarray:
-    """Cloze distributions p(.|condition, sentence without the masked words).
-
-    The tokens at `masked_positions` are replaced by the mask id, one eval
-    forward pass is run under `cond_id`, and the softmax rows at those
-    positions are returned as an (n_masked, V) array; the head runs on
-    those positions only.
-    """
-    positions = list(masked_positions)
-    if not positions:
-        raise ValueError("masked_positions must be non-empty")
-    tokens = list(tokens)
-    for pos in positions:
-        if not 0 <= pos < len(tokens):
-            raise IndexError(f"masked position {pos} out of range for length {len(tokens)}")
-        if tokens[pos] == CLS_ID or pos == 0:
-            raise ValueError("cannot mask the CLS anchor position")
-        if tokens[pos] == PAD_ID:
-            raise ValueError(f"cannot mask padding at position {pos}")
-    corrupted = list(tokens)
-    for pos in positions:
-        corrupted[pos] = MASK_ID
-    batch = batch_from_examples([corrupted], [cond_id])
-    logits = forward(params, config, batch, train=False, rows=positions)
-    return T.softmax(logits, axis=-1).data
+    """Cloze distributions p(.|condition, sentence without the masked words)
+    as an (n_masked, V) array: `mlm_distributions` on one query."""
+    return mlm_distributions(params, config, [(tokens, masked_positions, cond_id)])[0]
 
 
 def swap_condition_table(

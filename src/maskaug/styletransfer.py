@@ -3,8 +3,9 @@ under the opposite label.
 
 Word relevance comes from a leave-one-out deletion score against a trained
 classifier: score(i) = p(true label | sentence) - p(true label | sentence
-without token i). The top-scoring tokens are masked and refilled greedily
-by the conditional encoder under the target label.
+without token i), with a sentence and all its deletion variants scored in
+one classifier call. The top-scoring tokens are masked and refilled
+greedily by the conditional encoder under the target label.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .augment import AugmentationPolicy, sample_replacement
-from .classify import Classifier, predict_proba
+from .classify import Classifier, predict_logits
 from .encoder import EncoderConfig, mlm_distribution
 from .tensor import Tensor
 from .text import LabeledExample, Vocabulary, decode
@@ -35,17 +36,22 @@ class AttributionScores:
 
 
 def attribute_words(clf: Classifier, example: LabeledExample) -> AttributionScores:
-    """Leave-one-out contribution of each content token to the true label."""
+    """Leave-one-out contribution of each content token to the true label.
+
+    The sentence and its one-token-deleted variants are scored in one
+    classifier call.
+    """
     positions = maskable_positions(example.tokens)
     if not positions:
         raise SkipExample("no content tokens to attribute")
-    base = predict_proba(clf, example)[example.label]
-    scores = np.zeros(len(positions))
-    for row, pos in enumerate(positions):
-        reduced = example.tokens[:pos] + example.tokens[pos + 1 :]
-        prob = predict_proba(clf, LabeledExample(reduced, example.label))[example.label]
-        scores[row] = base - prob
-    return AttributionScores(tuple(positions), scores)
+    variants = [example] + [
+        LabeledExample(example.tokens[:pos] + example.tokens[pos + 1 :], example.label)
+        for pos in positions
+    ]
+    logits = predict_logits(clf, variants)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e[:, example.label] / e.sum(axis=1)
+    return AttributionScores(tuple(positions), probs[0] - probs[1:])
 
 
 def transfer_style(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskaug.augment import (
+    CHUNK_SIZE,
     AugmentationPolicy,
     _keep_top_k,
     SynonymTable,
@@ -12,7 +13,8 @@ from maskaug.augment import (
     synonym_augment_dataset,
     write_augmented_tsv,
 )
-from maskaug.encoder import EncoderConfig, init_params
+from maskaug.encoder import EncoderConfig, init_params, mlm_distribution
+from maskaug.seeding import derive_rng
 from maskaug.text import (
     CLS_ID,
     NUM_SPECIALS,
@@ -22,7 +24,7 @@ from maskaug.text import (
     read_tsv,
     build_vocab,
 )
-from maskaug.training import SkipExample
+from maskaug.training import SkipExample, maskable_positions
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +220,81 @@ class TestDatasetPass:
         _, rep_unc = augment_dataset(params, config, dataset, policy, unconditional=True)
         assert [p for _, _, p in rep_cond.provenance] == [p for _, _, p in rep_unc.provenance]
 
+
+
+def serial_augment(params, config, dataset, policy, unconditional):
+    """The per-sentence formula the chunked pass must reproduce: one
+    stream, one batch-1 cloze query and one sampler run per sentence
+    (k given as a (lo, hi) range)."""
+    generated, provenance, skipped = [], [], 0
+    for round_no in range(1, policy.multiplier + 1):
+        for idx, ex in enumerate(dataset.train):
+            rng = derive_rng(policy.seed, "augment", "mlm", round_no, idx)
+            candidates = maskable_positions(ex.tokens)
+            lo, hi = policy.k
+            k = int(rng.integers(lo, hi + 1))
+            if len(candidates) < k:
+                skipped += 1
+                continue
+            chosen = sorted(rng.choice(len(candidates), size=k, replace=False).tolist())
+            positions = [candidates[i] for i in chosen]
+            cond = 0 if unconditional else ex.label
+            probs = mlm_distribution(params, config, ex.tokens, positions, cond)
+            tokens = list(ex.tokens)
+            for row, pos in enumerate(positions):
+                tokens[pos] = sample_replacement(probs[row], ex.tokens[pos], policy, rng)
+            generated.append(LabeledExample(tuple(tokens), ex.label))
+            provenance.append((idx, "bert" if unconditional else "cbert", tuple(positions)))
+    return generated, provenance, skipped
+
+
+class TestChunkedPass:
+    @staticmethod
+    def dataset():
+        # one chunk plus three rows, mixed lengths and labels; rows 5 and 9
+        # sit inside the first chunk and are too short for some or all k
+        words = [(i * 5) % 9 + 1 for i in range(CHUNK_SIZE + 3)]
+        words[5], words[9] = 0, 1
+        train = [example(n, label=(i // 2) % 2) for i, n in enumerate(words)]
+        return Dataset(train=train, val=[], test=[], num_labels=2)
+
+    @pytest.mark.parametrize("unconditional", [False, True], ids=["cbert", "bert"])
+    @pytest.mark.parametrize("sampler", ["greedy", "top_k"])
+    def test_matches_serial_reference(self, model, sampler, unconditional):
+        params, config = model
+        dataset = self.dataset()
+        policy = AugmentationPolicy(k=(1, 2), sampler=sampler, top_k=5, multiplier=2, seed=13)
+        out, report = augment_dataset(params, config, dataset, policy, unconditional=unconditional)
+        generated, provenance, skipped = serial_augment(
+            params, config, dataset, policy, unconditional
+        )
+        assert report.provenance == provenance
+        assert out.train[len(dataset.train):] == generated
+        assert report.skipped == skipped >= 2
+        assert report.generated == len(generated)
+
+    def test_sampler_skip_drops_only_its_sentence(self, model, monkeypatch):
+        params, config = model
+        dataset = self.dataset()
+        policy = AugmentationPolicy(k=1, sampler="greedy", seed=2)
+        _, full = augment_dataset(params, config, dataset, policy)
+        refused_word = NUM_SPECIALS + 1
+        hit = {
+            idx for idx, _, (pos,) in full.provenance
+            if dataset.train[idx].tokens[pos] == refused_word
+        }
+        assert 0 < len(hit) < full.generated
+        sample = sample_replacement
+
+        def refuse(probs, original, policy, rng):
+            if original == refused_word:
+                raise SkipExample("refused")
+            return sample(probs, original, policy, rng)
+
+        monkeypatch.setattr("maskaug.augment.sample_replacement", refuse)
+        _, report = augment_dataset(params, config, dataset, policy)
+        assert report.skipped == full.skipped + len(hit)
+        assert report.provenance == [entry for entry in full.provenance if entry[0] not in hit]
 
 class TestSynonyms:
     @pytest.fixture

@@ -361,6 +361,29 @@ class TestErrorCategories:
         assert code == EXIT_CHECKPOINT
         assert "vocabulary size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["eval", "style-transfer"])
+    def test_vocab_mismatch_with_classifier_is_checkpoint_error(
+        self, subcommand, workdir, vocab_file, finetuned, tmp_path, capsys
+    ):
+        # a classifier trained against a larger vocabulary than the run's
+        wide_vocab = tmp_path / "wide.txt"
+        wide_vocab.write_text(vocab_file.read_text() + "".join(f"extra{i}\n" for i in range(6)))
+        assert main([
+            "train-classifier", "--data", str(workdir / "train.tsv"), "--vocab", str(wide_vocab),
+            "--epochs", "1", "--out", str(tmp_path / "clf"),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        extra = ["--model", str(finetuned)] if subcommand == "style-transfer" else []
+        code = main([
+            subcommand, "--data", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--classifier-ckpt", str(tmp_path / "clf" / "classifier.ckpt"),
+            "--out", str(tmp_path / "run"), *extra,
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECKPOINT, err
+        assert err.startswith("error[checkpoint]: ") and err.count("\n") == 1, err
+        assert "vocabulary size" in err, err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_classifier_divergence_is_training_error(self, workdir, vocab_file, tmp_path, capsys):
         code = main([

@@ -12,6 +12,7 @@ from maskaug.encoder import (
     init_params,
     load_encoder,
     mlm_distribution,
+    mlm_distributions,
     save_encoder,
     swap_condition_table,
 )
@@ -196,6 +197,44 @@ class TestScoredRows:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
+
+class TestBatchedDistributions:
+    def test_each_query_matches_a_single_sentence_forward(self, tiny):
+        params, config = tiny
+        queries = [
+            ([CLS_ID, 5, 6, 7, 8, 9, 10], [3, 1, 6], 1),
+            ([CLS_ID, 5], [1], 0),
+            ([CLS_ID, 12, 11, 4], [2], 1),
+            ([CLS_ID, 7, 7, 7, 7], [4, 2], 0),
+        ]
+        got = mlm_distributions(params, config, queries)
+        assert len(got) == len(queries)
+        for (tokens, positions, cond), probs in zip(queries, got):
+            corrupted = [MASK_ID if i in positions else tok for i, tok in enumerate(tokens)]
+            logits = forward(params, config, batch_from_examples([corrupted], [cond]))
+            want = T.softmax(logits, axis=-1).data[0][positions]
+            assert probs.shape == want.shape
+            assert np.max(np.abs(probs - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (([CLS_ID, 5], [], 0), ValueError),
+            (([CLS_ID, 5], [0], 0), ValueError),
+            (([CLS_ID, 5, PAD_ID], [2], 0), ValueError),
+            (([CLS_ID, 5], [5], 0), IndexError),
+        ],
+        ids=["no-positions", "cls", "padding", "out-of-range"],
+    )
+    def test_every_query_is_checked(self, tiny, bad, error):
+        params, config = tiny
+        with pytest.raises(error):
+            mlm_distributions(params, config, [([CLS_ID, 5, 6], [1], 0), bad])
+
+    def test_no_queries_rejected(self, tiny):
+        params, config = tiny
+        with pytest.raises(ValueError):
+            mlm_distributions(params, config, [])
 
 class TestSwapConditionTable:
     def test_same_size_swap_is_identity(self, tiny):

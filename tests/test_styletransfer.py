@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskaug.classify import CnnConfig, predict_proba, train_cnn
+from maskaug.classify import CnnConfig, RnnConfig, predict_proba, train_classifier, train_cnn
 from maskaug.encoder import EncoderConfig, init_params
 from maskaug.styletransfer import attribute_words, transfer_style, write_style_pairs
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample, build_vocab
@@ -95,6 +95,34 @@ class TestAttribution:
         with pytest.raises(SkipExample):
             attribute_words(classifier, LabeledExample((CLS_ID, 1, 1), 1))
 
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("cnn", CnnConfig(seed=2, max_epochs=2, filter_widths=(2, 5))),
+    ("rnn", RnnConfig(seed=2, max_epochs=2)),
+])
+def test_stacked_scores_match_per_variant_formula(kind, cfg):
+    classifier, _ = train_classifier(signal_dataset(n=40), kind, cfg, vocab_size=VOCAB_SIZE)
+    sentences = [
+        LabeledExample((CLS_ID, NEUTRAL[0], MARKER_POS, NEUTRAL[1], NEUTRAL[2], NEUTRAL[3]), 1),
+        LabeledExample((CLS_ID, MARKER_NEG), 0),  # one content token
+        LabeledExample((CLS_ID, NEUTRAL[1], MARKER_NEG), 0),  # shorter than the widest filter
+        LabeledExample((CLS_ID, 1, NEUTRAL[2], MARKER_POS), 1),  # a special between words
+    ]
+    for example in sentences:
+        got = attribute_words(classifier, example)
+        def prob(tokens):
+            return predict_proba(classifier, LabeledExample(tokens, example.label))[example.label]
+
+        tokens = example.tokens
+        want = [prob(tokens) - prob(tokens[:i] + tokens[i + 1 :]) for i in got.positions]
+        assert got.positions == tuple(i for i, t in enumerate(example.tokens) if t >= NUM_SPECIALS)
+        assert np.max(np.abs(got.scores - np.array(want))) <= 1e-12
+
+
+def test_stacked_scores_keep_the_vocabulary_check(setup):
+    _, classifier, _, _ = setup
+    with pytest.raises(ValueError, match="vocabulary mismatch"):
+        attribute_words(classifier, LabeledExample((CLS_ID, MARKER_POS, VOCAB_SIZE), 1))
 
 class TestTransfer:
     def test_changes_exactly_top_m_positions(self, setup):
