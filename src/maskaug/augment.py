@@ -27,7 +27,9 @@ from .checkpoint import check_field_types
 from .encoder import EncoderConfig, mlm_distributions
 from .seeding import derive_rng
 from .tensor import Tensor
-from .text import Dataset, LabeledExample, NUM_SPECIALS, ParseError, Vocabulary, decode
+from .text import (
+    Dataset, LabeledExample, NUM_SPECIALS, ParseError, Vocabulary, decode, read_lines,
+)
 from .training import SkipExample, maskable_positions
 
 AUGMENTED_TSV_FORMAT = "# maskaug-augmented-tsv v1"
@@ -224,8 +226,7 @@ class SynonymTable:
     @staticmethod
     def load(path) -> "SynonymTable":
         entries: dict[str, tuple[str, ...]] = {}
-        path = Path(path)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_lines(path), 1):
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")

@@ -186,27 +186,9 @@ def lstm_states(
     The state freezes once a row runs out of real tokens, so the result is
     each row's last-real-step state regardless of padding.
     """
-    b, t = token_ids.shape
-    h = Tensor(np.zeros((b, state_dim)))
-    c = Tensor(np.zeros((b, state_dim)))
-    d = state_dim
-    for step in range(t):
-        x_t = T.embedding_lookup(params["emb"], token_ids[:, step])
-        z = T.add(
-            T.add(T.matmul(x_t, params["w_ih"]), T.matmul(h, params["w_hh"])), params["b"]
-        )
-        gate_i = T.sigmoid(T.slice_axis(z, 1, 0, d))
-        gate_f = T.sigmoid(T.slice_axis(z, 1, d, 2 * d))
-        gate_g = T.tanh(T.slice_axis(z, 1, 2 * d, 3 * d))
-        gate_o = T.sigmoid(T.slice_axis(z, 1, 3 * d, 4 * d))
-        c_new = T.add(T.mul(gate_f, c), T.mul(gate_i, gate_g))
-        h_new = T.mul(gate_o, T.tanh(c_new))
-        live = (lengths > step).astype(np.float64)[:, None]
-        keep = Tensor(live)
-        hold = Tensor(1.0 - live)
-        c = T.add(T.mul(keep, c_new), T.mul(hold, c))
-        h = T.add(T.mul(keep, h_new), T.mul(hold, h))
-    return h
+    return T.lstm(
+        params["emb"], params["w_ih"], params["w_hh"], params["b"], token_ids, lengths, state_dim
+    )
 
 
 def _rnn_logits(

@@ -5,8 +5,8 @@ config.json snapshot into --out, and exits 0 on success. Failure
 categories map to distinct exit codes:
 
     2  usage or malformed configuration
-    3  missing input file
-    4  unreadable data file
+    3  missing or unreadable file
+    4  malformed data file
     5  incompatible or corrupt checkpoint
     6  training failure
 
@@ -83,7 +83,10 @@ def _archive_config(args: argparse.Namespace, out: Path) -> None:
 def _out_dir(args: argparse.Namespace) -> Path:
     _require(args, "out")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out {out} is not a directory") from None
     _archive_config(args, out)
     return out
 
@@ -540,7 +543,7 @@ def _config_defaults(argv: list[str]) -> dict:
         raise FileNotFoundError(f"config file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"malformed config file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -560,7 +563,7 @@ def main(argv: "list[str] | None" = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing path, a directory, or any other read failure
         print(f"error[missing-file]: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ParseError as exc:

@@ -360,14 +360,15 @@ def tanh(x) -> Tensor:
     return _node(out_data, (x,), _bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # stable around large |x|
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    # stable around large |x|
-    out_data = np.where(
-        x.data >= 0.0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    out_data = _sigmoid(x.data)
 
     def _bwd(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -525,6 +526,97 @@ def dropout(x, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
         _accumulate(x, g * keep)
 
     return _node(out_data, (x,), _bwd)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+# ---------------------------------------------------------------------------
+
+
+def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
+    """Final hidden state (B, H) of a one-layer LSTM over right-padded ids.
+
+    The whole sequence is one graph node. The 4H gate axis holds the input,
+    forget, candidate and output gates in that order, and each step's
+    pre-activation is (x_t W_ih + h W_hh) + b. A row's h and c freeze once
+    the step reaches its length, so the result is each row's last real
+    state whatever the padding. The input projection of every step is one
+    (B*T, E) @ (E, 4H) GEMM hoisted out of the time loop (Appleyard et al.,
+    arXiv 1604.01946); the backward pass is hand-written BPTT over the
+    gates kept from the forward pass.
+    """
+    emb, w_ih, w_hh, b = (as_tensor(p) for p in (emb, w_ih, w_hh, b))
+    ids = np.asarray(ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    d = int(state_dim)
+    if (
+        emb.ndim != 2 or ids.ndim != 2 or lengths.shape != ids.shape[:1]
+        or w_ih.shape != (emb.shape[1], 4 * d) or w_hh.shape != (d, 4 * d)
+        or b.shape != (4 * d,)
+    ):
+        raise ValueError(
+            f"lstm shapes disagree: emb {emb.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
+            f"b {b.shape}, ids {ids.shape}, lengths {lengths.shape}, state_dim {d}"
+        )
+    v = emb.data.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise IndexError(f"embedding id out of range [0, {v})")
+    n, t = ids.shape
+    # rows sorted longest first, so the rows still live at step s are the
+    # first n_live[s]: each step works on a contiguous prefix, and a frozen
+    # row's h is copied forward
+    order = np.argsort(-lengths, kind="stable")
+    n_live = (np.arange(t)[:, None] < lengths[None, :]).sum(axis=1)
+    flat_ids = ids[order].T.reshape(-1)  # time-major: row s*B + i is step s of sorted row i
+    x = emb.data[flat_ids]
+    xw = (x @ w_ih.data).reshape(t, n, 4 * d)
+    gates = np.empty((t, 4, n, d))  # gate-major, each gate a contiguous (B, H) block
+    tanh_c = np.empty((t, n, d))
+    hs = np.zeros((t + 1, n, d))  # hs[s], cs[s]: the state entering step s
+    cs = np.zeros((t + 1, n, d))
+    for s in range(t):
+        k = n_live[s]
+        act = gates[s, :, :k]
+        z = (xw[s, :k] + hs[s, :k] @ w_hh.data) + b.data
+        act[...] = z.reshape(k, 4, d).transpose(1, 0, 2)
+        act[[0, 1, 3]] = _sigmoid(act[[0, 1, 3]])
+        act[2] = np.tanh(act[2])
+        gate_i, gate_f, gate_g, gate_o = act
+        c_new = gate_f * cs[s, :k] + gate_i * gate_g
+        tanh_c[s, :k] = np.tanh(c_new)
+        cs[s + 1, :k] = c_new
+        hs[s + 1, :k] = gate_o * tanh_c[s, :k]
+        hs[s + 1, k:] = hs[s, k:]  # frozen rows keep h; their c is never read again
+
+    def _bwd(g):
+        dz = np.zeros((t, n, 4 * d))  # frozen rows keep a zero pre-activation gradient
+        dh = g[order]
+        dc = np.zeros((n, d))
+        for s in range(t - 1, -1, -1):
+            k = n_live[s]
+            gate_i, gate_f, gate_g, gate_o = gates[s, :, :k]
+            tc = tanh_c[s, :k]
+            dc_new = dc[:k] + dh[:k] * gate_o * (1.0 - tc * tc)
+            step = dz[s, :k].reshape(k, 4, d)
+            step[:, 0] = dc_new * gate_g * gate_i * (1.0 - gate_i)
+            step[:, 1] = dc_new * cs[s, :k] * gate_f * (1.0 - gate_f)
+            step[:, 2] = dc_new * gate_i * (1.0 - gate_g * gate_g)
+            step[:, 3] = dh[:k] * tc * gate_o * (1.0 - gate_o)
+            dc[:k] = dc_new * gate_f
+            dh[:k] = dz[s, :k] @ w_hh.data.T
+        dz2 = dz.reshape(t * n, 4 * d)
+        if w_hh.requires_grad:
+            _accumulate(w_hh, hs[:t].reshape(t * n, d).T @ dz2)
+        if w_ih.requires_grad:
+            _accumulate(w_ih, x.T @ dz2)
+        if b.requires_grad:
+            _accumulate(b, dz2.sum(axis=0))
+        if emb.requires_grad:
+            gemb = np.zeros_like(emb.data)
+            np.add.at(gemb, flat_ids, dz2 @ w_ih.data.T)
+            _accumulate(emb, gemb)
+
+    return _node(hs[t][np.argsort(order)], (emb, w_ih, w_hh, b), _bwd)
 
 
 def attention_mask_bias(pad_mask: np.ndarray) -> np.ndarray:

@@ -114,8 +114,25 @@ def save_vocab(vocab: Vocabulary, path) -> None:
     Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
 
 
+def read_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file, split at '\\n', '\\r\\n' or '\\r' as text mode
+    splits them; a line that is not UTF-8 raises ParseError naming the path
+    and the line."""
+    path = Path(path)
+    lines = []
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}:{lineno}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+                f"at offset {exc.start})"
+            ) from None
+    return lines
+
+
 def load_vocab(path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if tuple(lines[:NUM_SPECIALS]) != SPECIAL_TOKENS:
         raise ParseError(f"{path}: first {NUM_SPECIALS} lines must be {SPECIAL_TOKENS}")
     return _make_vocab(lines[NUM_SPECIALS:])
@@ -148,25 +165,22 @@ def read_tsv(path) -> list[tuple[int, str]]:
     Comment lines starting with '#' and blank lines are skipped; columns
     beyond the second (e.g. augmentation provenance) are ignored.
     """
-    path = Path(path)
     rows: list[tuple[int, str]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise ParseError(f"{path}:{lineno}: expected 'label<TAB>text'")
-            try:
-                label = int(fields[0])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: label must be a non-negative integer, got {fields[0]!r}"
-                ) from None
-            if label < 0:
-                raise ParseError(f"{path}:{lineno}: label must be non-negative, got {label}")
-            rows.append((label, fields[1]))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise ParseError(f"{path}:{lineno}: expected 'label<TAB>text'")
+        try:
+            label = int(fields[0])
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: label must be a non-negative integer, got {fields[0]!r}"
+            ) from None
+        if label < 0:
+            raise ParseError(f"{path}:{lineno}: label must be non-negative, got {label}")
+        rows.append((label, fields[1]))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return rows

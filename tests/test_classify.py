@@ -146,13 +146,22 @@ class TestRnn:
         _, rep2 = train_rnn(dataset, cfg, vocab_size=VOCAB_SIZE)
         assert rep1.accuracy == rep2.accuracy
 
-    def test_recurrent_cell_gradient_check(self):
+    @pytest.mark.parametrize(
+        "token_ids, lengths",
+        [
+            ([[4, 5, 6]], [3]),
+            # rows that end early freeze their state over the padding
+            ([[4, 0, 0], [5, 6, 7], [8, 4, 0]], [1, 3, 2]),
+        ],
+        ids=["full-length", "mixed-lengths"],
+    )
+    def test_recurrent_cell_gradient_check(self, token_ids, lengths):
         cfg = RnnConfig(emb_dim=4, state_dim=3)
         params = _init_rnn(cfg, vocab_size=9, num_labels=2, rng=np.random.default_rng(1))
-        token_ids = np.array([[4, 5, 6]])
-        lengths = np.array([3])
+        token_ids = np.array(token_ids)
+        lengths = np.array(lengths)
         names = list(params)
-        weights = np.random.default_rng(2).normal(size=(1, 3))
+        weights = np.random.default_rng(2).normal(size=(len(lengths), 3))
 
         def run(arrays):
             ps = dict(zip(names, (Tensor(a) for a in arrays)))

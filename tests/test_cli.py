@@ -315,12 +315,92 @@ class TestErrorCategories:
         code = main(["build-vocab", "--data", str(bad), "--out", str(tmp_path / "v")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "subcommand, flag, fault",
+        [
+            ("build-vocab", "--data", "directory"),
+            ("augment", "--data", "directory"),
+            ("augment", "--vocab", "directory"),
+            ("augment", "--synonyms", "directory"),
+            # longer than a file name may be: neither missing nor a directory
+            ("build-vocab", "--data", "long-name"),
+        ],
+    )
+    def test_unreadable_input_is_one_line_missing_file_error(
+        self, subcommand, flag, fault, workdir, vocab_file, tmp_path, capsys
+    ):
+        bad = tmp_path if fault == "directory" else tmp_path / ("x" * 300)
+        if subcommand == "build-vocab":
+            inputs = {"--data": bad}
+        else:
+            inputs = {"--augmenter": "synonym", "--data": workdir / "train.tsv",
+                      "--vocab": vocab_file, "--synonyms": workdir / "syn.tsv", flag: bad}
+        code = main([
+            subcommand, "--out", str(tmp_path / "run"),
+            *[str(part) for item in inputs.items() for part in item],
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_FILE, err
+        assert err.startswith("error[missing-file]: ") and err.count("\n") == 1, err
+        assert str(bad) in err, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-vocab", "--data", "x"],
+            ["pretrain", "--data", "x", "--vocab", "x"],
+            ["finetune", "--data", "x", "--vocab", "x", "--init", "x"],
+            ["augment", "--data", "x", "--vocab", "x"],
+            ["train-classifier", "--data", "x", "--vocab", "x"],
+            ["eval", "--data", "x", "--vocab", "x", "--classifier-ckpt", "x"],
+            ["ab-experiment", "--data", "x", "--test", "x", "--vocab", "x"],
+            ["style-transfer", "--data", "x", "--vocab", "x", "--model", "x",
+             "--classifier-ckpt", "x"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_that_is_a_file_is_one_line_config_error(self, argv, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main([*argv, "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err.startswith("error[config]: ") and err.count("\n") == 1, err
+        assert f"--out {taken} is not a directory" in err, err
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("bad_file", ["data", "vocab"])
+    def test_non_utf8_input_is_parse_error(self, bad_file, workdir, vocab_file, tmp_path, capsys):
+        source = workdir / "train.tsv" if bad_file == "data" else vocab_file
+        bad = tmp_path / source.name
+        raw = source.read_bytes().split(b"\n")
+        raw[5] += b"\xff"
+        bad.write_bytes(b"\n".join(raw))
+        inputs = {"data": workdir / "train.tsv", "vocab": vocab_file, bad_file: bad}
+        code = main([
+            "pretrain", "--data", str(inputs["data"]), "--vocab", str(inputs["vocab"]),
+            "--epochs", "1", "--out", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE, err
+        assert err.startswith(f"error[parse]: {bad}:6: ") and err.count("\n") == 1, err
+
     def test_malformed_config_file(self, workdir, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{nope")
         code = main(["build-vocab", "--data", str(workdir / "train.tsv"),
                      "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert code == EXIT_USAGE
+
+    def test_non_utf8_config_file_is_named(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"min_freq": 1}\xff')
+        code = main(["build-vocab", "--data", str(workdir / "train.tsv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err.startswith(f"error[config]: malformed config file {cfg}: "), err
+        assert err.count("\n") == 1, err
 
     def test_truncated_checkpoint(self, workdir, vocab_file, pretrained, tmp_path):
         clipped = tmp_path / "clipped.ckpt"

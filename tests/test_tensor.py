@@ -259,6 +259,87 @@ class TestShapeOps:
         assert err < GRAD_TOL
 
 
+def lstm_inputs(vocab, batch, steps, emb_dim, state_dim, seed):
+    """LSTM weights, right-padded ids with a length-1 and a full-length row,
+    and a cotangent for the final state."""
+    rng = np.random.default_rng(seed)
+    arrays = [
+        rng.normal(0.0, 0.5, size=(vocab, emb_dim)),
+        rng.normal(0.0, emb_dim**-0.5, size=(emb_dim, 4 * state_dim)),
+        rng.normal(0.0, state_dim**-0.5, size=(state_dim, 4 * state_dim)),
+        rng.normal(0.0, 0.5, size=4 * state_dim),
+    ]
+    lengths = rng.integers(1, steps + 1, size=batch)
+    lengths[:2] = (1, steps)
+    lengths = rng.permutation(lengths)
+    ids = rng.integers(1, vocab, size=(batch, steps))
+    ids[np.arange(steps)[None, :] >= lengths[:, None]] = 0
+    return arrays, ids, lengths, rng.normal(size=(batch, state_dim))
+
+
+def per_step_lstm(params, state_dim, ids, lengths):
+    """The LSTM as one small graph per time step: the formula T.lstm fuses."""
+    emb, w_ih, w_hh, b = params
+    d = state_dim
+    h = Tensor(np.zeros((ids.shape[0], d)))
+    c = Tensor(np.zeros((ids.shape[0], d)))
+    for step in range(ids.shape[1]):
+        x_t = T.embedding_lookup(emb, ids[:, step])
+        z = T.add(T.add(T.matmul(x_t, w_ih), T.matmul(h, w_hh)), b)
+        gate_i = T.sigmoid(T.slice_axis(z, 1, 0, d))
+        gate_f = T.sigmoid(T.slice_axis(z, 1, d, 2 * d))
+        gate_g = T.tanh(T.slice_axis(z, 1, 2 * d, 3 * d))
+        gate_o = T.sigmoid(T.slice_axis(z, 1, 3 * d, 4 * d))
+        c_new = T.add(T.mul(gate_f, c), T.mul(gate_i, gate_g))
+        h_new = T.mul(gate_o, T.tanh(c_new))
+        live = (lengths > step).astype(np.float64)[:, None]
+        keep, hold = Tensor(live), Tensor(1.0 - live)
+        c = T.add(T.mul(keep, c_new), T.mul(hold, c))
+        h = T.add(T.mul(keep, h_new), T.mul(hold, h))
+    return h
+
+
+class TestLstm:
+    def test_gradients_match_finite_differences(self):
+        arrays, ids, lengths, w = lstm_inputs(vocab=7, batch=4, steps=4, emb_dim=3,
+                                              state_dim=2, seed=12)
+        err = check_gradients(
+            lambda xs: weighted_sum(T.lstm(*xs, ids, lengths, 2), w), arrays
+        )
+        assert err < GRAD_TOL
+
+    @pytest.mark.parametrize("vocab, steps", [(21, 6), (5000, 25)])
+    def test_matches_per_step_formula(self, vocab, steps):
+        arrays, ids, lengths, g = lstm_inputs(vocab, batch=32, steps=steps, emb_dim=32,
+                                              state_dim=64, seed=vocab + steps)
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        stepped = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.lstm(*fused, ids, lengths, 64)
+        want = per_step_lstm(stepped, 64, ids, lengths)
+        out.backward(g)
+        want.backward(g)
+        assert out._parents == tuple(fused)  # the whole recurrence is one node
+        assert np.max(np.abs(out.data - want.data)) <= 1e-12
+        for got, ref in zip(fused, stepped):
+            assert got.grad.shape == ref.grad.shape
+            assert np.max(np.abs(got.grad - ref.grad)) <= 1e-12
+
+    def test_padding_leaves_the_state_unchanged(self):
+        arrays, ids, lengths, _ = lstm_inputs(vocab=9, batch=5, steps=6, emb_dim=3,
+                                              state_dim=2, seed=13)
+        short = T.lstm(*arrays, ids[:, :4], np.minimum(lengths, 4), 2).data
+        padded = np.concatenate([ids[:, :4], np.zeros((5, 3), dtype=np.int64)], axis=1)
+        longer = T.lstm(*arrays, padded, np.minimum(lengths, 4), 2).data
+        assert np.max(np.abs(longer - short)) <= 1e-12
+
+    def test_out_of_range_id(self):
+        arrays, ids, lengths, _ = lstm_inputs(vocab=5, batch=2, steps=3, emb_dim=2,
+                                              state_dim=2, seed=14)
+        ids[1, 0] = 5
+        with pytest.raises(IndexError):
+            T.lstm(*arrays, ids, lengths, 2)
+
+
 class TestGraph:
     def test_shared_node_gradients_accumulate(self):
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)

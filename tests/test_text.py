@@ -105,6 +105,13 @@ class TestVocabFile:
         with pytest.raises(ParseError):
             load_vocab(tmp_path / "bad.txt")
 
+    def test_non_utf8_is_parse_error_naming_path(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<pad>\n<unk>\n<mask>\n<cls>\ncaf\xe9\n")
+        with pytest.raises(ParseError) as exc:
+            load_vocab(path)
+        assert f"{path}:5:" in str(exc.value)
+
 
 class TestReadTsv:
     def test_basic(self, tmp_path):
@@ -141,6 +148,19 @@ class TestReadTsv:
         path.write_text("")
         with pytest.raises(ParseError):
             read_tsv(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(newline.join([b"0\tgood film", b"", b"1\tbad \xc3\xa9t\xc3\xa9", b""]))
+        assert read_tsv(path) == [(0, "good film"), (1, "bad \u00e9t\u00e9")]
+
+    def test_non_utf8_is_parse_error_naming_path_and_line(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"0\tfine\r\n1\tok\r\n1\tbad \xff byte\r\n")
+        with pytest.raises(ParseError) as exc:
+            read_tsv(path)
+        assert f"{path}:3:" in str(exc.value) and "0xff" in str(exc.value)
 
 
 class TestLoadTsv:
