@@ -33,18 +33,18 @@ from .text import (
 from .training import SkipExample, maskable_positions
 
 AUGMENTED_TSV_FORMAT = "# maskaug-augmented-tsv v1"
-SYNONYM_FORMAT = "# maskaug-synonyms v1"
 
 # sentences per batched encoder forward in a dataset pass; chunks are cut
 # from the non-skipped sentences in dataset order, so their make-up never
 # depends on timing
 CHUNK_SIZE = 32
 
-# a sentence ready for its model call: the example, its random stream, and
-# what was drawn from that stream so far (mask positions, or a finished
-# synonym variant); its outcome is the new example plus the changed slots,
-# or the SkipExample that rejected it
-Pick = tuple[LabeledExample, np.random.Generator, object]
+# a sentence ready for its model call: the example, its random stream (None
+# for a greedy refill), and what was drawn so far -- `(mask positions,
+# condition id, label of the result)` for a refill, the finished variant for
+# a synonym pass; its outcome is the new example plus the changed slots, or
+# the SkipExample that rejected it
+Pick = tuple[LabeledExample, "np.random.Generator | None", object]
 Outcome = tuple[LabeledExample, tuple[int, ...]] | SkipExample
 
 
@@ -162,17 +162,14 @@ def _refill(
     config: EncoderConfig,
     policy: AugmentationPolicy,
     picks: list[Pick],
-    unconditional: bool,
 ) -> list[Outcome]:
     """One batched encoder forward for a chunk of masked sentences, each
-    under its label (or 0 when unconditional), then each sentence's slots
-    sampled from that sentence's own stream."""
-    queries = [
-        (ex.tokens, positions, 0 if unconditional else ex.label) for ex, _, positions in picks
-    ]
+    under its pick's condition id, then each sentence's slots sampled from
+    that sentence's own stream; the result carries the pick's label."""
+    queries = [(ex.tokens, positions, cond) for ex, _, (positions, cond, _) in picks]
     dists = mlm_distributions(params, config, queries)
     outcomes: list[Outcome] = []
-    for (example, rng, positions), probs in zip(picks, dists):
+    for (example, rng, (positions, _, label)), probs in zip(picks, dists):
         tokens = list(example.tokens)
         try:
             for row, pos in enumerate(positions):
@@ -180,7 +177,7 @@ def _refill(
         except SkipExample as skip:
             outcomes.append(skip)
             continue
-        outcomes.append((LabeledExample(tuple(tokens), example.label), tuple(positions)))
+        outcomes.append((LabeledExample(tuple(tokens), label), tuple(positions)))
     return outcomes
 
 
@@ -193,8 +190,8 @@ def augment_sentence(
 ) -> LabeledExample:
     """One label-conditional variant of `example` (condition = its label),
     made as a one-sentence chunk of a dataset pass."""
-    pick = (example, rng, _mask_positions(example, policy, rng))
-    [outcome] = _refill(params, config, policy, [pick], unconditional=False)
+    pick = (example, rng, (_mask_positions(example, policy, rng), example.label, example.label))
+    [outcome] = _refill(params, config, policy, [pick])
     if isinstance(outcome, SkipExample):
         raise outcome
     return outcome[0]
@@ -340,10 +337,13 @@ def augment_dataset(
     name = "bert" if unconditional else "cbert"
     # one shared stream tag: conditional and unconditional passes under the
     # same seed mask the same positions and differ only through the model
+    # and the condition id (0 for bert); both keep the sentence's label
     return _dataset_pass(
         dataset, policy.multiplier, seed, name, "mlm",
-        lambda example, rng: _mask_positions(example, policy, rng),
-        lambda picks: _refill(params, config, policy, picks, unconditional),
+        lambda ex, rng: (
+            _mask_positions(ex, policy, rng), 0 if unconditional else ex.label, ex.label
+        ),
+        lambda picks: _refill(params, config, policy, picks),
     )
 
 

@@ -175,22 +175,6 @@ def _init_rnn(cfg: RnnConfig, vocab_size: int, num_labels: int, rng) -> dict[str
     }
 
 
-def lstm_states(
-    params: dict[str, Tensor],
-    state_dim: int,
-    token_ids: np.ndarray,
-    lengths: np.ndarray,
-) -> Tensor:
-    """Final hidden state (B, H) of the LSTM over right-padded sequences.
-
-    The state freezes once a row runs out of real tokens, so the result is
-    each row's last-real-step state regardless of padding.
-    """
-    return T.lstm(
-        params["emb"], params["w_ih"], params["w_hh"], params["b"], token_ids, lengths, state_dim
-    )
-
-
 def _rnn_logits(
     params: dict[str, Tensor],
     cfg: RnnConfig,
@@ -199,7 +183,8 @@ def _rnn_logits(
     train: bool,
     rng,
 ) -> Tensor:
-    h = lstm_states(params, cfg.state_dim, token_ids, lengths)
+    emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
+    h = T.lstm(emb, w_ih, w_hh, b, token_ids, lengths, cfg.state_dim)  # (B, H) final states
     h = T.dropout(h, cfg.dropout, rng, train)
     return T.add(T.matmul(h, params["out_w"]), params["out_b"])
 
@@ -213,11 +198,12 @@ class _Kind(NamedTuple):
     config: type
     init: Callable
     logits: Callable
+    min_len: Callable  # config -> shortest padded batch the logits accept
 
 
 _KINDS = {
-    "cnn": _Kind(CnnConfig, _init_cnn, _cnn_logits),
-    "rnn": _Kind(RnnConfig, _init_rnn, _rnn_logits),
+    "cnn": _Kind(CnnConfig, _init_cnn, _cnn_logits, lambda cfg: max(cfg.filter_widths)),
+    "rnn": _Kind(RnnConfig, _init_rnn, _rnn_logits, lambda cfg: 1),
 }
 
 
@@ -225,12 +211,6 @@ def _kind(kind: str) -> _Kind:
     if kind not in _KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     return _KINDS[kind]
-
-
-def _min_len(clf: Classifier) -> int:
-    if clf.kind == "cnn":
-        return max(clf.config.filter_widths)
-    return 1
 
 
 def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
@@ -243,8 +223,9 @@ def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
 
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
     _check_vocab(clf, examples)
-    token_ids, lengths, _ = _pad_batch(examples, _min_len(clf))
-    logits = _KINDS[clf.kind].logits(clf.params, clf.config, token_ids, lengths, False, None)
+    spec = _KINDS[clf.kind]
+    token_ids, lengths, _ = _pad_batch(examples, spec.min_len(clf.config))
+    logits = spec.logits(clf.params, clf.config, token_ids, lengths, False, None)
     return logits.data
 
 
@@ -305,7 +286,7 @@ def train_classifier(
         vocab_size = _data_vocab_size(dataset)
     params = spec.init(cfg, vocab_size, dataset.num_labels, derive_rng(cfg.seed, kind, "init"))
     clf = Classifier(kind, params, cfg, vocab_size, dataset.num_labels)
-    min_len = _min_len(clf)
+    min_len = spec.min_len(cfg)
     drop_rng = derive_rng(cfg.seed, kind, "dropout")
 
     def chunk_loss(params, chunk):
@@ -502,24 +483,6 @@ def write_records(records: Sequence[dict], path) -> None:
             f"{r['arm']}\t{r['seed']}\t{r['test_accuracy']!r}\t{r['train_size']}\t{r['epochs_used']}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_records(path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        arm, seed, acc, size, epochs = line.split("\t")
-        records.append(
-            {
-                "arm": arm,
-                "seed": int(seed),
-                "test_accuracy": float(acc),
-                "train_size": int(size),
-                "epochs_used": int(epochs),
-            }
-        )
-    return records
 
 
 def format_table(records: Sequence[dict], summary: Mapping[str, float]) -> str:

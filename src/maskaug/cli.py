@@ -293,7 +293,7 @@ def cmd_train_classifier(args) -> int:
     }
     if trials is not None:
         summary["grid_trials"] = trials
-    if args.cv:
+    if args.cv is not None:  # --cv 0 and 1 reach cross_validate's fold check
         examples = dataset.train + dataset.val + dataset.test
         mean, per_fold = cross_validate(
             examples, dataset.num_labels, args.classifier, cfg,
@@ -339,6 +339,8 @@ def cmd_ab_experiment(args) -> int:
         augment, encoder = _augmenter(args, vocab, arm, "pretrained" if arm == "bert" else "model")
         augmenters[arm] = lambda d, s, augment=augment: augment(d, s)[0]
         encoders.append(encoder)
+    if not augmenters:
+        raise ValueError(f"--arms {args.arms!r} names no arm")
     dataset = _load_dataset(args, vocab, *encoders, test=args.test)
     records, summary = ab_experiment(
         dataset,
@@ -357,6 +359,8 @@ def cmd_ab_experiment(args) -> int:
 
 def cmd_style_transfer(args) -> int:
     _require(args, "data", "vocab", "model", "classifier_ckpt")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.model, vocab)

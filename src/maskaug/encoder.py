@@ -69,13 +69,11 @@ class InputBatch:
 
 
 def batch_from_examples(
-    sequences: Sequence[Sequence[int]],
-    cond_ids: Sequence[int],
-    pad_to: int | None = None,
+    sequences: Sequence[Sequence[int]], cond_ids: Sequence[int]
 ) -> InputBatch:
     """Right-pad variable-length id sequences into one InputBatch."""
     lengths = np.array([len(s) for s in sequences])
-    t = max(lengths.max(), pad_to or 0)
+    t = lengths.max()
     live = np.arange(t) < lengths[:, None]
     conds = np.where(live, np.asarray(cond_ids, dtype=np.int64)[:, None], 0)
     return InputBatch(pad_rows(sequences, PAD_ID, t), conds, live)

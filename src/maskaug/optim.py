@@ -8,6 +8,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -17,20 +19,11 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(
-    params: dict[str, Tensor],
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam(params: dict[str, Tensor], lr: float = 1e-3) -> AdamState:
     zeros = lambda: {k: np.zeros_like(p.data) for k, p in params.items()}
-    return AdamState(step=0, m=zeros(), v=zeros(), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(step=0, m=zeros(), v=zeros(), lr=lr)
 
 
 def adam_step(
@@ -40,7 +33,6 @@ def adam_step(
 ) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update. Pure: inputs are never mutated."""
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
     new_params: dict[str, Tensor] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
@@ -50,17 +42,15 @@ def adam_step(
             raise ValueError(
                 f"grad shape {g.shape} != param shape {p.data.shape} for '{name}'"
             )
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        updated = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        updated = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         new_params[name] = Tensor(updated, requires_grad=True)
         new_m[name] = m
         new_v[name] = v
-    return new_params, AdamState(
-        step=t, m=new_m, v=new_v, lr=state.lr, beta1=b1, beta2=b2, eps=state.eps
-    )
+    return new_params, AdamState(step=t, m=new_m, v=new_v, lr=state.lr)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

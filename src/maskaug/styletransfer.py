@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .augment import AugmentationPolicy, sample_replacement
+from .augment import AugmentationPolicy, _refill
 from .classify import Classifier, predict_logits
-from .encoder import EncoderConfig, mlm_distribution
+from .encoder import EncoderConfig
 from .tensor import Tensor
 from .text import LabeledExample, Vocabulary, decode
 from .training import SkipExample, maskable_positions
@@ -66,7 +66,8 @@ def transfer_style(
 
     Masks the top_m highest-attribution tokens (ties broken toward earlier
     positions), refills them greedily from the conditional cloze
-    distribution with the original words excluded, and returns the result
+    distribution with the original words excluded (augmentation's refill,
+    on a one-sentence chunk under target_label), and returns the result
     labeled target_label. Only the selected positions change.
     """
     if target_label == example.label:
@@ -87,12 +88,12 @@ def transfer_style(
         top_m = len(attribution.positions)
     order = np.argsort(-attribution.scores, kind="stable")[:top_m]
     chosen = sorted(attribution.positions[i] for i in order)
-    probs = mlm_distribution(params, config, example.tokens, chosen, cond_id=target_label)
     greedy = AugmentationPolicy(k=1, sampler="greedy", exclude_original=True)
-    tokens = list(example.tokens)
-    for row, pos in enumerate(chosen):
-        tokens[pos] = sample_replacement(probs[row], example.tokens[pos], greedy, rng=None)
-    return LabeledExample(tuple(tokens), target_label)
+    pick = (example, None, (chosen, target_label, target_label))
+    [outcome] = _refill(params, config, greedy, [pick])
+    if isinstance(outcome, SkipExample):
+        raise outcome
+    return outcome[0]
 
 
 def write_style_pairs(

@@ -41,19 +41,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Accumulate gradients of this tensor into every reachable leaf."""
         if grad is None:
@@ -132,10 +119,6 @@ def add(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(out_data, (a, b), _bwd)
-
-
-def sub(a, b) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def mul(a, b) -> Tensor:

@@ -5,6 +5,7 @@ from maskaug.augment import (
     CHUNK_SIZE,
     AugmentationPolicy,
     _keep_top_k,
+    _refill,
     SynonymTable,
     augment_dataset,
     augment_sentence,
@@ -168,6 +169,23 @@ class TestAugmentSentence:
         a = augment_sentence(params, config, example(6), policy, np.random.default_rng(11))
         b = augment_sentence(params, config, example(6), policy, np.random.default_rng(11))
         assert a == b
+
+
+def test_refill_bert_pick_keeps_the_label_under_condition_0(model):
+    params, config = model
+    policy = AugmentationPolicy(k=2, sampler="top_k", top_k=5)
+    ex = example(5, label=1)
+    positions = [2, 4]
+    [(out, slots)] = _refill(
+        params, config, policy, [(ex, np.random.default_rng(4), (positions, 0, ex.label))]
+    )
+    probs = mlm_distribution(params, config, ex.tokens, positions, cond_id=0)
+    rng = np.random.default_rng(4)
+    want = list(ex.tokens)
+    for row, pos in enumerate(positions):
+        want[pos] = sample_replacement(probs[row], ex.tokens[pos], policy, rng)
+    assert out == LabeledExample(tuple(want), 1)
+    assert slots == (2, 4)
 
 
 class TestDatasetPass:

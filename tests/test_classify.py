@@ -13,9 +13,7 @@ from maskaug.classify import (
     format_table,
     grid_search,
     load_classifier,
-    lstm_states,
     predict_proba,
-    read_records,
     save_classifier,
     train_cnn,
     train_rnn,
@@ -163,13 +161,17 @@ class TestRnn:
         names = list(params)
         weights = np.random.default_rng(2).normal(size=(len(lengths), 3))
 
+        def states(ps):
+            return T.lstm(
+                ps["emb"], ps["w_ih"], ps["w_hh"], ps["b"], token_ids, lengths, cfg.state_dim
+            )
+
         def run(arrays):
             ps = dict(zip(names, (Tensor(a) for a in arrays)))
-            h = lstm_states(ps, cfg.state_dim, token_ids, lengths)
-            return float(T.reduce_sum(T.mul(h, Tensor(weights))).data)
+            return float(T.reduce_sum(T.mul(states(ps), Tensor(weights))).data)
 
         live = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
-        out = T.reduce_sum(T.mul(lstm_states(live, cfg.state_dim, token_ids, lengths), Tensor(weights)))
+        out = T.reduce_sum(T.mul(states(live), Tensor(weights)))
         out.backward()
         arrays = [p.data for p in params.values()]
         worst = 0.0
@@ -267,7 +269,15 @@ class TestAbExperiment:
         assert len(records) == 4
         path = tmp_path / "records.tsv"
         write_records(records, path)
-        loaded = read_records(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# maskaug-ab-records v1"
+        loaded = []
+        for line in lines[2:]:
+            arm, seed, acc, size, epochs = line.split("\t")
+            loaded.append({
+                "arm": arm, "seed": int(seed), "test_accuracy": float(acc),
+                "train_size": int(size), "epochs_used": int(epochs),
+            })
         assert loaded == records
         for arm in summary:
             accs = [r["test_accuracy"] for r in loaded if r["arm"] == arm]

@@ -477,6 +477,47 @@ class TestErrorCategories:
     def test_missing_required_flag(self, tmp_path):
         assert main(["pretrain", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
+    def test_arms_naming_no_arm_is_one_line_config_error(
+        self, workdir, vocab_file, tmp_path, capsys
+    ):
+        out = tmp_path / "ab"
+        code = main([
+            "ab-experiment", "--data", str(workdir / "train.tsv"),
+            "--test", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--arms", ",", "--seeds", "1", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: --arms ',' names no arm")
+        assert err.count("\n") == 1
+        assert not (out / "records.tsv").exists()
+
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_cv_below_two_folds_is_one_line_config_error(
+        self, folds, workdir, vocab_file, tmp_path, capsys
+    ):
+        code = main([
+            "train-classifier", "--data", str(workdir / "train.tsv"),
+            "--vocab", str(vocab_file), "--epochs", "1", "--cv", str(folds),
+            "--out", str(tmp_path / "clf"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error[config]: cross-validation needs at least 2 folds\n"
+
+    def test_negative_limit_is_one_line_config_error(
+        self, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys
+    ):
+        out = tmp_path / "style"
+        code = main([
+            "style-transfer", "--data", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--model", str(finetuned), "--classifier-ckpt", str(classifier_ckpt),
+            "--limit", "-1", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error[config]: --limit must be >= 0, got -1\n"
+        assert not (out / "pairs.tsv").exists()
+
     def test_unknown_arm(self, workdir, vocab_file, tmp_path):
         code = main([
             "ab-experiment", "--data", str(workdir / "train.tsv"),

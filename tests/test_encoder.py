@@ -73,12 +73,14 @@ class TestForward:
 
     def test_pad_content_cannot_leak(self, tiny):
         params, config = tiny
-        a = batch_from_examples([[CLS_ID, 5, 6]], [1], pad_to=6)
-        b = batch_from_examples([[CLS_ID, 5, 6]], [1], pad_to=6)
-        b.token_ids[0, 3:] = [7, 8, 9]  # junk under the padding
+        rows = [[CLS_ID, 5, 6], [CLS_ID, 4, 5, 6, 4, 5]]
+        a = batch_from_examples(rows, [1, 0])
+        b = batch_from_examples(rows, [1, 0])
+        b.token_ids[0, 3:] = [7, 8, 9]  # junk under the short row's padding
         la = forward(params, config, a).data
         lb = forward(params, config, b).data
         assert np.array_equal(la[0, :3], lb[0, :3])
+        assert np.array_equal(la[1], lb[1])
 
     def test_eval_mode_deterministic(self, tiny):
         params, config = tiny

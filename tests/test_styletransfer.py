@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from maskaug.augment import AugmentationPolicy, sample_replacement
 from maskaug.classify import CnnConfig, RnnConfig, predict_proba, train_classifier, train_cnn
-from maskaug.encoder import EncoderConfig, init_params
+from maskaug.encoder import EncoderConfig, init_params, mlm_distribution
 from maskaug.styletransfer import attribute_words, transfer_style, write_style_pairs
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample, build_vocab
 
@@ -154,6 +155,36 @@ class TestTransfer:
         a = transfer_style(params, config, classifier, example, 1 - example.label)
         b = transfer_style(params, config, classifier, example, 1 - example.label)
         assert a == b
+
+
+def serial_transfer(params, config, clf, example, target, top_m):
+    """The per-sentence formula transfer_style must reproduce: the stable
+    top-m attribution positions, one cloze query under the target label,
+    then a greedy pick per slot with the original word excluded."""
+    attribution = attribute_words(clf, example)
+    order = np.argsort(-attribution.scores, kind="stable")[:top_m]
+    chosen = sorted(attribution.positions[i] for i in order)
+    probs = mlm_distribution(params, config, example.tokens, chosen, cond_id=target)
+    greedy = AugmentationPolicy(k=1, sampler="greedy", exclude_original=True)
+    tokens = list(example.tokens)
+    for row, pos in enumerate(chosen):
+        tokens[pos] = sample_replacement(probs[row], example.tokens[pos], greedy, None)
+    return LabeledExample(tuple(tokens), target)
+
+
+@pytest.mark.parametrize("top_m", [1, 2])
+@pytest.mark.parametrize("kind, cfg", [
+    ("cnn", CnnConfig(seed=2, max_epochs=2, filter_widths=(2, 5))),
+    ("rnn", RnnConfig(seed=2, max_epochs=2)),
+])
+def test_transfer_matches_serial_reference(setup, kind, cfg, top_m):
+    dataset, _, params, config = setup
+    classifier, _ = train_classifier(signal_dataset(n=40), kind, cfg, vocab_size=VOCAB_SIZE)
+    for example in dataset.train[:8]:
+        target = 1 - example.label
+        got = transfer_style(params, config, classifier, example, target, top_m)
+        assert got == serial_transfer(params, config, classifier, example, target, top_m)
+        assert got.tokens != example.tokens
 
 
 def test_write_style_pairs(tmp_path):
