@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import os
 import struct
 from pathlib import Path
 from typing import Callable, Mapping
@@ -116,9 +117,24 @@ def check_field_types(config) -> None:
 
 
 def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path) -> None:
-    """Arrays to `path`, `meta` (keys in the given order) to `<path>.json`."""
-    save_arrays(params, path)
-    Path(str(path) + ".json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    """Arrays to `path`, `meta` (keys in the given order) to `<path>.json`.
+
+    Both files are written in full to temporary names in the same directory
+    and only then renamed into place, sidecar first, so a failed or killed
+    write never leaves a truncated file, or new arrays beside an old
+    sidecar, under the final names.
+    """
+    path = Path(path)
+    sidecar = Path(str(path) + ".json")
+    staged = [sidecar.with_name(sidecar.name + ".tmp"), path.with_name(path.name + ".tmp")]
+    try:
+        staged[0].write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        save_arrays(params, staged[1])
+        os.replace(staged[0], sidecar)
+        os.replace(staged[1], path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tensor]]:

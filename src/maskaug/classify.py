@@ -327,6 +327,14 @@ def train_rnn(
     return train_classifier(dataset, "rnn", cfg, vocab_size)
 
 
+def check_folds(n_examples: int, folds: int) -> None:
+    """Raise ValueError unless `n_examples` can fill `folds` >= 2 folds."""
+    if folds < 2:
+        raise ValueError("cross-validation needs at least 2 folds")
+    if n_examples < folds:
+        raise ValueError(f"{n_examples} examples cannot fill {folds} folds")
+
+
 def cross_validate(
     examples: Sequence[LabeledExample],
     num_labels: int,
@@ -339,10 +347,7 @@ def cross_validate(
     without a standard test split. Fold assignment is deterministic in the
     config seed. Returns (mean accuracy, per-fold accuracies).
     """
-    if folds < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
-    if len(examples) < folds:
-        raise ValueError(f"{len(examples)} examples cannot fill {folds} folds")
+    check_folds(len(examples), folds)
     cfg = _kind(kind).config() if cfg is None else cfg
     order = derive_rng(cfg.seed, "cv-folds").permutation(len(examples))
     assignment = [order[i::folds].tolist() for i in range(folds)]

@@ -33,6 +33,7 @@ from .classify import (
     CnnConfig,
     RnnConfig,
     ab_experiment,
+    check_folds,
     cross_validate,
     evaluate,
     format_table,
@@ -281,6 +282,9 @@ def cmd_train_classifier(args) -> int:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, test=args.test)
     cfg = _classifier_config(args)
+    examples = dataset.train + dataset.val + dataset.test
+    if args.cv is not None:  # reject the fold count before anything is trained or written
+        check_folds(len(examples), args.cv)
     trials = None
     if args.grid:
         cfg, trials = grid_search(dataset, args.classifier, cfg, vocab_size=len(vocab))
@@ -293,8 +297,7 @@ def cmd_train_classifier(args) -> int:
     }
     if trials is not None:
         summary["grid_trials"] = trials
-    if args.cv is not None:  # --cv 0 and 1 reach cross_validate's fold check
-        examples = dataset.train + dataset.val + dataset.test
+    if args.cv is not None:
         mean, per_fold = cross_validate(
             examples, dataset.num_labels, args.classifier, cfg,
             folds=args.cv, vocab_size=len(vocab),

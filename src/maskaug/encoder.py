@@ -135,9 +135,11 @@ def forward(
     """Vocabulary logits (B, T, V) for every position of the batch.
 
     With `rows`, a 1-d sequence of flat `b * T + t` position indices, the
-    masked-LM head runs on those positions only and the result is
-    (len(rows), V), in the order given. The head has no dropout, so both
-    forms consume `rng` identically.
+    result is (len(rows), V), in the order given. The last layer's
+    feed-forward half, the final norm and the masked-LM head then run on
+    those positions only; attention still sees every position. That
+    layer's feed-forward dropout still draws its mask at the full (B * T, H)
+    shape, so both forms consume `rng` identically and give the same logits.
 
     Padding is excluded from attention by an additive score mask large
     enough that pad keys receive exactly zero weight.
@@ -166,6 +168,12 @@ def forward(
     x = T.dropout(x, p, rng, train)
     score_bias = Tensor(T.attention_mask_bias(batch.pad_mask))
 
+    def scored_rows(x):  # the gather's scatter-add backward routes gradients to `rows` only
+        return T.embedding_lookup(T.reshape(x, (b * t, h)), rows)
+
+    if rows is not None and config.layers == 0:  # with no attention every step is row-wise
+        x = scored_rows(x)
+    last = config.layers - 1
     for i in range(config.layers):
         pre = T.layer_norm(x, params[f"layer{i}.ln1_gain"], params[f"layer{i}.ln1_bias"])
 
@@ -185,15 +193,22 @@ def forward(
         out = T.add(T.matmul(ctx, params[f"layer{i}.wo"]), params[f"layer{i}.bo"])
         x = T.add(x, T.dropout(out, p, rng, train))
 
+        pruned = rows is not None and i == last
+        if pruned:
+            # Keys and values above needed every position; the rest of the
+            # network is row-wise, so it runs on the scored rows only.
+            x = scored_rows(x)
         pre = T.layer_norm(x, params[f"layer{i}.ln2_gain"], params[f"layer{i}.ln2_bias"])
         inner = T.gelu(T.add(T.matmul(pre, params[f"layer{i}.ffn_w1"]), params[f"layer{i}.ffn_b1"]))
         out = T.add(T.matmul(inner, params[f"layer{i}.ffn_w2"]), params[f"layer{i}.ffn_b2"])
-        x = T.add(x, T.dropout(out, p, rng, train))
+        if pruned and train and p > 0.0:
+            # the full-shape draw keeps the rng stream equal to the unpruned pass
+            out = T.mul(out, T.dropout_mask((b * t, h), p, rng)[rows])
+        else:
+            out = T.dropout(out, p, rng, train)
+        x = T.add(x, out)
 
     x = T.layer_norm(x, params["final_ln_gain"], params["final_ln_bias"])
-    if rows is not None:
-        # the gather's scatter-add backward routes gradients to the chosen rows only
-        x = T.embedding_lookup(T.reshape(x, (b * t, h)), rows)
     head = T.gelu(T.add(T.matmul(x, params["mlm_w"]), params["mlm_b"]))
     head = T.layer_norm(head, params["mlm_ln_gain"], params["mlm_ln_bias"])
     logits = T.add(T.matmul(head, T.transpose(params["token_emb"])), params["mlm_out_bias"])

@@ -126,8 +126,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def _bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), _bwd)
 
@@ -490,6 +492,11 @@ def embedding_lookup(table, ids) -> Tensor:
     return _node(out_data, (table,), _bwd)
 
 
+def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
+    """The multiplier `dropout` applies: 0 with probability p, else 1/(1-p)."""
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout(x, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Zero entries with probability p and rescale by 1/(1-p) in train mode.
 
@@ -502,7 +509,7 @@ def dropout(x, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    keep = dropout_mask(x.data.shape, p, rng)
     out_data = x.data * keep
 
     def _bwd(g):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from maskaug.checkpoint import CheckpointError, MAGIC, load_arrays, save_arrays
+from maskaug import checkpoint
+from maskaug.checkpoint import (
+    CheckpointError, MAGIC, load_arrays, load_model, save_arrays, save_model,
+)
 from maskaug.tensor import Tensor
 
 
@@ -65,3 +68,35 @@ def test_trailing_garbage(tmp_path, arrays):
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_arrays(tmp_path / "nope.ckpt")
+
+
+def test_failed_model_write_keeps_the_previous_pair(tmp_path, arrays, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_model(arrays, {"format": "test v1", "step": 1}, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["model.ckpt", "model.ckpt.json"]
+
+    def broken_write(values, target):
+        target.write_bytes(MAGIC)  # a partial payload, then the failure
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "save_arrays", broken_write)
+    newer = {name: value + 1.0 for name, value in arrays.items()}
+    with pytest.raises(OSError, match="disk full"):
+        save_model(newer, {"format": "test v1", "step": 2}, path)
+
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    reference = {name: Tensor(value) for name, value in arrays.items()}
+    meta, loaded = load_model(path, "test v1", lambda meta: (meta, reference))
+    assert meta["step"] == 1
+    for name, original in arrays.items():
+        assert loaded[name].data.tobytes() == original.tobytes()
+
+
+def test_model_write_bytes_match_plain_writes(tmp_path, arrays):
+    path = tmp_path / "model.ckpt"
+    meta = {"format": "test v1", "step": 1}
+    save_model(arrays, meta, path)
+    save_arrays(arrays, tmp_path / "plain.ckpt")
+    assert path.read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+    assert (tmp_path / "model.ckpt.json").read_text() == '{\n  "format": "test v1",\n  "step": 1\n}\n'

@@ -492,18 +492,30 @@ class TestErrorCategories:
         assert err.count("\n") == 1
         assert not (out / "records.tsv").exists()
 
-    @pytest.mark.parametrize("folds", [0, 1])
+    @pytest.mark.parametrize(
+        "folds, message",
+        [
+            pytest.param(0, "cross-validation needs at least 2 folds", id="0"),
+            pytest.param(1, "cross-validation needs at least 2 folds", id="1"),
+            pytest.param(100000, "examples cannot fill 100000 folds", id="more-than-examples"),
+        ],
+    )
     def test_cv_below_two_folds_is_one_line_config_error(
-        self, folds, workdir, vocab_file, tmp_path, capsys
+        self, folds, message, workdir, vocab_file, tmp_path, capsys
     ):
+        out = tmp_path / "clf"
         code = main([
             "train-classifier", "--data", str(workdir / "train.tsv"),
             "--vocab", str(vocab_file), "--epochs", "1", "--cv", str(folds),
-            "--out", str(tmp_path / "clf"),
+            "--out", str(out),
         ])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "error[config]: cross-validation needs at least 2 folds\n"
+        assert err.startswith("error[config]: ") and err.rstrip("\n").endswith(message)
+        assert err.count("\n") == 1
+        # the fold count is rejected before the classifier is trained or saved
+        assert not (out / "classifier.ckpt").exists()
+        assert not (out / "classifier.ckpt.json").exists()
 
     def test_negative_limit_is_one_line_config_error(
         self, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys

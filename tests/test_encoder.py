@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,7 +180,48 @@ class TestScoredRows:
         rows = np.array([6, 1, 3, 3, 9, 0])  # unordered, repeated, one pad slot
         got = forward(params, config, batch, rows=rows).data
         assert got.shape == (rows.size, v)
-        assert np.max(np.abs(got - full.reshape(b * t, v)[rows])) <= 1e-12
+        assert np.array_equal(got, full.reshape(b * t, v)[rows])
+
+        shallow = replace(config, layers=0)  # no layer to prune: the gather follows the embedding
+        params = init_params(shallow, np.random.default_rng(7))
+        full = forward(params, shallow, batch).data
+        got = forward(params, shallow, batch, rows=rows).data
+        assert np.array_equal(got, full.reshape(b * t, v)[rows])
+
+    def test_forward_rows_match_full_forward_in_train_mode(self, tiny):
+        params, config = tiny
+        config = replace(config, dropout=0.3)
+        batch = batch_from_examples([[CLS_ID, 5, 6, 7, 8], [CLS_ID, 9, 10]], [0, 1])
+        rows = np.array([6, 1, 3, 3, 9, 0])
+
+        def run(rows):
+            rng = np.random.default_rng(4)
+            logits = forward(params, config, batch, train=True, rng=rng, rows=rows).data
+            return logits, rng.random()
+
+        full, full_next = run(None)
+        got, got_next = run(rows)
+        b, t, v = full.shape
+        assert np.array_equal(got, full.reshape(b * t, v)[rows])
+        assert got_next == full_next  # the pruned layer's dropout drew the full-shape mask
+
+    def test_last_layer_ffn_runs_on_scored_rows_only(self, tiny, monkeypatch):
+        params, config = tiny
+        assert config.layers == 2
+        shapes = []
+        gelu = T.gelu
+
+        def recording_gelu(x):
+            shapes.append(x.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(T, "gelu", recording_gelu)
+        batch = batch_from_examples([[CLS_ID, 5, 6, 7, 8], [CLS_ID, 9, 10]], [0, 1])
+        b, t = batch.token_ids.shape
+        rows = [6, 1, 3]
+        forward(params, config, batch, rows=rows)
+        # layer 0's FFN, layer 1's FFN, then the masked-LM head
+        assert shapes == [(b, t, config.ff), (len(rows), config.ff), (len(rows), config.hidden)]
 
     def test_bad_rows_rejected(self, tiny):
         params, config = tiny

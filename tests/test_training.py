@@ -240,10 +240,19 @@ def _full_head_loss(params, config, batch, rng):
     return loss, scored, acc
 
 
-@pytest.mark.parametrize("all_ignored", [False, True], ids=["scored", "all-ignored"])
-def test_masked_loss_matches_full_head_cross_entropy(all_ignored):
+@pytest.mark.parametrize(
+    "all_ignored, layers",
+    [
+        pytest.param(False, 1, id="scored"),
+        pytest.param(True, 1, id="all-ignored"),
+        # a full-width layer below the pruned last one
+        pytest.param(False, 2, id="scored-2-layers"),
+        pytest.param(True, 2, id="all-ignored-2-layers"),
+    ],
+)
+def test_masked_loss_matches_full_head_cross_entropy(all_ignored, layers):
     config = EncoderConfig(
-        vocab_size=14, layers=1, hidden=8, heads=2, ff=16, max_len=8,
+        vocab_size=14, layers=layers, hidden=8, heads=2, ff=16, max_len=8,
         num_conditions=2, dropout=0.2,
     )
     batch = collate_masked(
