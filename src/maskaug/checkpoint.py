@@ -120,9 +120,11 @@ def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path)
     """Arrays to `path`, `meta` (keys in the given order) to `<path>.json`.
 
     Both files are written in full to temporary names in the same directory
-    and only then renamed into place, sidecar first, so a failed or killed
-    write never leaves a truncated file, or new arrays beside an old
-    sidecar, under the final names.
+    and only then renamed into place, sidecar first, so no truncated file
+    ever sits under a final name. A failed write keeps the previous pair; if
+    the arrays rename fails, the previous sidecar is put back. A process
+    killed between the two renames can still leave the new sidecar beside
+    the old arrays, which `load_model` rejects only when a shape differs.
     """
     path = Path(path)
     sidecar = Path(str(path) + ".json")
@@ -130,8 +132,17 @@ def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path)
     try:
         staged[0].write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
         save_arrays(params, staged[1])
+        previous = sidecar.read_bytes() if sidecar.exists() else None
         os.replace(staged[0], sidecar)
-        os.replace(staged[1], path)
+        try:
+            os.replace(staged[1], path)
+        except OSError:
+            if previous is None:
+                sidecar.unlink(missing_ok=True)
+            else:
+                staged[0].write_bytes(previous)
+                os.replace(staged[0], sidecar)
+            raise
     finally:
         for tmp in staged:
             tmp.unlink(missing_ok=True)

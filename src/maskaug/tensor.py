@@ -126,10 +126,8 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def _bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), _bwd)
 

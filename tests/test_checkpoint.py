@@ -70,17 +70,28 @@ def test_missing_file(tmp_path):
         load_arrays(tmp_path / "nope.ckpt")
 
 
-def test_failed_model_write_keeps_the_previous_pair(tmp_path, arrays, monkeypatch):
+@pytest.mark.parametrize("failure", ["array-write", "array-rename"])
+def test_failed_model_write_keeps_the_previous_pair(tmp_path, arrays, monkeypatch, failure):
     path = tmp_path / "model.ckpt"
     save_model(arrays, {"format": "test v1", "step": 1}, path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["model.ckpt", "model.ckpt.json"]
 
-    def broken_write(values, target):
-        target.write_bytes(MAGIC)  # a partial payload, then the failure
-        raise OSError("disk full")
+    if failure == "array-write":
+        def broken_write(values, target):
+            target.write_bytes(MAGIC)  # a partial payload, then the failure
+            raise OSError("disk full")
 
-    monkeypatch.setattr(checkpoint, "save_arrays", broken_write)
+        monkeypatch.setattr(checkpoint, "save_arrays", broken_write)
+    else:  # the sidecar is already renamed into place when the arrays rename fails
+        real_replace = checkpoint.os.replace
+
+        def broken_replace(src, dst):
+            if dst == path:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "replace", broken_replace)
     newer = {name: value + 1.0 for name, value in arrays.items()}
     with pytest.raises(OSError, match="disk full"):
         save_model(newer, {"format": "test v1", "step": 2}, path)
