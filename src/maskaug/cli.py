@@ -10,8 +10,9 @@ categories map to distinct exit codes:
     5  incompatible or corrupt checkpoint
     6  training failure
 
-A config file (--config, JSON keyed by flag dest names) supplies defaults;
-explicit flags win. All randomness derives from --seed.
+A config file (--config, JSON keyed by flag dest names) supplies defaults,
+required flags included; explicit flags win, and a key that no subcommand
+declares is an error. All randomness derives from --seed.
 """
 
 from __future__ import annotations
@@ -66,10 +67,22 @@ EXIT_CHECKPOINT = 5
 EXIT_TRAINING = 6
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required (flag or config file)")
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors leave through main's one-line
+    error[config] handler instead of a usage dump."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _require(args: argparse.Namespace, name: str) -> None:
+    """For a flag whose need depends on another flag's value."""
+    if getattr(args, name, None) is None:
+        raise ValueError(f"--{name.replace('_', '-')} is required (flag or config file)")
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _archive_config(args: argparse.Namespace, out: Path) -> None:
@@ -78,11 +91,10 @@ def _archive_config(args: argparse.Namespace, out: Path) -> None:
         if key in ("func", "subcommand", "config"):
             continue
         payload[key] = str(value) if isinstance(value, Path) else value
-    (out / "config.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "config.json", payload)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    _require(args, "out")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -101,26 +113,35 @@ def _parse_k(text: str) -> "int | tuple[int, int]":
     raise ValueError(f"--k must be 'K' or 'LO,HI', got {text!r}")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in str(text).split(",") if p.strip())
+def _parse_list(flag: str, text: str, convert=str) -> list:
+    """The items of a comma-separated list flag; an item may not repeat."""
+    items = [convert(p.strip()) for p in str(text).split(",") if p.strip()]
+    for item in items:
+        if items.count(item) > 1:
+            raise ValueError(f"--{flag} {text!r} repeats {item!r}")
+    return items
+
+
+def _check_vocab_size(what: str, size: int, vocab) -> None:
+    if size != len(vocab):
+        raise CheckpointError(f"{what} vocabulary size {size} != vocab file {len(vocab)}")
 
 
 def _load_encoder(path, vocab):
     """Encoder checkpoint whose vocabulary size matches the vocab file."""
     params, config = load_encoder(path)
-    if config.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"checkpoint vocabulary size {config.vocab_size} != vocab file {len(vocab)}"
-        )
+    _check_vocab_size("checkpoint", config.vocab_size, vocab)
     return params, config
 
 
-def _load_classifier(path, vocab):
-    """Classifier checkpoint whose vocabulary size matches the vocab file."""
+def _load_classifier(path, vocab, dataset):
+    """Classifier checkpoint whose vocabulary size matches the vocab file and
+    whose labels cover the dataset's."""
     clf = load_classifier(path)
-    if clf.vocab_size != len(vocab):
+    _check_vocab_size("classifier", clf.vocab_size, vocab)
+    if dataset.num_labels > clf.num_labels:
         raise CheckpointError(
-            f"classifier vocabulary size {clf.vocab_size} != vocab file {len(vocab)}"
+            f"data has {dataset.num_labels} labels, classifier has {clf.num_labels}"
         )
     return clf
 
@@ -145,7 +166,6 @@ def _load_dataset(args: argparse.Namespace, vocab, *encoders, val_fraction=None,
 
 
 def cmd_build_vocab(args) -> int:
-    _require(args, "data")
     out = _out_dir(args)
     rows = read_tsv(args.data)
     vocab = build_vocab(
@@ -156,8 +176,26 @@ def cmd_build_vocab(args) -> int:
     return EXIT_OK
 
 
+def _mask_and_fit(args) -> tuple[MaskPolicy, TrainConfig]:
+    """The masking policy and fit settings of pretrain and finetune."""
+    policy = MaskPolicy(mode="ratio", ratio=args.mask_ratio)
+    cfg = TrainConfig(
+        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+        patience=args.patience, seed=args.seed, clip_norm=args.clip_norm,
+    )
+    return policy, cfg
+
+
+def _save_encoder_run(path: Path, params, config, history) -> int:
+    """Write the encoder and metrics.tsv beside it; print a one-line summary."""
+    save_encoder(params, config, path)
+    write_metrics(history, path.parent / "metrics.tsv")
+    final = [h for h in history if h["split"] == "val"][-1]
+    print(f"wrote {path} (val loss {final['loss']:.4f}, masked acc {final['masked_acc']:.4f})")
+    return EXIT_OK
+
+
 def cmd_pretrain(args) -> int:
-    _require(args, "data", "vocab")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab)
@@ -171,42 +209,18 @@ def cmd_pretrain(args) -> int:
         num_conditions=args.num_conditions,
         dropout=args.dropout_rate,
     )
-    policy = MaskPolicy(mode="ratio", ratio=args.mask_ratio)
-    cfg = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        patience=args.patience, seed=args.seed, clip_norm=args.clip_norm,
-    )
-    params, history = pretrain_mlm(dataset, config, policy, cfg)
-    save_encoder(params, config, out / "encoder.ckpt")
-    write_metrics(history, out / "metrics.tsv")
-    final = [h for h in history if h["split"] == "val"][-1]
-    print(
-        f"wrote {out / 'encoder.ckpt'} "
-        f"(val loss {final['loss']:.4f}, masked acc {final['masked_acc']:.4f})"
-    )
-    return EXIT_OK
+    params, history = pretrain_mlm(dataset, config, *_mask_and_fit(args))
+    return _save_encoder_run(out / "encoder.ckpt", params, config, history)
 
 
 def cmd_finetune(args) -> int:
-    _require(args, "data", "vocab", "init")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.init, vocab)
     dataset = _load_dataset(args, vocab, config)
-    policy = MaskPolicy(mode="ratio", ratio=args.mask_ratio)
-    cfg = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        patience=args.patience, seed=args.seed, clip_norm=args.clip_norm,
+    return _save_encoder_run(
+        out / "conditional.ckpt", *finetune_cmlm(dataset, params, config, *_mask_and_fit(args))
     )
-    tuned, tuned_config, history = finetune_cmlm(dataset, params, config, policy, cfg)
-    save_encoder(tuned, tuned_config, out / "conditional.ckpt")
-    write_metrics(history, out / "metrics.tsv")
-    final = [h for h in history if h["split"] == "val"][-1]
-    print(
-        f"wrote {out / 'conditional.ckpt'} ({tuned_config.num_conditions} conditions, "
-        f"val loss {final['loss']:.4f})"
-    )
-    return EXIT_OK
 
 
 def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
@@ -241,7 +255,6 @@ def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
 
 
 def cmd_augment(args) -> int:
-    _require(args, "data", "vocab")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     augment, encoder = _augmenter(args, vocab, args.augmenter, "model")
@@ -249,11 +262,7 @@ def cmd_augment(args) -> int:
     n_originals = len(dataset.train)
     augmented, report = augment(dataset, args.seed)
     write_augmented_tsv(out / "augmented.tsv", augmented, n_originals, report, vocab)
-    (out / "report.json").write_text(
-        json.dumps({"generated": report.generated, "skipped": report.skipped}, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "report.json", {"generated": report.generated, "skipped": report.skipped})
     print(
         f"wrote {out / 'augmented.tsv'} "
         f"({n_originals} originals + {report.generated} generated, {report.skipped} skipped)"
@@ -277,7 +286,6 @@ def _classifier_config(args) -> "CnnConfig | RnnConfig":
 
 
 def cmd_train_classifier(args) -> int:
-    _require(args, "data", "vocab")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, test=args.test)
@@ -305,51 +313,50 @@ def cmd_train_classifier(args) -> int:
         summary["cv_accuracy"] = {"mean": mean, "folds": per_fold}
     if dataset.test:
         summary["accuracy"]["test"] = evaluate(clf, dataset.test).accuracy["test"]
-    (out / "report.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "report.json", summary)
     shown = ", ".join(f"{k} {v:.4f}" for k, v in summary["accuracy"].items())
     print(f"wrote {out / 'classifier.ckpt'} ({shown})")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    _require(args, "data", "vocab", "classifier_ckpt")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, val_fraction=0.0)
-    clf = _load_classifier(args.classifier_ckpt, vocab)
+    clf = _load_classifier(args.classifier_ckpt, vocab, dataset)
     report = evaluate(clf, dataset.train, "test")
-    payload = {
+    _write_json(out / "eval.json", {
         "accuracy": report.accuracy["test"],
         "confusion": report.confusion["test"].tolist(),
         "epochs_used": report.epochs_used,
         "seed": report.seed,
-    }
-    (out / "eval.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
     print(f"accuracy {report.accuracy['test']:.4f} over {len(dataset.train)} examples")
     return EXIT_OK
 
 
 def cmd_ab_experiment(args) -> int:
-    _require(args, "data", "test", "vocab")
+    arms = _parse_list("arms", args.arms)
+    if not arms:
+        raise ValueError(f"--arms {args.arms!r} names no arm")
+    seeds = _parse_list("seeds", args.seeds, int)
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     augmenters: dict[str, object] = {}
     encoders = []
-    for arm in (a.strip() for a in args.arms.split(",") if a.strip()):
+    for arm in arms:
         if arm == "none":
             augmenters[arm] = None
             continue
         augment, encoder = _augmenter(args, vocab, arm, "pretrained" if arm == "bert" else "model")
         augmenters[arm] = lambda d, s, augment=augment: augment(d, s)[0]
         encoders.append(encoder)
-    if not augmenters:
-        raise ValueError(f"--arms {args.arms!r} names no arm")
     dataset = _load_dataset(args, vocab, *encoders, test=args.test)
     records, summary = ab_experiment(
         dataset,
         augmenters,
         classifier=args.classifier,
-        seeds=_parse_ints(args.seeds),
+        seeds=seeds,
         cfg=_classifier_config(args),
         vocab_size=len(vocab),
     )
@@ -361,14 +368,13 @@ def cmd_ab_experiment(args) -> int:
 
 
 def cmd_style_transfer(args) -> int:
-    _require(args, "data", "vocab", "model", "classifier_ckpt")
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.model, vocab)
-    clf = _load_classifier(args.classifier_ckpt, vocab)
     dataset = _load_dataset(args, vocab, config, val_fraction=0.0)
+    clf = _load_classifier(args.classifier_ckpt, vocab, dataset)
     if args.target_label is None and dataset.num_labels != 2:
         raise ValueError("--target-label is required for non-binary datasets")
     pairs = []
@@ -401,18 +407,23 @@ _CAPPED_MAX_LEN_HELP = "truncate sentences to this many ids, capped at the encod
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", help="run directory for artifacts and config.json")
+    sp.add_argument("--data", required=True, help="label<TAB>text file")
+    sp.add_argument("--out", required=True, help="run directory for artifacts and config.json")
     sp.add_argument("--seed", type=int, default=0, help="root seed for every stream")
     sp.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
 
 
-def _add_train_flags(sp: argparse.ArgumentParser, epochs: int) -> None:
+def _add_fit_flags(sp: argparse.ArgumentParser, epochs: int, patience: int) -> None:
     sp.add_argument("--epochs", type=int, default=epochs)
     sp.add_argument("--batch-size", type=int, default=32)
     sp.add_argument("--lr", type=float, default=1e-3)
-    sp.add_argument("--patience", type=int, default=3)
-    sp.add_argument("--clip-norm", type=float, default=1.0)
+    sp.add_argument("--patience", type=int, default=patience)
     sp.add_argument("--val-fraction", type=float, default=0.1)
+
+
+def _add_train_flags(sp: argparse.ArgumentParser) -> None:
+    _add_fit_flags(sp, epochs=10, patience=3)
+    sp.add_argument("--clip-norm", type=float, default=1.0)
     sp.add_argument("--mask-ratio", type=float, default=0.15)
 
 
@@ -430,30 +441,22 @@ def _add_classifier_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--emb-dim", type=int, default=32)
     sp.add_argument("--hidden-dim", type=int, default=64)
     sp.add_argument("--dropout-rate", type=float, default=0.5)
-    sp.add_argument("--epochs", type=int, default=30)
-    sp.add_argument("--batch-size", type=int, default=32)
-    sp.add_argument("--lr", type=float, default=1e-3)
-    sp.add_argument("--patience", type=int, default=5)
-    sp.add_argument("--val-fraction", type=float, default=0.1)
+    _add_fit_flags(sp, epochs=30, patience=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="maskaug",
-        description="masked-LM text augmentation pipeline",
-    )
+    parser = _Parser(prog="maskaug", description="masked-LM text augmentation pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("build-vocab", help="build a vocabulary file from a TSV dataset")
-    sp.add_argument("--data", help="label<TAB>text file")
+    _add_common(sp)
     sp.add_argument("--min-freq", type=int, default=1)
     sp.add_argument("--max-size", type=int, default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_build_vocab)
 
     sp = sub.add_parser("pretrain", help="masked-LM pretraining (neutral condition)")
-    sp.add_argument("--data")
-    sp.add_argument("--vocab")
+    _add_common(sp)
+    sp.add_argument("--vocab", required=True)
     sp.add_argument("--layers", type=int, default=2)
     sp.add_argument("--hidden", type=int, default=64)
     sp.add_argument("--heads", type=int, default=2)
@@ -461,21 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=64)
     sp.add_argument("--num-conditions", type=int, default=2)
     sp.add_argument("--dropout-rate", type=float, default=0.1)
-    _add_train_flags(sp, epochs=10)
-    _add_common(sp)
+    _add_train_flags(sp)
     sp.set_defaults(func=cmd_pretrain)
 
     sp = sub.add_parser("finetune", help="label-conditional fine-tuning")
-    sp.add_argument("--data")
-    sp.add_argument("--vocab")
-    sp.add_argument("--init", help="pretrained encoder checkpoint")
-    _add_train_flags(sp, epochs=10)
     _add_common(sp)
+    sp.add_argument("--vocab", required=True)
+    sp.add_argument("--init", required=True, help="pretrained encoder checkpoint")
+    _add_train_flags(sp)
     sp.set_defaults(func=cmd_finetune)
 
     sp = sub.add_parser("augment", help="write an augmented copy of a dataset")
-    sp.add_argument("--data")
-    sp.add_argument("--vocab")
+    _add_common(sp)
+    sp.add_argument("--vocab", required=True)
     sp.add_argument("--model", help="encoder checkpoint (cbert/bert augmenters)")
     sp.add_argument("--synonyms", help="synonym table file (synonym augmenter)")
     sp.add_argument("--augmenter", choices=("cbert", "bert", "synonym"), default="cbert")
@@ -483,34 +484,31 @@ def build_parser() -> argparse.ArgumentParser:
                     help="allow a masked slot to re-sample its original word")
     sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
     _add_sampler_flags(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_augment)
 
     sp = sub.add_parser("train-classifier", help="train a CNN or LSTM classifier")
-    sp.add_argument("--data")
+    _add_common(sp)
     sp.add_argument("--test", default=None)
-    sp.add_argument("--vocab")
+    sp.add_argument("--vocab", required=True)
     sp.add_argument("--max-len", type=int, default=64)
     sp.add_argument("--grid", action="store_true",
                     help="search a small lr/dropout grid on validation accuracy first")
     sp.add_argument("--cv", type=int, default=None,
                     help="also report k-fold cross-validation accuracy")
     _add_classifier_flags(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_train_classifier)
 
     sp = sub.add_parser("eval", help="evaluate a trained classifier on a TSV file")
-    sp.add_argument("--data")
-    sp.add_argument("--vocab")
-    sp.add_argument("--classifier-ckpt")
-    sp.add_argument("--max-len", type=int, default=64)
     _add_common(sp)
+    sp.add_argument("--vocab", required=True)
+    sp.add_argument("--classifier-ckpt", required=True)
+    sp.add_argument("--max-len", type=int, default=64)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("ab-experiment", help="compare augmentation arms on one classifier")
-    sp.add_argument("--data")
-    sp.add_argument("--test")
-    sp.add_argument("--vocab")
+    _add_common(sp)
+    sp.add_argument("--test", required=True)
+    sp.add_argument("--vocab", required=True)
     sp.add_argument("--model", help="conditional encoder checkpoint (cbert arm)")
     sp.add_argument("--pretrained", help="unconditional encoder checkpoint (bert arm)")
     sp.add_argument("--synonyms", help="synonym table (synonym arm)")
@@ -519,32 +517,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
     _add_sampler_flags(sp)
     _add_classifier_flags(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_ab_experiment)
 
     sp = sub.add_parser("style-transfer", help="rewrite sentences under the opposite label")
-    sp.add_argument("--data")
-    sp.add_argument("--vocab")
-    sp.add_argument("--model", help="conditional encoder checkpoint")
-    sp.add_argument("--classifier-ckpt", help="trained classifier for attribution")
+    _add_common(sp)
+    sp.add_argument("--vocab", required=True)
+    sp.add_argument("--model", required=True, help="conditional encoder checkpoint")
+    sp.add_argument("--classifier-ckpt", required=True, help="trained classifier for attribution")
     sp.add_argument("--target-label", type=int, default=None)
     sp.add_argument("--top-m", type=int, default=1)
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
-    _add_common(sp)
     sp.set_defaults(func=cmd_style_transfer)
 
     return parser
 
 
-def _config_defaults(argv: list[str]) -> dict:
-    """The JSON object of the --config file, in either the `--config path`
-    or the `--config=path` spelling; {} without --config."""
-    pre = argparse.ArgumentParser(prog="maskaug", add_help=False)
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the JSON object of the --config file (`--config path` or
+    `--config=path`) the subcommands' defaults; a flag it supplies is no
+    longer required. Every key must be a flag dest of some subcommand or one
+    of the keys config.json adds."""
+    pre = _Parser(prog="maskaug", add_help=False)
     pre.add_argument("--config")
     name = pre.parse_known_args(argv)[0].config
     if name is None:
-        return {}
+        return
     path = Path(name)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -554,20 +552,26 @@ def _config_defaults(argv: list[str]) -> dict:
         raise ValueError(f"malformed config file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return payload
+    declared = {"format", "subcommand"}  # the keys config.json adds
+    for sp in parser._subparsers._group_actions[0].choices.values():
+        for action in sp._actions:
+            declared.add(action.dest)
+            if action.dest in payload:
+                action.default = payload[action.dest]
+                action.required = action.required and action.default is None
+    unknown = sorted(set(payload) - declared)
+    if unknown:
+        raise ValueError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         parser = build_parser()
+        _apply_config_file(parser, argv)
         try:
-            defaults = _config_defaults(argv)
-            for action in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in action._actions}
-                action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
             args = parser.parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # --help
             return int(exc.code or 0)
         return args.func(args)
     except OSError as exc:  # a missing path, a directory, or any other read failure

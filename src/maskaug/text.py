@@ -213,6 +213,10 @@ def load_tsv(
     num_labels is 1 + the maximum label over all files read; the validation
     rows are a deterministic `val_fraction` sample of the training file.
     """
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 (<cls> and one word), got {max_len}")
     rows = read_tsv(path)
     test_rows = read_tsv(test_path) if test_path is not None else []
     all_labels = [lab for lab, _ in rows] + [lab for lab, _ in test_rows]

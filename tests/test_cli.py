@@ -464,6 +464,25 @@ class TestErrorCategories:
         assert err.startswith("error[checkpoint]: ") and err.count("\n") == 1, err
         assert "vocabulary size" in err, err
 
+    @pytest.mark.parametrize("subcommand", ["eval", "style-transfer"])
+    @pytest.mark.filterwarnings("ignore:.*never occur:UserWarning")  # labels 2-4 are unused
+    def test_data_labels_beyond_the_classifier_are_checkpoint_error(
+        self, subcommand, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys
+    ):
+        data = tmp_path / "five.tsv"
+        data.write_text("0\tthe movie was bad\n1\tthe movie was good\n5\tthe movie was fine\n")
+        extra = (
+            ["--model", str(finetuned), "--target-label", "1"]
+            if subcommand == "style-transfer" else []
+        )
+        code = main([
+            subcommand, "--data", str(data), "--vocab", str(vocab_file),
+            "--classifier-ckpt", str(classifier_ckpt), "--out", str(tmp_path / "run"), *extra,
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECKPOINT, err
+        assert err == "error[checkpoint]: data has 6 labels, classifier has 2\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_classifier_divergence_is_training_error(self, workdir, vocab_file, tmp_path, capsys):
         code = main([
@@ -491,6 +510,31 @@ class TestErrorCategories:
         assert err.startswith("error[config]: --arms ',' names no arm")
         assert err.count("\n") == 1
         assert not (out / "records.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, flags, message",
+        [
+            pytest.param("train-classifier", ["--val-fraction", "1.5"],
+                         "val_fraction must be in [0, 1), got 1.5", id="val-fraction"),
+            pytest.param("train-classifier", ["--max-len", "0"],
+                         "max_len must be >= 2 (<cls> and one word), got 0", id="max-len"),
+            pytest.param("ab-experiment", ["--seeds", "1,1", "--arms", "none"],
+                         "--seeds '1,1' repeats 1", id="repeated-seed"),
+            pytest.param("ab-experiment", ["--arms", "none,none"],
+                         "--arms 'none,none' repeats 'none'", id="repeated-arm"),
+        ],
+    )
+    def test_bad_value_is_one_line_config_error(
+        self, subcommand, flags, message, workdir, vocab_file, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        code = main([
+            subcommand, "--data", str(workdir / "train.tsv"), "--test", str(workdir / "test.tsv"),
+            "--vocab", str(vocab_file), "--epochs", "1", "--out", str(out), *flags,
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not {"classifier.ckpt", "records.tsv"} & {p.name for p in out.glob("*")}
 
     @pytest.mark.parametrize(
         "folds, message",
@@ -548,6 +592,55 @@ class TestErrorCategories:
         assert code == EXIT_PARSE
 
 
+# each subcommand's required flags other than --out; the missing-flag case
+# leaves out the last one
+REQUIRED_FLAGS = {
+    "build-vocab": ["--data"],
+    "pretrain": ["--data", "--vocab"],
+    "finetune": ["--data", "--vocab", "--init"],
+    "augment": ["--data", "--vocab"],
+    "train-classifier": ["--data", "--vocab"],
+    "eval": ["--data", "--vocab", "--classifier-ckpt"],
+    "ab-experiment": ["--data", "--vocab", "--test"],
+    "style-transfer": ["--data", "--vocab", "--model", "--classifier-ckpt"],
+}
+
+
+def _argument_error_cases():
+    """(argv without --out, which the test adds after the subcommand; a word
+    the message must name)."""
+    for subcommand, flags in REQUIRED_FLAGS.items():
+        given = [part for flag in flags for part in (flag, "x")]
+        yield pytest.param(
+            [subcommand, *given, "--seed", "x"], "--seed", id=f"{subcommand}-bad-int"
+        )
+        yield pytest.param(
+            [subcommand, *given, "--no-such-flag"], "--no-such-flag",
+            id=f"{subcommand}-unknown-flag",
+        )
+        yield pytest.param(
+            [subcommand, *given[:-2]], flags[-1], id=f"{subcommand}-missing-required"
+        )
+    yield pytest.param(
+        ["train-classifier", "--data", "x", "--vocab", "x", "--classifier", "gru"], "gru",
+        id="bad-choice",
+    )
+    yield pytest.param([], "subcommand", id="no-subcommand")
+    yield pytest.param(["build-vocab", "--data", "x", "--config"], "--config", id="bare-config")
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv, named", _argument_error_cases())
+    def test_argument_error_is_one_line_config_error(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([*argv[:1], "--out", str(out), *argv[1:]] if argv else [])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err.startswith("error[config]: ") and err.count("\n") == 1, err
+        assert named in err, err
+        assert not out.exists()
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("spelling", ["space", "equals"])
     def test_config_supplies_defaults_and_flags_win(self, spelling, workdir, vocab_file, tmp_path):
@@ -578,3 +671,45 @@ class TestConfigFile:
         assert code == EXIT_USAGE, err
         assert err.startswith("error[config]: ") and err.count("\n") == 1, err
         assert field in err, err
+
+    def test_config_supplies_a_required_flag(self, workdir, vocab_file, tmp_path):
+        cfg = tmp_path / "run.json"
+        # epochs belongs to other subcommands: one file may configure the whole pipeline
+        cfg.write_text(json.dumps({"data": str(workdir / "train.tsv"), "epochs": 1}))
+        out = tmp_path / "vocab"
+        assert main(["build-vocab", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert (out / "vocab.txt").read_bytes() == vocab_file.read_bytes()
+
+    def test_null_config_value_does_not_supply_a_required_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"data": None}))
+        out = tmp_path / "vocab"
+        code = main(["build-vocab", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err == (
+            "error[config]: maskaug build-vocab: the following arguments are required: --data\n"
+        )
+        assert not out.exists()
+
+    def test_unknown_config_key_is_one_line_config_error(
+        self, workdir, vocab_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"epoch": 7}))  # a typo for epochs
+        out = tmp_path / "clf"
+        code = main([
+            "train-classifier", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error[config]: config file {cfg}: unknown key(s) 'epoch'\n"
+        assert not out.exists()
+
+    def test_archived_config_reproduces_the_run(self, workdir, vocab_file, tmp_path):
+        out = tmp_path / "vocab"
+        code = main(["build-vocab", "--config", str(vocab_file.parent / "config.json"),
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "vocab.txt").read_bytes() == vocab_file.read_bytes()

@@ -224,3 +224,20 @@ class TestLoadTsv:
         dataset = load_tsv(train, vocab, val_fraction=0.0, test_path=test)
         assert dataset.num_labels == 3
         assert len(dataset.test) == 1
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            pytest.param({"val_fraction": 1.0}, "got 1.0", id="val-fraction-1"),
+            pytest.param({"val_fraction": 1.5}, "got 1.5", id="val-fraction-1.5"),
+            pytest.param({"val_fraction": -0.1}, "got -0.1", id="val-fraction-negative"),
+            pytest.param({"max_len": 1}, "max_len must be >= 2", id="max-len-1"),
+            pytest.param({"max_len": 0}, "max_len must be >= 2", id="max-len-0"),
+        ],
+    )
+    def test_out_of_range_setting_is_rejected(self, setting, named, tmp_path, vocab):
+        path = tmp_path / "d.tsv"
+        path.write_text("0\tgood film\n1\tbad film\n")
+        with pytest.raises(ValueError) as exc:
+            load_tsv(path, vocab, **setting)
+        assert named in str(exc.value)
