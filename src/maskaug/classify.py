@@ -231,10 +231,7 @@ def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.nd
 
 def predict_proba(clf: Classifier, example: LabeledExample) -> np.ndarray:
     """Class distribution for one example (eval mode, deterministic)."""
-    logits = predict_logits(clf, [example])[0]
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return T.softmax(predict_logits(clf, [example])[0]).data
 
 
 def evaluate(clf: Classifier, examples: Sequence[LabeledExample], split: str = "test") -> EvalReport:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .augment import AugmentationPolicy, _refill
 from .classify import Classifier, predict_logits
 from .encoder import EncoderConfig
@@ -48,9 +49,7 @@ def attribute_words(clf: Classifier, example: LabeledExample) -> AttributionScor
         LabeledExample(example.tokens[:pos] + example.tokens[pos + 1 :], example.label)
         for pos in positions
     ]
-    logits = predict_logits(clf, variants)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e[:, example.label] / e.sum(axis=1)
+    probs = T.softmax(predict_logits(clf, variants)).data[:, example.label]
     return AttributionScores(tuple(positions), probs[0] - probs[1:])
 
 

@@ -188,33 +188,16 @@ def masked_loss(
     return loss, scored, acc
 
 
-def _epoch_eval(
-    params: dict[str, Tensor],
-    config: EncoderConfig,
-    examples: Sequence[LabeledExample],
-    policy: MaskPolicy,
-    vocab_size: int,
-    label_conditions: bool,
-    seed: int,
-    phase: str,
-    batch_size: int,
-) -> tuple[float, float]:
-    """Masked loss/accuracy on a split, with masks fixed across epochs."""
-    rng = derive_rng(seed, phase, "eval-mask")
-    total_loss, total_scored, total_correct = 0.0, 0, 0.0
-    for start in range(0, len(examples), batch_size):
-        batch = collate_masked(
-            examples[start : start + batch_size], policy, vocab_size, rng, label_conditions
-        )
-        if batch is None:
-            continue
-        loss, scored, acc = masked_loss(params, config, batch, train=False, rng=None)
-        total_loss += float(loss.data) * scored
-        total_scored += scored
-        total_correct += acc * scored
-    if total_scored == 0:
+def _weighted_mean(rows: Sequence[tuple[float, int, float]]) -> tuple[float, float]:
+    """(loss, accuracy) of (loss, weight, accuracy) rows, each weighted; (nan, 0.0) if none."""
+    total_loss, total_weight, total_correct = 0.0, 0, 0.0
+    for loss, weight, acc in rows:
+        total_loss += loss * weight
+        total_weight += weight
+        total_correct += acc * weight
+    if not total_weight:
         return float("nan"), 0.0
-    return total_loss / total_scored, total_correct / total_scored
+    return total_loss / total_weight, total_correct / total_weight
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -256,7 +239,7 @@ def fit(
 
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(len(examples))
-        ep_loss, ep_weight, ep_correct = 0.0, 0, 0.0
+        rows: list[tuple[float, int, float]] = []
         for start in range(0, len(order), batch_size):
             out = chunk_loss(params, [examples[i] for i in order[start : start + batch_size]])
             if out is None:
@@ -266,6 +249,8 @@ def fit(
             if not np.isfinite(loss.data):
                 raise TrainingError(f"{phase}: loss diverged at step {step}")
             loss.backward()
+            rows.append((float(loss.data), weight, acc))
+            del out, loss  # the step's graph dies here, not during the next forward
             grads = {k: p.grad for k, p in params.items()}
             missing = [k for k, g in grads.items() if g is None]
             if missing:
@@ -273,13 +258,8 @@ def fit(
             if clip_norm is not None:
                 grads = clip_by_global_norm(grads, clip_norm)
             params, state = adam_step(params, grads, state)
-            ep_loss += float(loss.data) * weight
-            ep_weight += weight
-            ep_correct += acc * weight
 
-        train_loss = ep_loss / ep_weight if ep_weight else float("nan")
-        train_acc = ep_correct / ep_weight if ep_weight else 0.0
-        score = validate(params, epoch, train_loss, train_acc)
+        score = validate(params, epoch, *_weighted_mean(rows))
         if score > best_score:
             best_score, best_params, best_epoch = score, _snapshot(params), epoch
             since_best = 0
@@ -305,6 +285,14 @@ def _train_masked_lm(
     vocab_size = config.vocab_size
     mask_rng = derive_rng(cfg.seed, phase, "mask")
     drop_rng = derive_rng(cfg.seed, phase, "dropout")
+    # validation masks are drawn once, so every epoch scores the same batches
+    eval_rng = derive_rng(cfg.seed, phase, "eval-mask")
+    val_batches = [
+        collate_masked(val_examples[start : start + cfg.batch_size], policy, vocab_size,
+                       eval_rng, label_conditions)
+        for start in range(0, len(val_examples), cfg.batch_size)
+    ]
+    val_batches = [batch for batch in val_batches if batch is not None]
     history: list[dict] = []
 
     def chunk_loss(params, chunk):
@@ -319,10 +307,11 @@ def _train_masked_lm(
             {"epoch": epoch, "split": "train", "loss": train_loss, "masked_acc": train_acc}
         )
         if val_examples:
-            val_loss, val_acc = _epoch_eval(
-                params, config, val_examples, policy, vocab_size,
-                label_conditions, cfg.seed, phase, cfg.batch_size,
-            )
+            rows = []
+            for batch in val_batches:
+                loss, scored, acc = masked_loss(params, config, batch, train=False, rng=None)
+                rows.append((float(loss.data), scored, acc))
+            val_loss, val_acc = _weighted_mean(rows)
         else:
             val_loss, val_acc = train_loss, train_acc
         history.append(

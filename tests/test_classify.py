@@ -13,8 +13,10 @@ from maskaug.classify import (
     format_table,
     grid_search,
     load_classifier,
+    predict_logits,
     predict_proba,
     save_classifier,
+    train_classifier,
     train_cnn,
     train_rnn,
     write_records,
@@ -68,6 +70,17 @@ def order_dataset(n=160, seed=1):
 def test_ill_typed_config_field_raises_value_error_naming_it(make, field, value):
     with pytest.raises(ValueError, match=field):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("kind", ["cnn", "rnn"])
+def test_predict_proba_equals_the_stable_exp_formula_bitwise(kind):
+    dataset = separable_dataset(n=20)
+    cfg = (CnnConfig if kind == "cnn" else RnnConfig)(seed=0, max_epochs=1, patience=1)
+    clf, _ = train_classifier(dataset, kind, cfg, vocab_size=VOCAB_SIZE)
+    for example in dataset.train[:6]:
+        logits = predict_logits(clf, [example])[0]
+        e = np.exp(logits - logits.max())
+        assert np.array_equal(predict_proba(clf, example), e / e.sum())
 
 
 class TestCnn:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from maskaug.augment import AugmentationPolicy, sample_replacement
-from maskaug.classify import CnnConfig, RnnConfig, predict_proba, train_classifier, train_cnn
+from maskaug.classify import (
+    CnnConfig,
+    RnnConfig,
+    predict_logits,
+    predict_proba,
+    train_classifier,
+    train_cnn,
+)
 from maskaug.encoder import EncoderConfig, init_params, mlm_distribution
 from maskaug.styletransfer import attribute_words, transfer_style, write_style_pairs
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample, build_vocab
@@ -39,6 +46,25 @@ def setup():
     )
     params = init_params(config, np.random.default_rng(5))
     return dataset, classifier, params, config
+
+
+@pytest.mark.parametrize("kind", ["cnn", "rnn"])
+def test_attribution_equals_the_stable_exp_formula_bitwise(kind):
+    dataset = signal_dataset(n=20)
+    cfg = (CnnConfig if kind == "cnn" else RnnConfig)(seed=1, max_epochs=1, patience=1)
+    clf, _ = train_classifier(dataset, kind, cfg, vocab_size=VOCAB_SIZE)
+    for example in dataset.train[:6]:
+        positions = [i for i, t in enumerate(example.tokens) if t >= NUM_SPECIALS]
+        variants = [example] + [
+            LabeledExample(example.tokens[:pos] + example.tokens[pos + 1 :], example.label)
+            for pos in positions
+        ]
+        logits = predict_logits(clf, variants)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e[:, example.label] / e.sum(axis=1)
+        got = attribute_words(clf, example)
+        assert got.positions == tuple(positions)
+        assert np.array_equal(got.scores, probs[0] - probs[1:])
 
 
 class TestAttribution:

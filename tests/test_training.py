@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from maskaug import tensor as T
+from maskaug import training
 from maskaug.encoder import EncoderConfig, forward, init_params
+from maskaug.seeding import derive_rng
 from maskaug.text import CLS_ID, MASK_ID, NUM_SPECIALS, Dataset, LabeledExample
 from maskaug.training import (
     IGNORE_ID,
@@ -282,3 +286,84 @@ def test_masked_loss_matches_full_head_cross_entropy(all_ignored, layers):
             assert got is None, name
         else:
             assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+def _val_pinned_run(phase, monkeypatch):
+    """A 3-epoch run whose validation split holds skipped sentences and a
+    wholly skipped batch; returns (history, val examples, the encoder config
+    trained, the parameters each epoch's validation scored, policy, cfg)."""
+    base = template_dataset()
+    bare = LabeledExample((CLS_ID,), 1)  # no maskable token: collate skips it
+    dataset = replace(base, val=base.val + [bare, bare])
+    config = EncoderConfig(
+        vocab_size=14, layers=1, hidden=8, heads=2, ff=16, max_len=8,
+        num_conditions=2, dropout=0.1,
+    )
+    policy = MaskPolicy(ratio=0.3)
+    cfg = TrainConfig(epochs=3, batch_size=2, lr=3e-3, patience=3, seed=4)
+    scored = []
+    real_fit = training.fit
+
+    def spy_fit(params, examples, chunk_loss, validate, **kw):
+        def spy(p, *rest):
+            scored.append({k: Tensor(v.data.copy()) for k, v in p.items()})
+            return validate(p, *rest)
+
+        return real_fit(params, examples, chunk_loss, spy, **kw)
+
+    monkeypatch.setattr(training, "fit", spy_fit)
+    if phase == "pretrain":
+        _, history = pretrain_mlm(dataset, config, policy, cfg)
+    else:
+        start = init_params(config, np.random.default_rng(3))
+        _, config, history = finetune_cmlm(dataset, start, config, policy, cfg)
+    return history, dataset.val, config, scored, policy, cfg
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+def test_val_history_equals_serial_reference(phase, monkeypatch):
+    history, val, config, scored, policy, cfg = _val_pinned_run(phase, monkeypatch)
+    assert len(scored) == 3
+    want = []
+    for epoch, params in enumerate(scored, start=1):
+        # the reference re-derives the stream and re-masks the split every epoch
+        rng = derive_rng(cfg.seed, phase, "eval-mask")
+        loss_sum, scored_sum, correct_sum = 0.0, 0, 0.0
+        for start in range(0, len(val), cfg.batch_size):
+            batch = collate_masked(
+                val[start : start + cfg.batch_size], policy, config.vocab_size, rng,
+                label_conditions=phase == "finetune",
+            )
+            if batch is None:
+                continue
+            loss, n, acc = masked_loss(params, config, batch, train=False, rng=None)
+            loss_sum += float(loss.data) * n
+            scored_sum += n
+            correct_sum += acc * n
+        want.append({"epoch": epoch, "split": "val", "loss": loss_sum / scored_sum,
+                     "masked_acc": correct_sum / scored_sum})
+    assert [h for h in history if h["split"] == "val"] == want
+
+
+def test_eval_mask_stream_is_derived_once_per_run(monkeypatch):
+    calls = []
+    real = training.derive_rng
+
+    def counting(root, *parts):
+        if "eval-mask" in parts:
+            calls.append(parts)
+        return real(root, *parts)
+
+    monkeypatch.setattr(training, "derive_rng", counting)
+    _val_pinned_run("pretrain", monkeypatch)
+    assert calls == [("pretrain", "eval-mask")]
+    _val_pinned_run("finetune", monkeypatch)
+    assert calls == [("pretrain", "eval-mask"), ("finetune", "eval-mask")]
+
+
+def test_validation_split_of_skipped_sentences_is_training_error():
+    dataset = replace(template_dataset(), val=[LabeledExample((CLS_ID,), 0)] * 3)
+    config = EncoderConfig(vocab_size=14, layers=1, hidden=8, heads=2, ff=16, max_len=8)
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=1)
+    with pytest.raises(TrainingError, match="validation loss became NaN at epoch 1"):
+        pretrain_mlm(dataset, config, MaskPolicy(), cfg)
