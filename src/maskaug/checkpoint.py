@@ -92,14 +92,18 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_field_types(config) -> None:
     """Raise ValueError naming the first ill-typed field of a config dataclass.
 
     Fields annotated `int` take an integer, `tuple[int, ...]` a tuple of
-    them and `float` a real number; a bool is none of these. Sidecar and
-    config-file values arrive from JSON, so without this a string or a
-    fraction surfaces as an unrelated error deep inside the model, or not
-    at all.
+    them, `float` a real number and `float | None` a real number or None; a
+    bool is none of these. Sidecar and config-file values arrive from JSON,
+    so without this a string or a fraction surfaces as an unrelated error
+    deep inside the model, or not at all.
     """
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
@@ -108,8 +112,9 @@ def check_field_types(config) -> None:
         elif field.type == "tuple[int, ...]":
             kind, ok = "a tuple of ints", all(_is_int(v) for v in value)
         elif field.type in ("float", float):
-            kind = "a real number"
-            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            kind, ok = "a real number", _is_real(value)
+        elif field.type == "float | None":
+            kind, ok = "a real number or null", value is None or _is_real(value)
         else:
             continue
         if not ok:

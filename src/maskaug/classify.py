@@ -49,6 +49,8 @@ class CnnConfig:
         for name in ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,8 @@ class RnnConfig:
         for name in ("emb_dim", "state_dim", "max_epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Command-line pipeline driver.
 
-Every subcommand validates its inputs, writes its artifacts plus a
-config.json snapshot into --out, and exits 0 on success. Failure
-categories map to distinct exit codes:
+Every subcommand validates its inputs, writes its artifacts into --out and
+exits 0 on success; only then does `main` add a config.json snapshot of the
+run's settings. Failure categories map to distinct exit codes:
 
     2  usage or malformed configuration
     3  missing or unreadable file
@@ -12,7 +12,8 @@ categories map to distinct exit codes:
 
 A config file (--config, JSON keyed by flag dest names) supplies defaults,
 required flags included; explicit flags win, and a key that no subcommand
-declares is an error. All randomness derives from --seed.
+declares is an error. All randomness derives from --seed. A warning the
+library raises is printed as one `warning: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .augment import (
@@ -100,7 +102,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ValueError(f"--out {out} is not a directory") from None
-    _archive_config(args, out)
     return out
 
 
@@ -564,8 +565,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         raise ValueError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # only how a shown warning is printed changes; the filters stay the caller's
+    shown, warnings.showwarning = warnings.showwarning, _show_warning
     try:
         parser = build_parser()
         _apply_config_file(parser, argv)
@@ -573,7 +580,9 @@ def main(argv: "list[str] | None" = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        return args.func(args)
+        code = args.func(args)
+        _archive_config(args, Path(args.out))  # a failed run leaves no run record
+        return code
     except OSError as exc:  # a missing path, a directory, or any other read failure
         print(f"error[missing-file]: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
@@ -589,6 +598,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except (ValueError, KeyError, IndexError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

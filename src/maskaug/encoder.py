@@ -38,6 +38,12 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        if self.hidden < 2:  # layer norm needs two features to normalise
+            raise ValueError(f"hidden must be >= 2, got {self.hidden}")
+        if self.ff < 1:
+            raise ValueError(f"ff must be >= 1, got {self.ff}")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
         if self.hidden % self.heads != 0:

@@ -91,6 +91,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0 or null, got {self.clip_norm}")
 
 
 @dataclass

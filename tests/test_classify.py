@@ -72,6 +72,14 @@ def test_ill_typed_config_field_raises_value_error_naming_it(make, field, value)
         make(**{field: value})
 
 
+@pytest.mark.parametrize("make", [CnnConfig, RnnConfig])
+@pytest.mark.parametrize("lr", [-1.0, 0.0])
+def test_non_positive_lr_is_rejected(make, lr):
+    with pytest.raises(ValueError) as info:
+        make(lr=lr)
+    assert str(info.value) == f"lr must be > 0, got {lr}"
+
+
 @pytest.mark.parametrize("kind", ["cnn", "rnn"])
 def test_predict_proba_equals_the_stable_exp_formula_bitwise(kind):
     dataset = separable_dataset(n=20)

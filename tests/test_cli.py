@@ -522,6 +522,8 @@ class TestErrorCategories:
                          "--seeds '1,1' repeats 1", id="repeated-seed"),
             pytest.param("ab-experiment", ["--arms", "none,none"],
                          "--arms 'none,none' repeats 'none'", id="repeated-arm"),
+            pytest.param("train-classifier", ["--lr", "-1"], "lr must be > 0, got -1.0",
+                         id="classifier-lr"),
         ],
     )
     def test_bad_value_is_one_line_config_error(
@@ -534,7 +536,48 @@ class TestErrorCategories:
         ])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error[config]: {message}\n"
-        assert not {"classifier.ckpt", "records.tsv"} & {p.name for p in out.glob("*")}
+        # config.json is the record of a finished run, so a failed one has none
+        assert not {"classifier.ckpt", "records.tsv", "config.json"} & {
+            p.name for p in out.glob("*")
+        }
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--lr", "-1"], "lr must be > 0, got -1.0", id="lr"),
+            pytest.param(["--clip-norm", "0"], "clip_norm must be > 0 or null, got 0.0",
+                         id="clip-norm-0"),
+            pytest.param(["--clip-norm", "-1"], "clip_norm must be > 0 or null, got -1.0",
+                         id="clip-norm-negative"),
+            pytest.param(["--layers", "-1"], "layers must be >= 0, got -1", id="layers"),
+            pytest.param(["--ff", "0"], "ff must be >= 1, got 0", id="ff"),
+            pytest.param(["--hidden", "1", "--heads", "1"], "hidden must be >= 2, got 1",
+                         id="hidden"),
+        ],
+    )
+    def test_bad_training_value_is_one_line_config_error(
+        self, flags, message, workdir, vocab_file, tmp_path, capsys
+    ):
+        out = tmp_path / "pre"
+        code = main([
+            "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--epochs", "1", "--hidden", "16", "--ff", "32", "--layers", "1",
+            "--out", str(out), *flags,
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert list(out.glob("*")) == []
+
+    def test_missing_vocab_file_leaves_no_run_record(self, workdir, tmp_path, capsys):
+        out = tmp_path / "clf"
+        code = main([
+            "train-classifier", "--data", str(workdir / "train.tsv"),
+            "--vocab", str(tmp_path / "absent.txt"), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_FILE, err
+        assert err.startswith("error[missing-file]: ") and err.count("\n") == 1, err
+        assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize(
         "folds, message",
@@ -657,7 +700,12 @@ class TestConfigFile:
         assert archived["epochs"] == 2  # flag beat the config file
         assert archived["hidden"] == 16  # config beat the built-in default
 
-    @pytest.mark.parametrize("field, value", [("epochs", 1.5), ("hidden", 16.0)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 1.5), ("hidden", 16.0),
+         pytest.param("clip_norm", [1], id="clip_norm-list"),
+         pytest.param("clip_norm", True, id="clip_norm-bool")],
+    )
     def test_ill_typed_config_value_is_one_line_config_error(
         self, field, value, workdir, vocab_file, tmp_path, capsys
     ):
@@ -713,3 +761,38 @@ class TestConfigFile:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "vocab.txt").read_bytes() == vocab_file.read_bytes()
+
+
+class TestWarnings:
+    """A library warning reaches the user as one `warning:` line, not as
+    Python's two-line file:line report with the source line under it."""
+
+    def test_label_gap_is_one_warning_line(self, workdir, vocab_file, tmp_path, capsys):
+        data = tmp_path / "gap.tsv"
+        data.write_text("".join(
+            f"{label}\tthe movie was {word}\n"
+            for label, word in [(0, "bad"), (2, "good"), (0, "dull"), (2, "fine")] * 3
+        ))
+        out = tmp_path / "pre"
+        code = main([
+            "pretrain", "--data", str(data), "--vocab", str(vocab_file), "--epochs", "1",
+            "--hidden", "16", "--ff", "32", "--layers", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK, err
+        assert err.startswith("warning: ") and err.count("\n") == 1, err
+        assert "labels [1] never occur" in err and "load_tsv" not in err, err
+        assert (out / "config.json").exists()
+
+    def test_top_m_clamp_is_one_warning_line(
+        self, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys
+    ):
+        code = main([
+            "style-transfer", "--data", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--model", str(finetuned), "--classifier-ckpt", str(classifier_ckpt),
+            "--top-m", "9", "--limit", "1", "--out", str(tmp_path / "style"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK, err
+        assert err.startswith("warning: top_m=9 exceeds") and err.count("\n") == 1, err
+        assert "transfer_style(" not in err, err

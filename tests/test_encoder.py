@@ -61,6 +61,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             EncoderConfig(**{"vocab_size": 10, field: value})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [pytest.param({"layers": -1}, "layers must be >= 0, got -1", id="layers"),
+         pytest.param({"hidden": 1, "heads": 1}, "hidden must be >= 2, got 1", id="hidden-1"),
+         pytest.param({"hidden": 0}, "hidden must be >= 2, got 0", id="hidden-0"),
+         pytest.param({"ff": 0}, "ff must be >= 1, got 0", id="ff")],
+    )
+    def test_size_that_cannot_build_a_model_is_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            EncoderConfig(vocab_size=10, **fields)
+        assert str(info.value) == message
+
+    def test_zero_layers_accepted(self):
+        assert EncoderConfig(vocab_size=10, layers=0).layers == 0
+
     def test_integral_dropout_accepted(self):
         assert EncoderConfig(vocab_size=10, dropout=0).dropout == 0
 
@@ -359,4 +374,13 @@ class TestPersistence:
         save_encoder(params, config, path)
         (tmp_path / "enc.ckpt.json").unlink()
         with pytest.raises(CheckpointError):
+            load_encoder(path)
+
+    def test_sidecar_size_that_cannot_build_a_model_is_checkpoint_error(self, tiny, tmp_path):
+        params, config = tiny
+        path = tmp_path / "enc.ckpt"
+        save_encoder(params, config, path)
+        sidecar = tmp_path / "enc.ckpt.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "ff": 0}))
+        with pytest.raises(CheckpointError, match="ff must be >= 1, got 0"):
             load_encoder(path)

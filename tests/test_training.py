@@ -55,11 +55,26 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "make, field, value",
         [(TrainConfig, "epochs", 1.5), (TrainConfig, "lr", "0.1"), (TrainConfig, "seed", True),
-         (MaskPolicy, "ratio", "0.2"), (MaskPolicy, "k", 2.0)],
+         (MaskPolicy, "ratio", "0.2"), (MaskPolicy, "k", 2.0),
+         pytest.param(TrainConfig, "clip_norm", [1], id="TrainConfig-clip_norm-list"),
+         pytest.param(TrainConfig, "clip_norm", True, id="TrainConfig-clip_norm-bool")],
     )
     def test_ill_typed_field_raises_value_error_naming_it(self, make, field, value):
         with pytest.raises(ValueError, match=field):
             make(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", -1.0), ("lr", 0), ("lr", float("nan")), ("clip_norm", 0.0), ("clip_norm", -1)],
+    )
+    def test_value_that_trains_the_wrong_way_is_rejected(self, field, value):
+        bound = "> 0" if field == "lr" else "> 0 or null"
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == f"{field} must be {bound}, got {value}"
+
+    def test_clip_norm_may_be_off(self):
+        assert TrainConfig(clip_norm=None).clip_norm is None
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -206,10 +221,7 @@ class TestFinetune:
         tuned, tuned_config, hist_cond = finetune_cmlm(flat, params, config, policy, cfg)
         assert tuned_config.num_conditions == 1
 
-        from dataclasses import replace
-
         from maskaug.encoder import swap_condition_table
-        from maskaug.seeding import derive_rng
 
         start = swap_condition_table(params, 1, derive_rng(cfg.seed, "cond-swap"))
         plain, hist_plain = _train_masked_lm(
