@@ -124,13 +124,13 @@ def sample_replacement(
     dropped too, returning only when nothing else has mass. rng may be None
     for the greedy sampler.
     """
-    p = probs.astype(np.float64).copy()
+    p = probs.astype(np.float64)
     p[:NUM_SPECIALS] = 0.0
     if policy.exclude_original:
         p[original] = 0.0
     if p.sum() <= 0.0:
         # nothing but the original survives the exclusions: allow it back
-        p = probs.astype(np.float64).copy()
+        p = probs.astype(np.float64)
         p[:NUM_SPECIALS] = 0.0
     if p.sum() <= 0.0:
         raise SkipExample("no candidate tokens outside the specials")
@@ -213,9 +213,6 @@ class SynonymTable:
                     f"synonym entry for {word!r} offers no alternative to itself"
                 )
         self._entries = {w: tuple(s) for w, s in entries.items()}
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._entries
 
     def alternatives(self, word: str) -> tuple[str, ...]:
         return tuple(s for s in self._entries.get(word, ()) if s != word)

@@ -134,7 +134,6 @@ def _cnn_logits(
     cfg: CnnConfig,
     token_ids: np.ndarray,
     lengths: np.ndarray,
-    train: bool,
     rng,
 ) -> Tensor:
     b, t = token_ids.shape
@@ -151,6 +150,7 @@ def _cnn_logits(
         feat = T.add(feat, Tensor(np.where(invalid, -1e30, 0.0)[:, :, None]))
         pooled.append(T.reduce_max(feat, axis=1))  # (B, F)
     x = T.concat(pooled, axis=-1)
+    train = rng is not None
     x = T.dropout(x, cfg.dropout, rng, train)
     x = T.relu(T.add(T.matmul(x, params["fc1_w"]), params["fc1_b"]))
     x = T.dropout(x, cfg.dropout, rng, train)
@@ -184,12 +184,11 @@ def _rnn_logits(
     cfg: RnnConfig,
     token_ids: np.ndarray,
     lengths: np.ndarray,
-    train: bool,
     rng,
 ) -> Tensor:
     emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
     h = T.lstm(emb, w_ih, w_hh, b, token_ids, lengths, cfg.state_dim)  # (B, H) final states
-    h = T.dropout(h, cfg.dropout, rng, train)
+    h = T.dropout(h, cfg.dropout, rng, rng is not None)
     return T.add(T.matmul(h, params["out_w"]), params["out_b"])
 
 
@@ -201,7 +200,7 @@ def _rnn_logits(
 class _Kind(NamedTuple):
     config: type
     init: Callable
-    logits: Callable
+    logits: Callable  # (params, config, ids, lengths, rng) -> logits; an rng trains
     min_len: Callable  # config -> shortest padded batch the logits accept
 
 
@@ -229,7 +228,7 @@ def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.nd
     _check_vocab(clf, examples)
     spec = _KINDS[clf.kind]
     token_ids, lengths, _ = _pad_batch(examples, spec.min_len(clf.config))
-    logits = spec.logits(clf.params, clf.config, token_ids, lengths, False, None)
+    logits = spec.logits(clf.params, clf.config, token_ids, lengths, None)
     return logits.data
 
 
@@ -242,7 +241,6 @@ def evaluate(clf: Classifier, examples: Sequence[LabeledExample], split: str = "
     """Accuracy and confusion counts over a split, in eval mode."""
     if not examples:
         raise ValueError(f"cannot evaluate an empty {split} split")
-    _check_vocab(clf, examples)
     correct = 0
     confusion = np.zeros((clf.num_labels, clf.num_labels), dtype=np.int64)
     batch = 64
@@ -292,7 +290,7 @@ def train_classifier(
 
     def chunk_loss(params, chunk):
         token_ids, lengths, labels = _pad_batch(chunk, min_len)
-        logits = spec.logits(params, cfg, token_ids, lengths, True, drop_rng)
+        logits = spec.logits(params, cfg, token_ids, lengths, drop_rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
 
@@ -366,26 +364,25 @@ def cross_validate(
     return float(np.mean(scores)), scores
 
 
-DEFAULT_GRID = {"lr": (1e-3, 3e-3), "dropout": (0.0, 0.3, 0.5)}
+# the configurations grid_search tries: every combination of these field values
+GRID = {"lr": (1e-3, 3e-3), "dropout": (0.0, 0.3, 0.5)}
 
 
 def grid_search(
     dataset: Dataset,
     kind: str = "cnn",
     cfg: "CnnConfig | RnnConfig | None" = None,
-    grid: Mapping[str, Sequence] = DEFAULT_GRID,
     vocab_size: int | None = None,
 ) -> tuple["CnnConfig | RnnConfig", list[dict]]:
-    """Pick the config with the best validation accuracy over a small grid.
+    """Pick the config with the best validation accuracy over GRID.
 
-    `grid` maps config field names to candidate values; all combinations are
-    tried with everything else held at `cfg`. Returns (best config, trials).
+    Every combination of GRID's values is tried with everything else held
+    at `cfg`. Returns (best config, trials).
     """
     cfg = _kind(kind).config() if cfg is None else cfg
-    names = list(grid)
     combos: list[dict] = [{}]
-    for name in names:
-        combos = [{**combo, name: value} for combo in combos for value in grid[name]]
+    for name, values in GRID.items():
+        combos = [{**combo, name: value} for combo in combos for value in values]
     trials: list[dict] = []
     best_cfg, best_acc = cfg, -1.0
     for combo in combos:

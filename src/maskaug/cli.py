@@ -1,8 +1,11 @@
 """Command-line pipeline driver.
 
-Every subcommand validates its inputs, writes its artifacts into --out and
-exits 0 on success; only then does `main` add a config.json snapshot of the
-run's settings. Failure categories map to distinct exit codes:
+`main` creates the --out directory, and every subcommand validates its
+inputs, writes its artifacts there and exits 0 on success; only then does
+`main` add a config.json snapshot of the run's settings. A failed run removes
+the --out directory it created while that directory is still empty (its
+parents and a directory that already existed stay). Failure categories map
+to distinct exit codes:
 
     2  usage or malformed configuration
     3  missing or unreadable file
@@ -96,15 +99,6 @@ def _archive_config(args: argparse.Namespace, out: Path) -> None:
     _write_json(out / "config.json", payload)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ValueError(f"--out {out} is not a directory") from None
-    return out
-
-
 def _parse_k(text: str) -> "int | tuple[int, int]":
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     if len(parts) == 1:
@@ -166,8 +160,7 @@ def _load_dataset(args: argparse.Namespace, vocab, *encoders, val_fraction=None,
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_vocab(args) -> int:
-    out = _out_dir(args)
+def cmd_build_vocab(args, out: Path) -> int:
     rows = read_tsv(args.data)
     vocab = build_vocab(
         (tokenize(text) for _, text in rows), min_freq=args.min_freq, max_size=args.max_size
@@ -196,8 +189,7 @@ def _save_encoder_run(path: Path, params, config, history) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    out = _out_dir(args)
+def cmd_pretrain(args, out: Path) -> int:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab)
     config = EncoderConfig(
@@ -214,8 +206,7 @@ def cmd_pretrain(args) -> int:
     return _save_encoder_run(out / "encoder.ckpt", params, config, history)
 
 
-def cmd_finetune(args) -> int:
-    out = _out_dir(args)
+def cmd_finetune(args, out: Path) -> int:
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.init, vocab)
     dataset = _load_dataset(args, vocab, config)
@@ -255,8 +246,7 @@ def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
     raise ValueError(f"unknown augmenter {name!r}")
 
 
-def cmd_augment(args) -> int:
-    out = _out_dir(args)
+def cmd_augment(args, out: Path) -> int:
     vocab = load_vocab(args.vocab)
     augment, encoder = _augmenter(args, vocab, args.augmenter, "model")
     dataset = _load_dataset(args, vocab, encoder, val_fraction=0.0)
@@ -286,8 +276,7 @@ def _classifier_config(args) -> "CnnConfig | RnnConfig":
     return RnnConfig(state_dim=args.hidden_dim, **shared)  # train_classifier rejects other kinds
 
 
-def cmd_train_classifier(args) -> int:
-    out = _out_dir(args)
+def cmd_train_classifier(args, out: Path) -> int:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, test=args.test)
     cfg = _classifier_config(args)
@@ -320,8 +309,7 @@ def cmd_train_classifier(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
+def cmd_eval(args, out: Path) -> int:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, val_fraction=0.0)
     clf = _load_classifier(args.classifier_ckpt, vocab, dataset)
@@ -336,12 +324,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_ab_experiment(args) -> int:
+def cmd_ab_experiment(args, out: Path) -> int:
     arms = _parse_list("arms", args.arms)
     if not arms:
         raise ValueError(f"--arms {args.arms!r} names no arm")
     seeds = _parse_list("seeds", args.seeds, int)
-    out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     augmenters: dict[str, object] = {}
     encoders = []
@@ -368,10 +355,9 @@ def cmd_ab_experiment(args) -> int:
     return EXIT_OK
 
 
-def cmd_style_transfer(args) -> int:
+def cmd_style_transfer(args, out: Path) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.model, vocab)
     dataset = _load_dataset(args, vocab, config, val_fraction=0.0)
@@ -580,8 +566,19 @@ def main(argv: "list[str] | None" = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        code = args.func(args)
-        _archive_config(args, Path(args.out))  # a failed run leaves no run record
+        out = Path(args.out)
+        created = not out.exists()
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ValueError(f"--out {out} is not a directory") from None
+        try:
+            code = args.func(args, out)
+        except BaseException:
+            if created and not any(out.iterdir()):
+                out.rmdir()
+            raise
+        _archive_config(args, out)  # a failed run leaves no run record
         return code
     except OSError as exc:  # a missing path, a directory, or any other read failure
         print(f"error[missing-file]: {exc}", file=sys.stderr)

@@ -134,11 +134,11 @@ def forward(
     params: dict[str, Tensor],
     config: EncoderConfig,
     batch: InputBatch,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     rows: Sequence[int] | np.ndarray | None = None,
 ) -> Tensor:
-    """Vocabulary logits (B, T, V) for every position of the batch.
+    """Vocabulary logits (B, T, V) for every position of the batch; with an
+    `rng` the pass runs in train mode and draws its dropout masks from it.
 
     With `rows`, a 1-d sequence of flat `b * T + t` position indices, the
     result is (len(rows), V), in the order given. The last layer's
@@ -160,7 +160,7 @@ def forward(
             f"condition id {int(batch.cond_ids.max())} out of range "
             f"[0, {config.num_conditions})"
         )
-    p = config.dropout
+    p, train = config.dropout, rng is not None
     heads, h = config.heads, config.hidden
     dh = h // heads
 
@@ -258,7 +258,7 @@ def mlm_distributions(
     batch = batch_from_examples(sequences, conds)
     t = batch.token_ids.shape[1]
     rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
-    logits = forward(params, config, batch, train=False, rows=rows)
+    logits = forward(params, config, batch, rows=rows)
     probs = T.softmax(logits, axis=-1).data
     return np.split(probs, np.cumsum([len(positions) for positions in masked])[:-1])
 

@@ -14,14 +14,15 @@ import numpy as np
 
 from .tensor import Tensor
 
+STEP = 1e-5  # central-difference step
+
 
 def numeric_gradient(
     f: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],
     index: int,
-    h: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference d f / d arrays[index], elementwise."""
+    """Central-difference d f / d arrays[index], elementwise, with step STEP."""
     arrays = [np.array(a, dtype=np.float64) for a in arrays]
     target = arrays[index]
     grad = np.zeros_like(target)
@@ -29,12 +30,12 @@ def numeric_gradient(
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + STEP
         hi = f(arrays)
-        flat[i] = orig - h
+        flat[i] = orig - STEP
         lo = f(arrays)
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
+        gflat[i] = (hi - lo) / (2.0 * STEP)
     return grad
 
 
@@ -57,7 +58,6 @@ def gradient_disagreement(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def check_gradients(
     build: Callable[[Sequence[Tensor]], Tensor],
     arrays: Sequence[np.ndarray],
-    h: float = 1e-5,
 ) -> float:
     """Compare reverse-mode gradients of `build` against central differences.
 
@@ -76,6 +76,6 @@ def check_gradients(
     worst = 0.0
     for i, leaf in enumerate(leaves):
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        numeric = numeric_gradient(run, arrays, i, h=h)
+        numeric = numeric_gradient(run, arrays, i)
         worst = max(worst, gradient_disagreement(analytic, numeric))
     return worst

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 _MASK_NEG = -1e30  # additive score mask; underflows to exactly 0 after softmax
+_LN_EPS = 1e-5  # layer_norm's variance floor
 
 
 class Tensor:
@@ -41,16 +42,8 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Accumulate gradients of this tensor into every reachable leaf."""
-        if grad is None:
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != self.data.shape:
-                raise ValueError(
-                    f"backward grad shape {grad.shape} != tensor shape {self.data.shape}"
-                )
+    def backward(self) -> None:
+        """Seed this tensor's gradient with ones and accumulate into every reachable leaf."""
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -66,7 +59,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        _accumulate(self, grad)
+        _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -440,7 +433,7 @@ def cross_entropy(logits, targets, ignore_index: int | None = None) -> tuple[Ten
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     h = x.data.shape[-1]
@@ -453,7 +446,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     out_data = xhat * gain.data + bias.data
 

@@ -84,10 +84,9 @@ def build_vocab(
     return _make_vocab([tok for tok, _ in kept])
 
 
-def encode(text: "str | Sequence[str]", vocab: Vocabulary, max_len: int) -> list[int]:
+def encode(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
     """Token ids with a leading CLS, truncated to max_len ids total."""
-    tokens = tokenize(text) if isinstance(text, str) else list(text)
-    ids = [CLS_ID] + [vocab.id_of(t) for t in tokens]
+    ids = [CLS_ID] + [vocab.id_of(t) for t in tokenize(text)]
     return ids[:max_len]
 
 

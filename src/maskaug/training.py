@@ -35,6 +35,8 @@ from .text import Dataset, LabeledExample, MASK_ID, NUM_SPECIALS, pad_rows
 
 IGNORE_ID = -1
 METRICS_FORMAT = "# maskaug-metrics v1"
+# BERT's corruption of a chosen position: (mask id, random content id, kept)
+CORRUPT_SPLIT = (0.8, 0.1, 0.1)
 
 
 class TrainingError(RuntimeError):
@@ -51,14 +53,13 @@ class MaskPolicy:
 
     `ratio` mode draws Binomial(n, ratio) positions (at least one);
     `fixed_k` masks exactly k. Selected positions are corrupted to the
-    mask id / a random content id / left alone per corrupt_split. The
+    mask id / a random content id / left alone per CORRUPT_SPLIT. The
     CLS anchor, padding, and other specials are never candidates.
     """
 
     mode: str = "ratio"
     ratio: float = 0.15
     k: int = 1
-    corrupt_split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
         check_field_types(self)
@@ -68,10 +69,6 @@ class MaskPolicy:
             raise ValueError(f"mask ratio must lie in (0, 1], got {self.ratio}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if len(self.corrupt_split) != 3 or any(f < 0 for f in self.corrupt_split):
-            raise ValueError("corrupt_split needs three non-negative fractions")
-        if abs(sum(self.corrupt_split) - 1.0) > 1e-9:
-            raise ValueError(f"corrupt_split must sum to 1, got {self.corrupt_split}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def mask_tokens(
     chosen = sorted(rng.choice(len(candidates), size=count, replace=False).tolist())
     positions = [candidates[i] for i in chosen]
 
-    mask_frac, random_frac, _ = policy.corrupt_split
+    mask_frac, random_frac, _ = CORRUPT_SPLIT
     corrupted = list(tokens)
     targets = [IGNORE_ID] * len(tokens)
     for pos in positions:
@@ -174,16 +171,16 @@ def masked_loss(
     params: dict[str, Tensor],
     config: EncoderConfig,
     batch: MaskedBatch,
-    train: bool,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, int, float]:
     """Cross-entropy over masked positions; returns (loss, scored, accuracy).
 
-    Only the scored positions go through the vocabulary head.
+    Only the scored positions go through the vocabulary head. With an `rng`
+    the encoder runs in train mode (dropout drawn from it); None is eval.
     """
     flat_targets = batch.targets.reshape(-1)
     rows = np.flatnonzero(flat_targets != IGNORE_ID)
-    logits = forward(params, config, batch, train=train, rng=rng, rows=rows)
+    logits = forward(params, config, batch, rng=rng, rows=rows)
     targets = flat_targets[rows]
     loss, scored = T.cross_entropy(logits, targets)
     if scored == 0:
@@ -303,7 +300,7 @@ def _train_masked_lm(
         batch = collate_masked(chunk, policy, vocab_size, mask_rng, label_conditions)
         if batch is None:
             return None
-        loss, scored, acc = masked_loss(params, config, batch, train=True, rng=drop_rng)
+        loss, scored, acc = masked_loss(params, config, batch, drop_rng)
         return (loss, scored, acc) if scored else None
 
     def validate(params, epoch, train_loss, train_acc):
@@ -313,7 +310,7 @@ def _train_masked_lm(
         if val_examples:
             rows = []
             for batch in val_batches:
-                loss, scored, acc = masked_loss(params, config, batch, train=False, rng=None)
+                loss, scored, acc = masked_loss(params, config, batch, None)
                 rows.append((float(loss.data), scored, acc))
             val_loss, val_acc = _weighted_mean(rows)
         else:
@@ -339,11 +336,9 @@ def pretrain_mlm(
     config: EncoderConfig,
     policy: MaskPolicy,
     cfg: TrainConfig,
-    params: dict[str, Tensor] | None = None,
 ) -> tuple[dict[str, Tensor], list[dict]]:
-    """Masked-LM pretraining with a single neutral condition (id 0)."""
-    if params is None:
-        params = init_params(config, derive_rng(cfg.seed, "init"))
+    """Masked-LM pretraining from fresh weights with a single neutral condition (id 0)."""
+    params = init_params(config, derive_rng(cfg.seed, "init"))
     return _train_masked_lm(
         corpus.train, corpus.val, params, config, policy, cfg,
         label_conditions=False, phase="pretrain",

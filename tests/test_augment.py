@@ -371,7 +371,8 @@ class TestSynonyms:
         path = tmp_path / "syn.tsv"
         path.write_text("# maskaug-synonyms v1\ngood\tgreat,fine\nbad\tawful\n")
         table = SynonymTable.load(path)
-        assert "good" in table and table.alternatives("bad") == ("awful",)
+        assert table.alternatives("good") == ("great", "fine")
+        assert table.alternatives("bad") == ("awful",)
         bad = tmp_path / "bad.tsv"
         bad.write_text("goodgreat\n")
         with pytest.raises(ParseError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskaug.classify import (
+    GRID,
     CnnConfig,
     RnnConfig,
     _cnn_logits,
@@ -133,8 +134,8 @@ class TestCnn:
         s1 = np.array([[ALPHA, BETA, ALPHA, BETA, ALPHA]])
         s2 = np.array([[BETA, ALPHA, BETA, ALPHA, BETA]])
         lengths = np.array([5])
-        l1 = _cnn_logits(params, cfg, s1, lengths, False, None).data
-        l2 = _cnn_logits(params, cfg, s2, lengths, False, None).data
+        l1 = _cnn_logits(params, cfg, s1, lengths, None).data
+        l2 = _cnn_logits(params, cfg, s2, lengths, None).data
         assert np.array_equal(l1, l2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -336,9 +337,9 @@ class TestGridSearch:
     def test_picks_best_validation_config(self):
         dataset = separable_dataset(n=60)
         base = CnnConfig(seed=1, max_epochs=2, patience=2)
-        grid = {"lr": (1e-4, 3e-3), "dropout": (0.0,)}
-        best, trials = grid_search(dataset, "cnn", base, grid, vocab_size=VOCAB_SIZE)
-        assert len(trials) == 2
-        assert best.dropout == 0.0
+        best, trials = grid_search(dataset, "cnn", base, vocab_size=VOCAB_SIZE)
+        assert [(t["lr"], t["dropout"]) for t in trials] == [
+            (lr, dropout) for lr in GRID["lr"] for dropout in GRID["dropout"]
+        ]
         best_trial = max(trials, key=lambda t: t["val_accuracy"])
-        assert best.lr == best_trial["lr"]
+        assert (best.lr, best.dropout) == (best_trial["lr"], best_trial["dropout"])

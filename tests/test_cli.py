@@ -566,7 +566,7 @@ class TestErrorCategories:
         ])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error[config]: {message}\n"
-        assert list(out.glob("*")) == []
+        assert not out.exists()
 
     def test_missing_vocab_file_leaves_no_run_record(self, workdir, tmp_path, capsys):
         out = tmp_path / "clf"
@@ -670,6 +670,32 @@ def _argument_error_cases():
     )
     yield pytest.param([], "subcommand", id="no-subcommand")
     yield pytest.param(["build-vocab", "--data", "x", "--config"], "--config", id="bare-config")
+
+
+class TestFailedRunOut:
+    @pytest.mark.parametrize("subcommand", list(REQUIRED_FLAGS))
+    def test_failed_run_removes_the_out_it_created(self, subcommand, tmp_path, capsys):
+        out = tmp_path / "new" / "run"
+        absent = str(tmp_path / "absent")
+        inputs = [part for flag in REQUIRED_FLAGS[subcommand] for part in (flag, absent)]
+        code = main([subcommand, *inputs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_FILE, err
+        assert not out.exists()
+        assert out.parent.is_dir()  # a parent the run created stays
+
+    @pytest.mark.parametrize("held", [None, "notes.txt"], ids=["empty", "holding-a-file"])
+    def test_failed_run_keeps_an_out_that_existed(self, held, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        if held:
+            (out / held).write_text("kept\n")
+        code = main(["build-vocab", "--data", str(tmp_path / "absent"), "--out", str(out)])
+        assert code == EXIT_MISSING_FILE, capsys.readouterr().err
+        assert out.is_dir()
+        assert [p.name for p in out.iterdir()] == ([held] if held else [])
+        if held:
+            assert (out / held).read_text() == "kept\n"
 
 
 class TestArgumentErrors:

@@ -211,7 +211,7 @@ class TestScoredRows:
 
         def run(rows):
             rng = np.random.default_rng(4)
-            logits = forward(params, config, batch, train=True, rng=rng, rows=rows).data
+            logits = forward(params, config, batch, rng=rng, rows=rows).data
             return logits, rng.random()
 
         full, full_next = run(None)

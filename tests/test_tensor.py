@@ -56,7 +56,7 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(a_shape[-1], n)), requires_grad=True)
         g = rng.normal(size=a_shape[:-1] + (n,))
         out = T.matmul(a, b)
-        out.backward(g)
+        weighted_sum(out, g).backward()  # seeds out's gradient with exactly g
         want_ga = T._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         want_gb = T._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         want_out = np.matmul(a.data, b.data)
@@ -316,8 +316,8 @@ class TestLstm:
         stepped = [Tensor(a, requires_grad=True) for a in arrays]
         out = T.lstm(*fused, ids, lengths, 64)
         want = per_step_lstm(stepped, 64, ids, lengths)
-        out.backward(g)
-        want.backward(g)
+        weighted_sum(out, g).backward()
+        weighted_sum(want, g).backward()
         assert out._parents == tuple(fused)  # the whole recurrence is one node
         assert np.max(np.abs(out.data - want.data)) <= 1e-12
         for got, ref in zip(fused, stepped):
@@ -346,11 +346,6 @@ class TestGraph:
         y = T.reduce_sum(T.mul(x, x))  # d/dx sum(x^2) = 2x
         y.backward()
         assert np.allclose(x.grad, [4.0, 6.0])
-
-    def test_backward_shape_mismatch(self):
-        x = Tensor(np.zeros((2, 2)), requires_grad=True)
-        with pytest.raises(ValueError):
-            T.mul(x, x).backward(np.zeros(3))
 
     def test_no_nan_inf_from_guarded_ops(self):
         huge = Tensor(np.array([[1e8, -1e8, 0.0], [700.0, -700.0, 1.0]]))

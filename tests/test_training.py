@@ -80,8 +80,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             MaskPolicy(mode="nope")
         with pytest.raises(ValueError):
-            MaskPolicy(corrupt_split=(0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
             MaskPolicy(k=0)
 
 
@@ -95,13 +93,25 @@ class TestMaskTokens:
         assert 0 not in scored  # CLS is never a target
         assert len(corrupted) == 11
 
-    def test_all_mask_corruption(self):
-        policy = MaskPolicy(mode="fixed_k", k=3, corrupt_split=(1.0, 0.0, 0.0))
+    def test_bert_corruption_split(self):
+        # a chosen position becomes the mask id 80% of the time and a random
+        # content id 10%; 1 in 16 of those random ids at V=20 is the original
+        policy = MaskPolicy(mode="fixed_k", k=1)
         rng = np.random.default_rng(1)
-        corrupted, targets = mask_tokens(example(8), policy, vocab_size=20, rng=rng)
-        for i, t in enumerate(targets):
-            if t != IGNORE_ID:
-                assert corrupted[i] == MASK_ID
+        counts = {"mask": 0, "random": 0, "kept": 0}
+        for _ in range(10_000):
+            corrupted, targets = mask_tokens(example(10), policy, vocab_size=20, rng=rng)
+            pos = next(i for i, t in enumerate(targets) if t != IGNORE_ID)
+            if corrupted[pos] == MASK_ID:
+                counts["mask"] += 1
+            elif corrupted[pos] == targets[pos]:
+                counts["kept"] += 1
+            else:
+                assert NUM_SPECIALS <= corrupted[pos] < 20
+                counts["random"] += 1
+        want = {"mask": 0.8, "random": 0.1 * 15 / 16, "kept": 0.1 + 0.1 / 16}
+        for name, frac in want.items():
+            assert abs(counts[name] / 10_000 - frac) <= 0.015, name
 
     def test_too_few_maskable_raises_skip(self):
         policy = MaskPolicy(mode="fixed_k", k=3)
@@ -121,7 +131,7 @@ class TestMaskTokens:
             mask_tokens(only_specials, MaskPolicy(), vocab_size=20, rng=np.random.default_rng(0))
 
     def test_uniform_position_frequency(self):
-        policy = MaskPolicy(mode="fixed_k", k=1, corrupt_split=(1.0, 0.0, 0.0))
+        policy = MaskPolicy(mode="fixed_k", k=1)
         rng = np.random.default_rng(3)
         counts = np.zeros(11)
         for _ in range(10_000):
@@ -191,7 +201,7 @@ class TestPretrain:
             np.full_like(params["token_emb"].data, np.inf), requires_grad=True
         )
         with pytest.raises(TrainingError, match="step"):
-            pretrain_mlm(dataset, config, MaskPolicy(), cfg, params=params)
+            finetune_cmlm(dataset, params, config, MaskPolicy(), cfg)
 
 
 class TestFinetune:
@@ -246,7 +256,7 @@ def test_write_metrics_format(tmp_path, trained):
 
 def _full_head_loss(params, config, batch, rng):
     """Masked loss over every (B * T) head row, the formula the scored-row head replaces."""
-    logits = forward(params, config, batch, train=True, rng=rng)
+    logits = forward(params, config, batch, rng=rng)
     b, t, v = logits.data.shape
     flat = T.reshape(logits, (b * t, v))
     targets = batch.targets.reshape(-1)
@@ -287,7 +297,7 @@ def test_masked_loss_matches_full_head_cross_entropy(all_ignored, layers):
         grads = {k: p.grad for k, p in params.items()}
         return float(loss.data), scored, acc, grads, rng.random()
 
-    fast = run(lambda p, c, b, rng: masked_loss(p, c, b, train=True, rng=rng))
+    fast = run(lambda p, c, b, rng: masked_loss(p, c, b, rng))
     slow = run(_full_head_loss)
     assert fast[1] == slow[1] == (0 if all_ignored else int((batch.targets != IGNORE_ID).sum()))
     assert abs(fast[0] - slow[0]) <= 1e-12 and abs(fast[2] - slow[2]) <= 1e-12
@@ -348,7 +358,7 @@ def test_val_history_equals_serial_reference(phase, monkeypatch):
             )
             if batch is None:
                 continue
-            loss, n, acc = masked_loss(params, config, batch, train=False, rng=None)
+            loss, n, acc = masked_loss(params, config, batch, None)
             loss_sum += float(loss.data) * n
             scored_sum += n
             correct_sum += acc * n
