@@ -30,7 +30,7 @@ from .tensor import Tensor
 from .text import (
     Dataset, LabeledExample, NUM_SPECIALS, ParseError, Vocabulary, decode, read_lines,
 )
-from .training import SkipExample, maskable_positions
+from .training import SkipExample, choose_positions, maskable_positions
 
 AUGMENTED_TSV_FORMAT = "# maskaug-augmented-tsv v1"
 
@@ -145,18 +145,6 @@ def sample_replacement(
     return int(rng.choice(p.size, p=p))
 
 
-def _mask_positions(
-    example: LabeledExample, policy: AugmentationPolicy, rng: np.random.Generator
-) -> list[int]:
-    """Draw k, then k distinct maskable positions, from the sentence's stream."""
-    candidates = maskable_positions(example.tokens)
-    k = _draw_k(policy, rng)
-    if len(candidates) < k:
-        raise SkipExample(f"{len(candidates)} maskable tokens < k={k}")
-    chosen = sorted(rng.choice(len(candidates), size=k, replace=False).tolist())
-    return [candidates[i] for i in chosen]
-
-
 def _refill(
     params: dict[str, Tensor],
     config: EncoderConfig,
@@ -190,7 +178,8 @@ def augment_sentence(
 ) -> LabeledExample:
     """One label-conditional variant of `example` (condition = its label),
     made as a one-sentence chunk of a dataset pass."""
-    pick = (example, rng, (_mask_positions(example, policy, rng), example.label, example.label))
+    positions = choose_positions(example.tokens, _draw_k(policy, rng), rng)
+    pick = (example, rng, (positions, example.label, example.label))
     [outcome] = _refill(params, config, policy, [pick])
     if isinstance(outcome, SkipExample):
         raise outcome
@@ -206,16 +195,15 @@ class SynonymTable:
     """word -> synonym list, from a 'word<TAB>syn1,syn2,...' file."""
 
     def __init__(self, entries: dict[str, tuple[str, ...]]):
-        for word, syns in entries.items():
-            alternatives = tuple(s for s in syns if s != word)
+        self._entries = {w: tuple(s for s in syns if s != w) for w, syns in entries.items()}
+        for word, alternatives in self._entries.items():
             if not alternatives:
                 raise ValueError(
                     f"synonym entry for {word!r} offers no alternative to itself"
                 )
-        self._entries = {w: tuple(s) for w, s in entries.items()}
 
     def alternatives(self, word: str) -> tuple[str, ...]:
-        return tuple(s for s in self._entries.get(word, ()) if s != word)
+        return self._entries.get(word, ())
 
     @staticmethod
     def load(path) -> "SynonymTable":
@@ -337,9 +325,8 @@ def augment_dataset(
     # and the condition id (0 for bert); both keep the sentence's label
     return _dataset_pass(
         dataset, policy.multiplier, seed, name, "mlm",
-        lambda ex, rng: (
-            _mask_positions(ex, policy, rng), 0 if unconditional else ex.label, ex.label
-        ),
+        lambda ex, rng: (choose_positions(ex.tokens, _draw_k(policy, rng), rng),
+                         0 if unconditional else ex.label, ex.label),
         lambda picks: _refill(params, config, policy, picks),
     )
 

@@ -43,8 +43,6 @@ def save_arrays(arrays: Mapping[str, "Tensor | np.ndarray"], path) -> None:
     for name, value in arrays.items():
         data = value.data if isinstance(value, Tensor) else np.asarray(value)
         data = np.asarray(data, dtype=np.float64)
-        if not data.flags["C_CONTIGUOUS"]:  # ascontiguousarray would up-rank 0-d
-            data = np.ascontiguousarray(data)
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)

@@ -79,8 +79,6 @@ class EvalReport:
 
     accuracy: dict[str, float]
     confusion: dict[str, np.ndarray]
-    epochs_used: int
-    seed: int
 
 
 @dataclass
@@ -147,7 +145,7 @@ def _cnn_logits(
         # sentences shorter than the filter keep their first (padded-up) window
         n_valid = np.maximum(lengths - w + 1, 1)
         invalid = np.arange(n)[None, :] >= n_valid[:, None]
-        feat = T.add(feat, Tensor(np.where(invalid, -1e30, 0.0)[:, :, None]))
+        feat = T.add(feat, Tensor(np.where(invalid, T.MASK_NEG, 0.0)[:, :, None]))
         pooled.append(T.reduce_max(feat, axis=1))  # (B, F)
     x = T.concat(pooled, axis=-1)
     train = rng is not None
@@ -241,20 +239,16 @@ def evaluate(clf: Classifier, examples: Sequence[LabeledExample], split: str = "
     """Accuracy and confusion counts over a split, in eval mode."""
     if not examples:
         raise ValueError(f"cannot evaluate an empty {split} split")
-    correct = 0
-    confusion = np.zeros((clf.num_labels, clf.num_labels), dtype=np.int64)
     batch = 64
-    for start in range(0, len(examples), batch):
-        chunk = examples[start : start + batch]
-        preds = predict_logits(clf, chunk).argmax(axis=1)
-        for ex, pred in zip(chunk, preds):
-            confusion[ex.label, pred] += 1
-            correct += int(pred == ex.label)
+    preds = np.concatenate([
+        predict_logits(clf, examples[start : start + batch]).argmax(axis=1)
+        for start in range(0, len(examples), batch)
+    ])
+    confusion = np.zeros((clf.num_labels, clf.num_labels), dtype=np.int64)
+    np.add.at(confusion, ([ex.label for ex in examples], preds), 1)
     return EvalReport(
-        accuracy={split: correct / len(examples)},
+        accuracy={split: int(confusion.trace()) / len(examples)},
         confusion={split: confusion},
-        epochs_used=clf.epochs_used,
-        seed=clf.config.seed,
     )
 
 
@@ -286,30 +280,29 @@ def train_classifier(
     params = spec.init(cfg, vocab_size, dataset.num_labels, derive_rng(cfg.seed, kind, "init"))
     clf = Classifier(kind, params, cfg, vocab_size, dataset.num_labels)
     min_len = spec.min_len(cfg)
-    drop_rng = derive_rng(cfg.seed, kind, "dropout")
+    val_reports: dict[int, EvalReport] = {}
 
-    def chunk_loss(params, chunk):
+    def chunk_loss(params, chunk, rng):
         token_ids, lengths, labels = _pad_batch(chunk, min_len)
-        logits = spec.logits(params, cfg, token_ids, lengths, drop_rng)
+        logits = spec.logits(params, cfg, token_ids, lengths, rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
 
     def validate(params, epoch, train_loss, train_acc):
         clf.params = params
-        return evaluate(clf, dataset.val, "val").accuracy["val"]
+        val_reports[epoch] = evaluate(clf, dataset.val, "val")
+        return val_reports[epoch].accuracy["val"]
 
     clf.params, clf.epochs_used = fit(
         params, dataset.train, chunk_loss, validate,
         epochs=cfg.max_epochs, batch_size=cfg.batch_size, lr=cfg.lr, patience=cfg.patience,
-        clip_norm=_CLIP_NORM, shuffle_rng=derive_rng(cfg.seed, kind, "shuffle"), phase=kind,
+        clip_norm=_CLIP_NORM, seed=cfg.seed, phase=kind,
     )
     train_report = evaluate(clf, dataset.train, "train")
-    val_report = evaluate(clf, dataset.val, "val")
+    val_report = val_reports[clf.epochs_used]  # scored on the parameters fit kept
     report = EvalReport(
         accuracy={**train_report.accuracy, **val_report.accuracy},
         confusion={**train_report.confusion, **val_report.confusion},
-        epochs_used=clf.epochs_used,
-        seed=cfg.seed,
     )
     return clf, report
 
@@ -327,11 +320,19 @@ def train_rnn(
 
 
 def check_folds(n_examples: int, folds: int) -> None:
-    """Raise ValueError unless `n_examples` can fill `folds` >= 2 folds."""
+    """Raise ValueError unless `n_examples` can fill `folds` >= 2 folds and
+    every fold leaves at least 2 examples to split into training and
+    validation."""
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
     if n_examples < folds:
         raise ValueError(f"{n_examples} examples cannot fill {folds} folds")
+    rest = n_examples - (n_examples + folds - 1) // folds  # outside the largest fold
+    if rest < 2:
+        raise ValueError(
+            f"{n_examples} examples in {folds} folds leave {rest} outside the largest fold; "
+            "training and validation need 2"
+        )
 
 
 def cross_validate(

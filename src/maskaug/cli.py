@@ -50,7 +50,7 @@ from .classify import (
     write_records,
 )
 from .encoder import EncoderConfig, load_encoder, save_encoder
-from .styletransfer import transfer_style, write_style_pairs
+from .styletransfer import check_rewrite, transfer_style, write_style_pairs
 from .text import ParseError, build_vocab, load_tsv, load_vocab, read_tsv, save_vocab, tokenize
 from .training import (
     MaskPolicy,
@@ -290,8 +290,8 @@ def cmd_train_classifier(args, out: Path) -> int:
     save_classifier(clf, out / "classifier.ckpt")
     summary = {
         "accuracy": report.accuracy,
-        "epochs_used": report.epochs_used,
-        "seed": report.seed,
+        "epochs_used": clf.epochs_used,
+        "seed": clf.config.seed,
     }
     if trials is not None:
         summary["grid_trials"] = trials
@@ -317,8 +317,8 @@ def cmd_eval(args, out: Path) -> int:
     _write_json(out / "eval.json", {
         "accuracy": report.accuracy["test"],
         "confusion": report.confusion["test"].tolist(),
-        "epochs_used": report.epochs_used,
-        "seed": report.seed,
+        "epochs_used": clf.epochs_used,
+        "seed": clf.config.seed,
     })
     print(f"accuracy {report.accuracy['test']:.4f} over {len(dataset.train)} examples")
     return EXIT_OK
@@ -360,6 +360,7 @@ def cmd_style_transfer(args, out: Path) -> int:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.model, vocab)
+    check_rewrite(config, args.target_label, args.top_m)  # also when no row is rewritten
     dataset = _load_dataset(args, vocab, config, val_fraction=0.0)
     clf = _load_classifier(args.classifier_ckpt, vocab, dataset)
     if args.target_label is None and dataset.num_labels != 2:

@@ -26,6 +26,7 @@ from .text import LabeledExample, Vocabulary, decode
 from .training import SkipExample, maskable_positions
 
 PAIRS_FORMAT = "# maskaug-style-pairs v1"
+_GREEDY = AugmentationPolicy(k=1, sampler="greedy", exclude_original=True)
 
 
 @dataclass
@@ -53,6 +54,17 @@ def attribute_words(clf: Classifier, example: LabeledExample) -> AttributionScor
     return AttributionScores(tuple(positions), probs[0] - probs[1:])
 
 
+def check_rewrite(config: EncoderConfig, target_label: "int | None", top_m: int) -> None:
+    """Raise unless `top_m` >= 1 and `target_label`, when given, is one of
+    the encoder's condition ids."""
+    if target_label is not None and not 0 <= target_label < config.num_conditions:
+        raise IndexError(
+            f"target label {target_label} out of range [0, {config.num_conditions})"
+        )
+    if top_m < 1:
+        raise ValueError("top_m must be >= 1")
+
+
 def transfer_style(
     params: dict[str, Tensor],
     config: EncoderConfig,
@@ -71,12 +83,7 @@ def transfer_style(
     """
     if target_label == example.label:
         raise ValueError("target label must differ from the example's label")
-    if not 0 <= target_label < config.num_conditions:
-        raise IndexError(
-            f"target label {target_label} out of range [0, {config.num_conditions})"
-        )
-    if top_m < 1:
-        raise ValueError("top_m must be >= 1")
+    check_rewrite(config, target_label, top_m)
     attribution = attribute_words(clf, example)
     if top_m > len(attribution.positions):
         warnings.warn(
@@ -87,9 +94,8 @@ def transfer_style(
         top_m = len(attribution.positions)
     order = np.argsort(-attribution.scores, kind="stable")[:top_m]
     chosen = sorted(attribution.positions[i] for i in order)
-    greedy = AugmentationPolicy(k=1, sampler="greedy", exclude_original=True)
     pick = (example, None, (chosen, target_label, target_label))
-    [outcome] = _refill(params, config, greedy, [pick])
+    [outcome] = _refill(params, config, _GREEDY, [pick])
     if isinstance(outcome, SkipExample):
         raise outcome
     return outcome[0]

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-_MASK_NEG = -1e30  # additive score mask; underflows to exactly 0 after softmax
+MASK_NEG = -1e30  # additive score mask: never wins a max, underflows to exactly 0 in softmax
 _LN_EPS = 1e-5  # layer_norm's variance floor
 
 
@@ -603,4 +603,4 @@ def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
 def attention_mask_bias(pad_mask: np.ndarray) -> np.ndarray:
     """Additive (B, 1, 1, T) score bias that zeroes attention onto pad keys."""
     pad_mask = np.asarray(pad_mask, dtype=np.float64)
-    return ((1.0 - pad_mask) * _MASK_NEG)[:, None, None, :]
+    return ((1.0 - pad_mask) * MASK_NEG)[:, None, None, :]

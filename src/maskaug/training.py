@@ -105,6 +105,16 @@ def maskable_positions(tokens: Sequence[int]) -> list[int]:
     return [i for i, t in enumerate(tokens) if t >= NUM_SPECIALS]
 
 
+def choose_positions(tokens: Sequence[int], k: int, rng: np.random.Generator) -> list[int]:
+    """k distinct maskable positions of `tokens`, drawn uniformly and sorted;
+    raises SkipExample when fewer than k positions are maskable."""
+    candidates = maskable_positions(tokens)
+    if len(candidates) < k:
+        raise SkipExample(f"{len(candidates)} maskable tokens < k={k}")
+    chosen = sorted(rng.choice(len(candidates), size=k, replace=False).tolist())
+    return [candidates[i] for i in chosen]
+
+
 def mask_tokens(
     example: LabeledExample,
     policy: MaskPolicy,
@@ -116,25 +126,15 @@ def mask_tokens(
     Raises SkipExample when the policy cannot place its masks.
     """
     tokens = list(example.tokens)
-    candidates = maskable_positions(tokens)
-    if policy.mode == "fixed_k":
-        if len(candidates) < policy.k:
-            raise SkipExample(
-                f"{len(candidates)} maskable tokens < k={policy.k}"
-            )
-        count = policy.k
-    else:
-        if not candidates:
-            raise SkipExample("no maskable tokens")
-        count = int(rng.binomial(len(candidates), policy.ratio))
-        count = max(1, min(count, len(candidates)))
-    chosen = sorted(rng.choice(len(candidates), size=count, replace=False).tolist())
-    positions = [candidates[i] for i in chosen]
+    k = policy.k
+    if policy.mode == "ratio":
+        # Binomial(n, ratio) never exceeds n; at n = 0 it is 0, so choose_positions skips
+        k = max(1, int(rng.binomial(len(maskable_positions(tokens)), policy.ratio)))
 
     mask_frac, random_frac, _ = CORRUPT_SPLIT
     corrupted = list(tokens)
     targets = [IGNORE_ID] * len(tokens)
-    for pos in positions:
+    for pos in choose_positions(tokens, k, rng):  # drawn before the loop body's draws
         targets[pos] = tokens[pos]
         u = rng.random()
         if u < mask_frac:
@@ -209,7 +209,8 @@ def fit(
     params: dict[str, Tensor],
     examples: Sequence[LabeledExample],
     chunk_loss: Callable[
-        [dict[str, Tensor], list[LabeledExample]], tuple[Tensor, int, float] | None
+        [dict[str, Tensor], list[LabeledExample], np.random.Generator],
+        tuple[Tensor, int, float] | None,
     ],
     validate: Callable[[dict[str, Tensor], int, float, float], float],
     *,
@@ -218,21 +219,25 @@ def fit(
     lr: float,
     patience: int,
     clip_norm: float | None,
-    shuffle_rng: np.random.Generator,
+    seed: int,
     phase: str,
 ) -> tuple[dict[str, Tensor], int]:
     """Adam over shuffled chunks of `examples`, keeping the best epoch.
 
-    `chunk_loss(params, chunk)` returns (loss, weight, accuracy) for one
-    chunk, or None to skip it; the epoch's weighted mean loss and accuracy
-    go to `validate(params, epoch, train_loss, train_acc)`, which scores
-    the parameters, higher is better. Returns a copy of the parameters of
-    the first epoch that beat all earlier ones, with that epoch number;
-    stops after `patience` epochs without a new best. A non-finite loss or
-    a parameter left without gradient raises TrainingError.
+    Each epoch shuffles the examples from the (seed, phase, "shuffle")
+    stream. `chunk_loss(params, chunk, rng)` returns (loss, weight,
+    accuracy) for one chunk, or None to skip it; `rng` is the run's one
+    (seed, phase, "dropout") stream. The epoch's weighted mean loss and
+    accuracy go to `validate(params, epoch, train_loss, train_acc)`, which
+    scores the parameters, higher is better. Returns a copy of the
+    parameters of the first epoch that beat all earlier ones, with that
+    epoch number; stops after `patience` epochs without a new best. A
+    non-finite loss or a parameter left without gradient raises TrainingError.
     """
     # private copy: backward() must never deposit gradients on caller tensors
     params = _snapshot(params)
+    shuffle_rng = derive_rng(seed, phase, "shuffle")
+    drop_rng = derive_rng(seed, phase, "dropout")
     state = init_adam(params, lr=lr)
     best_score, best_params, best_epoch = -math.inf, _snapshot(params), 0
     since_best = 0
@@ -242,7 +247,8 @@ def fit(
         order = shuffle_rng.permutation(len(examples))
         rows: list[tuple[float, int, float]] = []
         for start in range(0, len(order), batch_size):
-            out = chunk_loss(params, [examples[i] for i in order[start : start + batch_size]])
+            chunk = [examples[i] for i in order[start : start + batch_size]]
+            out = chunk_loss(params, chunk, drop_rng)
             if out is None:
                 continue
             loss, weight, acc = out
@@ -285,7 +291,6 @@ def _train_masked_lm(
         raise TrainingError(f"{phase}: empty training split")
     vocab_size = config.vocab_size
     mask_rng = derive_rng(cfg.seed, phase, "mask")
-    drop_rng = derive_rng(cfg.seed, phase, "dropout")
     # validation masks are drawn once, so every epoch scores the same batches
     eval_rng = derive_rng(cfg.seed, phase, "eval-mask")
     val_batches = [
@@ -296,11 +301,11 @@ def _train_masked_lm(
     val_batches = [batch for batch in val_batches if batch is not None]
     history: list[dict] = []
 
-    def chunk_loss(params, chunk):
+    def chunk_loss(params, chunk, rng):
         batch = collate_masked(chunk, policy, vocab_size, mask_rng, label_conditions)
         if batch is None:
             return None
-        loss, scored, acc = masked_loss(params, config, batch, drop_rng)
+        loss, scored, acc = masked_loss(params, config, batch, rng)
         return (loss, scored, acc) if scored else None
 
     def validate(params, epoch, train_loss, train_acc):
@@ -325,8 +330,7 @@ def _train_masked_lm(
     best, _ = fit(
         params, train_examples, chunk_loss, validate,
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, patience=cfg.patience,
-        clip_norm=cfg.clip_norm, shuffle_rng=derive_rng(cfg.seed, phase, "shuffle"),
-        phase=phase,
+        clip_norm=cfg.clip_norm, seed=cfg.seed, phase=phase,
     )
     return best, history
 

@@ -25,7 +25,7 @@ from maskaug.text import (
     read_tsv,
     build_vocab,
 )
-from maskaug.training import SkipExample, maskable_positions
+from maskaug.training import IGNORE_ID, MaskPolicy, SkipExample, mask_tokens, maskable_positions
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,21 @@ class TestAugmentSentence:
         a = augment_sentence(params, config, example(6), policy, np.random.default_rng(11))
         b = augment_sentence(params, config, example(6), policy, np.random.default_rng(11))
         assert a == b
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_masks_the_positions_fixed_k_training_masks(self, model, k):
+        # greedy with the original excluded changes every masked slot
+        params, config = model
+        policy = AugmentationPolicy(k=k, sampler="greedy", exclude_original=True)
+        for seed in range(20):
+            source = example(6)
+            _, targets = mask_tokens(
+                source, MaskPolicy(mode="fixed_k", k=k), config.vocab_size,
+                np.random.default_rng(seed),
+            )
+            out = augment_sentence(params, config, source, policy, np.random.default_rng(seed))
+            changed = [i for i, (a, b) in enumerate(zip(source.tokens, out.tokens)) if a != b]
+            assert changed == [i for i, t in enumerate(targets) if t != IGNORE_ID]
 
 
 def test_refill_bert_pick_keeps_the_label_under_condition_0(model):

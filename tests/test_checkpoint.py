@@ -33,6 +33,17 @@ def test_round_trip_is_byte_exact(tmp_path, arrays):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
+def test_views_save_as_their_c_order_copies(tmp_path):
+    base = np.arange(12.0).reshape(3, 4)
+    views = {"transposed": base.T, "strided": base[:, ::2], "scalar": np.asarray(2.5)}
+    save_arrays(views, tmp_path / "views.ckpt")
+    save_arrays({k: np.array(v, order="C") for k, v in views.items()}, tmp_path / "copies.ckpt")
+    assert (tmp_path / "views.ckpt").read_bytes() == (tmp_path / "copies.ckpt").read_bytes()
+    loaded = load_arrays(tmp_path / "views.ckpt")
+    for name, view in views.items():
+        assert loaded[name].shape == view.shape and np.array_equal(loaded[name], view)
+
+
 def test_accepts_tensors(tmp_path):
     path = tmp_path / "t.ckpt"
     save_arrays({"w": Tensor([[1.0, 2.0]])}, path)

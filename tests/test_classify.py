@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from maskaug import classify
 from maskaug.classify import (
     GRID,
+    check_folds,
     CnnConfig,
     RnnConfig,
     _cnn_logits,
@@ -98,7 +100,29 @@ class TestCnn:
         cfg = CnnConfig(seed=3, max_epochs=30, patience=30)
         clf, report = train_cnn(dataset, cfg, vocab_size=VOCAB_SIZE)
         assert report.accuracy["val"] == 1.0
-        assert report.epochs_used <= 30
+        assert clf.epochs_used <= 30
+
+    def test_val_split_is_scored_once_per_epoch(self, monkeypatch):
+        dataset = separable_dataset(n=40)
+        cfg = CnnConfig(seed=5, max_epochs=3, patience=3)
+        val_reports = []
+        real = classify.evaluate
+
+        def spy(clf, examples, split="test"):
+            report = real(clf, examples, split)
+            if split == "val":
+                val_reports.append(report)
+            return report
+
+        monkeypatch.setattr(classify, "evaluate", spy)
+        clf, report = train_cnn(dataset, cfg, vocab_size=VOCAB_SIZE)
+        assert len(val_reports) == 3  # patience outlasts the epochs: no early stop
+        kept = val_reports[clf.epochs_used - 1]
+        assert report.accuracy["val"] == kept.accuracy["val"]
+        assert np.array_equal(report.confusion["val"], kept.confusion["val"])
+        again = real(clf, dataset.val, "val")
+        assert again.accuracy["val"] == report.accuracy["val"]
+        assert np.array_equal(again.confusion["val"], report.confusion["val"])
 
     def test_deterministic_under_seed(self):
         dataset = separable_dataset(n=40)
@@ -331,6 +355,12 @@ class TestCrossValidation:
             cross_validate(dataset.train, 2, "cnn", folds=1, vocab_size=VOCAB_SIZE)
         with pytest.raises(ValueError):
             cross_validate(dataset.train[:3], 2, "cnn", folds=10, vocab_size=VOCAB_SIZE)
+        # a fold of 3 held out of 5 leaves 2 examples: one to train, one to validate
+        check_folds(5, 2)
+        check_folds(3, 3)
+        for n, folds in ((3, 2), (2, 2)):
+            with pytest.raises(ValueError, match=f"{n} examples in {folds} folds leave 1 "):
+                cross_validate(dataset.train[:n], 2, "cnn", folds=folds, vocab_size=VOCAB_SIZE)
 
 
 class TestGridSearch:

@@ -604,6 +604,52 @@ class TestErrorCategories:
         assert not (out / "classifier.ckpt").exists()
         assert not (out / "classifier.ckpt.json").exists()
 
+    def test_cv_folds_that_leave_no_training_split_are_rejected_before_training(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "three.tsv"
+        data.write_text("0\tthe movie was bad\n1\tthe film was great\n0\ta dull plot\n")
+        assert main(["build-vocab", "--data", str(data), "--out", str(tmp_path / "v")]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "clf"
+        code = main([
+            "train-classifier", "--data", str(data), "--vocab", str(tmp_path / "v" / "vocab.txt"),
+            "--cv", "2", "--epochs", "1", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error[config]: 3 examples in 2 folds leave 1 outside the largest fold; "
+            "training and validation need 2\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--target-label", "1", "--top-m", "0"], "top_m must be >= 1",
+                         id="top-m-0"),
+            pytest.param(["--target-label", "1", "--top-m", "-3"], "top_m must be >= 1",
+                         id="top-m-negative"),
+            pytest.param(["--target-label", "5", "--limit", "0"],
+                         "target label 5 out of range [0, 2)", id="target-label"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:.*never occur:UserWarning")  # label 0 is unused
+    def test_bad_style_flags_are_rejected_when_no_row_is_rewritten(
+        self, flags, message, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys
+    ):
+        data = tmp_path / "ones.tsv"
+        data.write_text("1\tthe movie was good\n1\tthe film was great\n")
+        out = tmp_path / "style"
+        code = main([
+            "style-transfer", "--data", str(data), "--vocab", str(vocab_file),
+            "--model", str(finetuned), "--classifier-ckpt", str(classifier_ckpt),
+            *flags, "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not out.exists()
+
     def test_negative_limit_is_one_line_config_error(
         self, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys
     ):

@@ -17,6 +17,7 @@ from maskaug.training import (
     _train_masked_lm,
     collate_masked,
     finetune_cmlm,
+    fit,
     mask_tokens,
     masked_loss,
     maskable_positions,
@@ -308,6 +309,26 @@ def test_masked_loss_matches_full_head_cross_entropy(all_ignored, layers):
             assert got is None, name
         else:
             assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+def test_fit_shuffles_and_drops_out_from_its_seed_and_phase():
+    examples = [example(1, start=NUM_SPECIALS + i) for i in range(7)]
+    seen, draws = [], []
+
+    def chunk_loss(params, chunk, rng):
+        seen.extend(chunk)
+        draws.append(rng.random())
+        return T.reduce_sum(params["w"]), len(chunk), 0.0
+
+    fit(
+        {"w": Tensor(np.zeros(2), requires_grad=True)}, examples, chunk_loss,
+        lambda params, epoch, loss, acc: 0.0,
+        epochs=2, batch_size=3, lr=0.1, patience=5, clip_norm=None, seed=9, phase="probe",
+    )
+    shuffle = derive_rng(9, "probe", "shuffle")
+    assert seen == [examples[i] for _ in range(2) for i in shuffle.permutation(len(examples))]
+    dropout = derive_rng(9, "probe", "dropout")
+    assert len(draws) == 6 and draws == [dropout.random() for _ in draws]
 
 
 def _val_pinned_run(phase, monkeypatch):
