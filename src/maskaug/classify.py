@@ -28,6 +28,17 @@ CLF_CONFIG_FORMAT = "maskaug-classifier-config v1"
 _CLIP_NORM = 5.0  # global gradient-norm cap for both classifiers
 
 
+def _check_values(cfg, positive: Sequence[str]) -> None:
+    """The checks both classifier configs share: the `positive` fields, lr and dropout."""
+    for name in positive:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be positive")
+    if not cfg.lr > 0:
+        raise ValueError(f"lr must be > 0, got {cfg.lr}")
+    if not 0.0 <= cfg.dropout < 1.0:
+        raise ValueError(f"dropout must lie in [0, 1), got {cfg.dropout}")
+
+
 @dataclass(frozen=True)
 class CnnConfig:
     filter_widths: tuple[int, ...] = (3, 4, 5)
@@ -46,11 +57,9 @@ class CnnConfig:
         check_field_types(self)
         if not self.filter_widths or any(w < 1 for w in self.filter_widths):
             raise ValueError(f"filter widths must be positive, got {self.filter_widths}")
-        for name in ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        _check_values(
+            self, ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience")
+        )
 
 
 @dataclass(frozen=True)
@@ -66,11 +75,7 @@ class RnnConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("emb_dim", "state_dim", "max_epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        _check_values(self, ("emb_dim", "state_dim", "max_epochs", "batch_size", "patience"))
 
 
 @dataclass
@@ -268,7 +273,8 @@ def train_classifier(
     vocab_size: int | None = None,
 ) -> tuple[Classifier, EvalReport]:
     """Train a `kind` ("cnn" or "rnn") classifier; `cfg` defaults to the
-    kind's default config, `vocab_size` to the largest id in the data + 1."""
+    kind's default config, `vocab_size` to the largest id in the data + 1.
+    Returns the classifier and the validation report of the epoch `fit` kept."""
     spec = _kind(kind)
     cfg = spec.config() if cfg is None else cfg
     if not dataset.train:
@@ -298,13 +304,7 @@ def train_classifier(
         epochs=cfg.max_epochs, batch_size=cfg.batch_size, lr=cfg.lr, patience=cfg.patience,
         clip_norm=_CLIP_NORM, seed=cfg.seed, phase=kind,
     )
-    train_report = evaluate(clf, dataset.train, "train")
-    val_report = val_reports[clf.epochs_used]  # scored on the parameters fit kept
-    report = EvalReport(
-        accuracy={**train_report.accuracy, **val_report.accuracy},
-        confusion={**train_report.confusion, **val_report.confusion},
-    )
-    return clf, report
+    return clf, val_reports[clf.epochs_used]
 
 
 def train_cnn(
@@ -374,26 +374,20 @@ def grid_search(
     kind: str = "cnn",
     cfg: "CnnConfig | RnnConfig | None" = None,
     vocab_size: int | None = None,
-) -> tuple["CnnConfig | RnnConfig", list[dict]]:
-    """Pick the config with the best validation accuracy over GRID.
+) -> tuple[Classifier, EvalReport, list[dict]]:
+    """Train one classifier per combination of GRID's values, everything
+    else held at `cfg`, and keep the first with the best validation accuracy.
 
-    Every combination of GRID's values is tried with everything else held
-    at `cfg`. Returns (best config, trials).
+    Returns (that classifier, its report, trials); the winning config is `clf.config`.
     """
     cfg = _kind(kind).config() if cfg is None else cfg
     combos: list[dict] = [{}]
     for name, values in GRID.items():
         combos = [{**combo, name: value} for combo in combos for value in values]
-    trials: list[dict] = []
-    best_cfg, best_acc = cfg, -1.0
-    for combo in combos:
-        candidate = replace(cfg, **combo)
-        _, rep = train_classifier(dataset, kind, candidate, vocab_size)
-        acc = rep.accuracy["val"]
-        trials.append({**combo, "val_accuracy": acc})
-        if acc > best_acc:
-            best_cfg, best_acc = candidate, acc
-    return best_cfg, trials
+    runs = [train_classifier(dataset, kind, replace(cfg, **combo), vocab_size) for combo in combos]
+    trials = [{**combo, "val_accuracy": r.accuracy["val"]} for combo, (_, r) in zip(combos, runs)]
+    clf, report = max(runs, key=lambda run: run[1].accuracy["val"])  # the first of a tie
+    return clf, report, trials
 
 
 # ---------------------------------------------------------------------------

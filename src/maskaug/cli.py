@@ -184,8 +184,9 @@ def _save_encoder_run(path: Path, params, config, history) -> int:
     """Write the encoder and metrics.tsv beside it; print a one-line summary."""
     save_encoder(params, config, path)
     write_metrics(history, path.parent / "metrics.tsv")
-    final = [h for h in history if h["split"] == "val"][-1]
-    print(f"wrote {path} (val loss {final['loss']:.4f}, masked acc {final['masked_acc']:.4f})")
+    # fit keeps the first epoch with the lowest val loss (a NaN val loss raises)
+    kept = min((h for h in history if h["split"] == "val"), key=lambda h: h["loss"])
+    print(f"wrote {path} (val loss {kept['loss']:.4f}, masked acc {kept['masked_acc']:.4f})")
     return EXIT_OK
 
 
@@ -285,11 +286,12 @@ def cmd_train_classifier(args, out: Path) -> int:
         check_folds(len(examples), args.cv)
     trials = None
     if args.grid:
-        cfg, trials = grid_search(dataset, args.classifier, cfg, vocab_size=len(vocab))
-    clf, report = train_classifier(dataset, args.classifier, cfg, vocab_size=len(vocab))
+        clf, report, trials = grid_search(dataset, args.classifier, cfg, vocab_size=len(vocab))
+    else:
+        clf, report = train_classifier(dataset, args.classifier, cfg, vocab_size=len(vocab))
     save_classifier(clf, out / "classifier.ckpt")
     summary = {
-        "accuracy": report.accuracy,
+        "accuracy": {**evaluate(clf, dataset.train, "train").accuracy, **report.accuracy},
         "epochs_used": clf.epochs_used,
         "seed": clf.config.seed,
     }
@@ -297,7 +299,7 @@ def cmd_train_classifier(args, out: Path) -> int:
         summary["grid_trials"] = trials
     if args.cv is not None:
         mean, per_fold = cross_validate(
-            examples, dataset.num_labels, args.classifier, cfg,
+            examples, dataset.num_labels, args.classifier, clf.config,
             folds=args.cv, vocab_size=len(vocab),
         )
         summary["cv_accuracy"] = {"mean": mean, "folds": per_fold}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ def test_non_positive_lr_is_rejected(make, lr):
     assert str(info.value) == f"lr must be > 0, got {lr}"
 
 
+@pytest.mark.parametrize("make", [CnnConfig, RnnConfig])
+@pytest.mark.parametrize("dropout", [-0.1, 1.0, 1.5])
+def test_dropout_outside_unit_interval_is_rejected(make, dropout):
+    with pytest.raises(ValueError) as info:
+        make(dropout=dropout)
+    assert str(info.value) == f"dropout must lie in [0, 1), got {dropout}"
+    assert make(dropout=0.0).dropout == 0.0
+
+
 @pytest.mark.parametrize("kind", ["cnn", "rnn"])
 def test_predict_proba_equals_the_stable_exp_formula_bitwise(kind):
     dataset = separable_dataset(n=20)
@@ -106,10 +117,12 @@ class TestCnn:
         dataset = separable_dataset(n=40)
         cfg = CnnConfig(seed=5, max_epochs=3, patience=3)
         val_reports = []
+        scored = []
         real = classify.evaluate
 
         def spy(clf, examples, split="test"):
             report = real(clf, examples, split)
+            scored.append((examples, split))
             if split == "val":
                 val_reports.append(report)
             return report
@@ -117,9 +130,12 @@ class TestCnn:
         monkeypatch.setattr(classify, "evaluate", spy)
         clf, report = train_cnn(dataset, cfg, vocab_size=VOCAB_SIZE)
         assert len(val_reports) == 3  # patience outlasts the epochs: no early stop
+        # the validation split only: no pass over the training split
+        assert [(examples is dataset.val, split) for examples, split in scored] == [
+            (True, "val")
+        ] * 3
         kept = val_reports[clf.epochs_used - 1]
-        assert report.accuracy["val"] == kept.accuracy["val"]
-        assert np.array_equal(report.confusion["val"], kept.confusion["val"])
+        assert report is kept
         again = real(clf, dataset.val, "val")
         assert again.accuracy["val"] == report.accuracy["val"]
         assert np.array_equal(again.confusion["val"], report.confusion["val"])
@@ -367,9 +383,23 @@ class TestGridSearch:
     def test_picks_best_validation_config(self):
         dataset = separable_dataset(n=60)
         base = CnnConfig(seed=1, max_epochs=2, patience=2)
-        best, trials = grid_search(dataset, "cnn", base, vocab_size=VOCAB_SIZE)
+        clf, report, trials = grid_search(dataset, "cnn", base, vocab_size=VOCAB_SIZE)
         assert [(t["lr"], t["dropout"]) for t in trials] == [
             (lr, dropout) for lr in GRID["lr"] for dropout in GRID["dropout"]
         ]
-        best_trial = max(trials, key=lambda t: t["val_accuracy"])
-        assert (best.lr, best.dropout) == (best_trial["lr"], best_trial["dropout"])
+        best_trial = max(trials, key=lambda t: t["val_accuracy"])  # the first of a tie
+        assert clf.config == replace(base, lr=best_trial["lr"], dropout=best_trial["dropout"])
+        assert report.accuracy["val"] == best_trial["val_accuracy"]
+
+    @pytest.mark.parametrize("kind, make", [("cnn", CnnConfig), ("rnn", RnnConfig)])
+    def test_returns_the_classifier_training_its_config_gives(self, kind, make):
+        dataset = separable_dataset(n=40)
+        base = make(seed=4, max_epochs=2, patience=2)
+        clf, report, _ = grid_search(dataset, kind, base, vocab_size=VOCAB_SIZE)
+        again, again_report = train_classifier(dataset, kind, clf.config, vocab_size=VOCAB_SIZE)
+        assert clf.params.keys() == again.params.keys()
+        for name, param in clf.params.items():
+            assert np.array_equal(param.data, again.params[name].data), name
+        assert clf.epochs_used == again.epochs_used
+        assert report.accuracy == again_report.accuracy
+        assert np.array_equal(report.confusion["val"], again_report.confusion["val"])

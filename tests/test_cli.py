@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maskaug import classify, cli
 from maskaug.cli import (
     EXIT_CHECKPOINT,
     EXIT_MISSING_FILE,
@@ -158,6 +159,38 @@ class TestArtifacts:
             float(np.mean(payload["cv_accuracy"]["folds"]))
         )
 
+    def test_grid_trains_each_config_once_and_scores_the_train_split_once(
+        self, workdir, vocab_file, tmp_path, monkeypatch
+    ):
+        trainings, train_passes = [], []
+        real_train, real_evaluate = classify.train_classifier, classify.evaluate
+
+        def train_spy(*args, **kwargs):
+            trainings.append(args)
+            return real_train(*args, **kwargs)
+
+        def evaluate_spy(clf, examples, split="test"):
+            if split == "train":
+                train_passes.append(len(examples))
+            return real_evaluate(clf, examples, split)
+
+        for module in (classify, cli):
+            monkeypatch.setattr(module, "train_classifier", train_spy)
+            monkeypatch.setattr(module, "evaluate", evaluate_spy)
+        argv = ["train-classifier", "--data", str(workdir / "train.tsv"),
+                "--vocab", str(vocab_file), "--epochs", "2", "--seed", "3"]
+        grid, flags = tmp_path / "grid", tmp_path / "flags"
+        assert main([*argv, "--grid", "--out", str(grid)]) == EXIT_OK
+        assert len(trainings) == 6  # one per grid config; the winner is not retrained
+        assert len(train_passes) == 1  # the train accuracy report.json shows
+        report = json.loads((grid / "report.json").read_text())
+        best = max(report.pop("grid_trials"), key=lambda t: t["val_accuracy"])
+        assert main([*argv, "--lr", repr(best["lr"]), "--dropout-rate", repr(best["dropout"]),
+                     "--out", str(flags)]) == EXIT_OK
+        for name in ("classifier.ckpt", "classifier.ckpt.json"):
+            assert (grid / name).read_bytes() == (flags / name).read_bytes(), name
+        assert report == json.loads((flags / "report.json").read_text())
+
     def test_style_transfer_skips_sentences_without_content(self, workdir, vocab_file, finetuned, classifier_ckpt):
         data = workdir / "oovish.tsv"
         data.write_text("1\tthe movie was good really\n0\txqzt\n")  # second row is all-unknown
@@ -188,6 +221,24 @@ class TestArtifacts:
         table = (out / "table.txt").read_text()
         for arm in ("none", "synonym", "bert", "cbert"):
             assert arm in table
+
+
+def test_encoder_summary_reports_the_kept_epoch(workdir, vocab_file, tmp_path, capsys):
+    out = tmp_path / "pre"
+    assert main([
+        "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+        "--layers", "1", "--hidden", "16", "--ff", "32", "--epochs", "12", "--patience", "2",
+        "--lr", "0.03", "--seed", "0", "--out", str(out),
+    ]) == EXIT_OK
+    rows = [line.split("\t") for line in (out / "metrics.tsv").read_text().splitlines()[2:]]
+    val = [(int(epoch), float(loss), float(acc)) for epoch, split, loss, acc in rows
+           if split == "val"]
+    kept = min(val, key=lambda row: row[1])  # fit keeps the first epoch with the lowest loss
+    assert len(val) < 12 and kept[0] < val[-1][0]  # stopped early, after the kept epoch
+    assert f"{kept[1]:.4f}" != f"{val[-1][1]:.4f}"
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'encoder.ckpt'} (val loss {kept[1]:.4f}, masked acc {kept[2]:.4f})\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +315,10 @@ MODEL_FILE_FAULTS = [
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m["config"].update(dropout="a")), "dropout",
         id="classifier-ill-typed-config-value",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m["config"].update(dropout=1.5)), "dropout",
+        id="classifier-bad-dropout",
     ),
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m.update(kind="gru")), "gru",
@@ -524,6 +579,8 @@ class TestErrorCategories:
                          "--arms 'none,none' repeats 'none'", id="repeated-arm"),
             pytest.param("train-classifier", ["--lr", "-1"], "lr must be > 0, got -1.0",
                          id="classifier-lr"),
+            pytest.param("train-classifier", ["--dropout-rate", "1.5"],
+                         "dropout must lie in [0, 1), got 1.5", id="classifier-dropout"),
         ],
     )
     def test_bad_value_is_one_line_config_error(
