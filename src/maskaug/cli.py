@@ -1,8 +1,8 @@
 """Command-line pipeline driver.
 
 `main` creates the --out directory, and every subcommand validates its
-inputs, writes its artifacts there and exits 0 on success; only then does
-`main` add a config.json snapshot of the run's settings. A failed run removes
+inputs and writes its artifacts there; only when it returns does `main` add
+a config.json snapshot of the run's settings and exit 0. A failed run removes
 the --out directory it created while that directory is still empty (its
 parents and a directory that already existed stay). Failure categories map
 to distinct exit codes:
@@ -93,24 +93,31 @@ def _write_json(path: Path, payload) -> None:
 def _archive_config(args: argparse.Namespace, out: Path) -> None:
     payload = {"format": RUN_CONFIG_FORMAT, "subcommand": args.subcommand}
     for key, value in sorted(vars(args).items()):
-        if key in ("func", "subcommand", "config"):
-            continue
-        payload[key] = str(value) if isinstance(value, Path) else value
+        if key not in ("func", "subcommand", "config"):
+            payload[key] = value
     _write_json(out / "config.json", payload)
 
 
+def _split(flag: str, text: str, convert=str) -> list:
+    """The items of a comma-separated list flag, each passed through `convert`."""
+    try:
+        return [convert(p.strip()) for p in text.split(",") if p.strip()]
+    except ValueError as exc:  # int() names the bad item
+        raise ValueError(f"--{flag} {text!r}: {exc}") from None
+
+
 def _parse_k(text: str) -> "int | tuple[int, int]":
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+    parts = _split("k", text, int)
     if len(parts) == 1:
-        return int(parts[0])
+        return parts[0]
     if len(parts) == 2:
-        return (int(parts[0]), int(parts[1]))
+        return tuple(parts)
     raise ValueError(f"--k must be 'K' or 'LO,HI', got {text!r}")
 
 
 def _parse_list(flag: str, text: str, convert=str) -> list:
     """The items of a comma-separated list flag; an item may not repeat."""
-    items = [convert(p.strip()) for p in str(text).split(",") if p.strip()]
+    items = _split(flag, text, convert)
     for item in items:
         if items.count(item) > 1:
             raise ValueError(f"--{flag} {text!r} repeats {item!r}")
@@ -129,15 +136,18 @@ def _load_encoder(path, vocab):
     return params, config
 
 
+def _check_labels(dataset, what: str, num_labels: int) -> None:
+    """The dataset's labels must all be ids the checkpoint `what` knows."""
+    if dataset.num_labels > num_labels:
+        raise CheckpointError(f"data has {dataset.num_labels} labels, {what} has {num_labels}")
+
+
 def _load_classifier(path, vocab, dataset):
     """Classifier checkpoint whose vocabulary size matches the vocab file and
     whose labels cover the dataset's."""
     clf = load_classifier(path)
     _check_vocab_size("classifier", clf.vocab_size, vocab)
-    if dataset.num_labels > clf.num_labels:
-        raise CheckpointError(
-            f"data has {dataset.num_labels} labels, classifier has {clf.num_labels}"
-        )
+    _check_labels(dataset, "classifier", clf.num_labels)
     return clf
 
 
@@ -160,14 +170,13 @@ def _load_dataset(args: argparse.Namespace, vocab, *encoders, val_fraction=None,
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_vocab(args, out: Path) -> int:
+def cmd_build_vocab(args, out: Path) -> None:
     rows = read_tsv(args.data)
     vocab = build_vocab(
         (tokenize(text) for _, text in rows), min_freq=args.min_freq, max_size=args.max_size
     )
     save_vocab(vocab, out / "vocab.txt")
     print(f"wrote {out / 'vocab.txt'} ({len(vocab)} tokens)")
-    return EXIT_OK
 
 
 def _mask_and_fit(args) -> tuple[MaskPolicy, TrainConfig]:
@@ -180,17 +189,16 @@ def _mask_and_fit(args) -> tuple[MaskPolicy, TrainConfig]:
     return policy, cfg
 
 
-def _save_encoder_run(path: Path, params, config, history) -> int:
+def _save_encoder_run(path: Path, params, config, history) -> None:
     """Write the encoder and metrics.tsv beside it; print a one-line summary."""
     save_encoder(params, config, path)
     write_metrics(history, path.parent / "metrics.tsv")
     # fit keeps the first epoch with the lowest val loss (a NaN val loss raises)
     kept = min((h for h in history if h["split"] == "val"), key=lambda h: h["loss"])
     print(f"wrote {path} (val loss {kept['loss']:.4f}, masked acc {kept['masked_acc']:.4f})")
-    return EXIT_OK
 
 
-def cmd_pretrain(args, out: Path) -> int:
+def cmd_pretrain(args, out: Path) -> None:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab)
     config = EncoderConfig(
@@ -204,26 +212,21 @@ def cmd_pretrain(args, out: Path) -> int:
         dropout=args.dropout_rate,
     )
     params, history = pretrain_mlm(dataset, config, *_mask_and_fit(args))
-    return _save_encoder_run(out / "encoder.ckpt", params, config, history)
+    _save_encoder_run(out / "encoder.ckpt", params, config, history)
 
 
-def cmd_finetune(args, out: Path) -> int:
+def cmd_finetune(args, out: Path) -> None:
     vocab = load_vocab(args.vocab)
     params, config = _load_encoder(args.init, vocab)
     dataset = _load_dataset(args, vocab, config)
-    return _save_encoder_run(
+    _save_encoder_run(
         out / "conditional.ckpt", *finetune_cmlm(dataset, params, config, *_mask_and_fit(args))
     )
 
 
-def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
-    """The `name` augmenter (cbert, bert or synonym) under the sampler flags.
-
-    Returns `(fn, config)`: `fn(dataset, seed)` gives (Dataset,
-    AugmentReport), and `config` is the EncoderConfig of the checkpoint
-    named by the `model_flag` flag (cbert and bert) or None (synonym).
-    """
-    policy = AugmentationPolicy(
+def _augment_policy(args: argparse.Namespace) -> AugmentationPolicy:
+    """The sampler flags, checked before any file is read."""
+    return AugmentationPolicy(
         k=_parse_k(args.k),
         sampler=args.sampler,
         top_k=args.top_k,
@@ -232,6 +235,15 @@ def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
         multiplier=args.multiplier,
         seed=args.seed,
     )
+
+
+def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: str):
+    """The `name` augmenter (cbert, bert or synonym) under `policy`.
+
+    Returns `(fn, config)`: `fn(dataset, seed)` gives (Dataset,
+    AugmentReport), and `config` is the EncoderConfig of the checkpoint
+    named by the `model_flag` flag (cbert and bert) or None (synonym).
+    """
     if name in ("cbert", "bert"):
         _require(args, model_flag)
         params, config = _load_encoder(getattr(args, model_flag), vocab)
@@ -247,10 +259,13 @@ def _augmenter(args: argparse.Namespace, vocab, name: str, model_flag: str):
     raise ValueError(f"unknown augmenter {name!r}")
 
 
-def cmd_augment(args, out: Path) -> int:
+def cmd_augment(args, out: Path) -> None:
+    policy = _augment_policy(args)
     vocab = load_vocab(args.vocab)
-    augment, encoder = _augmenter(args, vocab, args.augmenter, "model")
+    augment, encoder = _augmenter(args, vocab, policy, args.augmenter, "model")
     dataset = _load_dataset(args, vocab, encoder, val_fraction=0.0)
+    if args.augmenter == "cbert":
+        _check_labels(dataset, "conditional encoder", encoder.num_conditions)
     n_originals = len(dataset.train)
     augmented, report = augment(dataset, args.seed)
     write_augmented_tsv(out / "augmented.tsv", augmented, n_originals, report, vocab)
@@ -259,7 +274,6 @@ def cmd_augment(args, out: Path) -> int:
         f"wrote {out / 'augmented.tsv'} "
         f"({n_originals} originals + {report.generated} generated, {report.skipped} skipped)"
     )
-    return EXIT_OK
 
 
 def _classifier_config(args) -> "CnnConfig | RnnConfig":
@@ -277,7 +291,7 @@ def _classifier_config(args) -> "CnnConfig | RnnConfig":
     return RnnConfig(state_dim=args.hidden_dim, **shared)  # train_classifier rejects other kinds
 
 
-def cmd_train_classifier(args, out: Path) -> int:
+def cmd_train_classifier(args, out: Path) -> None:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, test=args.test)
     cfg = _classifier_config(args)
@@ -308,10 +322,9 @@ def cmd_train_classifier(args, out: Path) -> int:
     _write_json(out / "report.json", summary)
     shown = ", ".join(f"{k} {v:.4f}" for k, v in summary["accuracy"].items())
     print(f"wrote {out / 'classifier.ckpt'} ({shown})")
-    return EXIT_OK
 
 
-def cmd_eval(args, out: Path) -> int:
+def cmd_eval(args, out: Path) -> None:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab, val_fraction=0.0)
     clf = _load_classifier(args.classifier_ckpt, vocab, dataset)
@@ -323,25 +336,27 @@ def cmd_eval(args, out: Path) -> int:
         "seed": clf.config.seed,
     })
     print(f"accuracy {report.accuracy['test']:.4f} over {len(dataset.train)} examples")
-    return EXIT_OK
 
 
-def cmd_ab_experiment(args, out: Path) -> int:
+def cmd_ab_experiment(args, out: Path) -> None:
     arms = _parse_list("arms", args.arms)
     if not arms:
         raise ValueError(f"--arms {args.arms!r} names no arm")
     seeds = _parse_list("seeds", args.seeds, int)
+    policy = _augment_policy(args)
     vocab = load_vocab(args.vocab)
     augmenters: dict[str, object] = {}
-    encoders = []
+    encoders = {}
     for arm in arms:
         if arm == "none":
             augmenters[arm] = None
             continue
-        augment, encoder = _augmenter(args, vocab, arm, "pretrained" if arm == "bert" else "model")
+        model_flag = "pretrained" if arm == "bert" else "model"
+        augment, encoders[arm] = _augmenter(args, vocab, policy, arm, model_flag)
         augmenters[arm] = lambda d, s, augment=augment: augment(d, s)[0]
-        encoders.append(encoder)
-    dataset = _load_dataset(args, vocab, *encoders, test=args.test)
+    dataset = _load_dataset(args, vocab, *encoders.values(), test=args.test)
+    if "cbert" in encoders:
+        _check_labels(dataset, "conditional encoder", encoders["cbert"].num_conditions)
     records, summary = ab_experiment(
         dataset,
         augmenters,
@@ -354,10 +369,9 @@ def cmd_ab_experiment(args, out: Path) -> int:
     table = format_table(records, summary)
     (out / "table.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
-    return EXIT_OK
 
 
-def cmd_style_transfer(args, out: Path) -> int:
+def cmd_style_transfer(args, out: Path) -> None:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     vocab = load_vocab(args.vocab)
@@ -385,7 +399,6 @@ def cmd_style_transfer(args, out: Path) -> int:
     write_style_pairs(out / "pairs.tsv", pairs, vocab)
     note = f", {skipped} skipped" if skipped else ""
     print(f"wrote {out / 'pairs.tsv'} ({len(pairs)} pairs{note})")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value, path: Path):
+    """`value` parsed as its flag's command-line text; a switch takes only true or false."""
+    if value is None or (action.nargs == 0 and isinstance(value, bool)):
+        return value
+    if action.nargs != 0 and not isinstance(value, (list, dict)):
+        try:
+            return (action.type or str)(str(value))
+        except ValueError:
+            pass
+    raise ValueError(f"config file {path}: {action.dest!r} cannot be {json.dumps(value)}")
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Make the JSON object of the --config file (`--config path` or
     `--config=path`) the subcommands' defaults; a flag it supplies is no
@@ -547,7 +572,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         for action in sp._actions:
             declared.add(action.dest)
             if action.dest in payload:
-                action.default = payload[action.dest]
+                action.default = _config_value(action, payload[action.dest], path)
                 action.required = action.required and action.default is None
     unknown = sorted(set(payload) - declared)
     if unknown:
@@ -576,13 +601,13 @@ def main(argv: "list[str] | None" = None) -> int:
         except (FileExistsError, NotADirectoryError):
             raise ValueError(f"--out {out} is not a directory") from None
         try:
-            code = args.func(args, out)
+            args.func(args, out)
         except BaseException:
             if created and not any(out.iterdir()):
                 out.rmdir()
             raise
         _archive_config(args, out)  # a failed run leaves no run record
-        return code
+        return EXIT_OK
     except OSError as exc:  # a missing path, a directory, or any other read failure
         print(f"error[missing-file]: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE

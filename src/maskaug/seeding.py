@@ -13,11 +13,7 @@ import hashlib
 import numpy as np
 
 
-def derive_seed(root: int, *parts: "str | int") -> int:
+def derive_rng(root: int, *parts: "str | int") -> np.random.Generator:
     material = ":".join([str(int(root)), *[str(p) for p in parts]]).encode("utf-8")
     digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def derive_rng(root: int, *parts: "str | int") -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, *parts))
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))

@@ -538,6 +538,26 @@ class TestErrorCategories:
         assert code == EXIT_CHECKPOINT, err
         assert err == "error[checkpoint]: data has 6 labels, classifier has 2\n"
 
+    @pytest.mark.parametrize("subcommand, label_2_text", [
+        ("augment", "the movie was fine"),
+        ("augment", "zzz qqq"),  # no word in the vocabulary: no row asks for condition 2
+        ("ab-experiment", "the movie was fine"),
+    ], ids=["augment-content-word", "augment-no-content-word", "ab-experiment"])
+    def test_data_labels_beyond_the_conditional_encoder_are_checkpoint_error(
+        self, subcommand, label_2_text, workdir, vocab_file, finetuned, tmp_path, capsys
+    ):
+        data = tmp_path / "three.tsv"
+        data.write_text(f"0\tthe movie was bad\n1\tthe movie was good\n2\t{label_2_text}\n" * 4)
+        extra = (["--test", str(data), "--arms", "none,cbert", "--seeds", "1", "--epochs", "1"]
+                 if subcommand == "ab-experiment" else [])
+        out = tmp_path / "run"
+        code = main([subcommand, "--data", str(data), "--vocab", str(vocab_file),
+                     "--model", str(finetuned), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECKPOINT, err
+        assert err == "error[checkpoint]: data has 3 labels, conditional encoder has 2\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_classifier_divergence_is_training_error(self, workdir, vocab_file, tmp_path, capsys):
         code = main([
@@ -772,6 +792,12 @@ def _argument_error_cases():
         id="bad-choice",
     )
     yield pytest.param([], "subcommand", id="no-subcommand")
+    yield pytest.param(["augment", "--data", "x", "--vocab", "x", "--k", "1,a"],
+                       "--k '1,a': invalid literal for int() with base 10: 'a'", id="bad-k-item")
+    yield pytest.param(
+        ["ab-experiment", "--data", "x", "--vocab", "x", "--test", "x", "--seeds", "1,x"],
+        "--seeds '1,x': invalid literal for int() with base 10: 'x'", id="bad-seeds-item",
+    )
     yield pytest.param(["build-vocab", "--data", "x", "--config"], "--config", id="bare-config")
 
 
@@ -833,21 +859,27 @@ class TestConfigFile:
         "field, value",
         [("epochs", 1.5), ("hidden", 16.0),
          pytest.param("clip_norm", [1], id="clip_norm-list"),
-         pytest.param("clip_norm", True, id="clip_norm-bool")],
+         pytest.param("clip_norm", True, id="clip_norm-bool"),
+         ("max_len", 10.5), ("cv", 2.5), ("grid", "no"), ("max_size", 10.5), ("seed", 1.5),
+         ("limit", 2.5), pytest.param("limit", True, id="limit-bool"), ("top_m", 1.5),
+         ("target_label", 1.0), pytest.param("arms", ["none"], id="arms-list")],
     )
     def test_ill_typed_config_value_is_one_line_config_error(
         self, field, value, workdir, vocab_file, tmp_path, capsys
     ):
+        # the file is checked against every subcommand's flags, pretrain's or not
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "pre"
         code = main([
             "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
-            "--config", str(cfg), "--out", str(tmp_path / "pre"),
+            "--config", str(cfg), "--out", str(out),
         ])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE, err
         assert err.startswith("error[config]: ") and err.count("\n") == 1, err
-        assert field in err, err
+        assert repr(field) in err, err
+        assert not out.exists()
 
     def test_config_supplies_a_required_flag(self, workdir, vocab_file, tmp_path):
         cfg = tmp_path / "run.json"
