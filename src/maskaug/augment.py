@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
@@ -28,7 +27,7 @@ from .encoder import EncoderConfig, mlm_distributions
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import (
-    Dataset, LabeledExample, NUM_SPECIALS, ParseError, Vocabulary, decode, read_lines,
+    Dataset, LabeledExample, NUM_SPECIALS, ParseError, Vocabulary, decode, read_lines, write_text,
 )
 from .training import SkipExample, choose_positions, maskable_positions
 
@@ -364,4 +363,4 @@ def write_augmented_tsv(
     for ex, (src, name, positions) in zip(dataset.train[n_originals:], report.provenance):
         pos_txt = ",".join(str(p) for p in positions)
         lines.append(f"{ex.label}\t{decode(ex.tokens, vocab)}\t{src}\t{name}\t{pos_txt}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

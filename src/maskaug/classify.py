@@ -11,7 +11,6 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import tensor as T
 from .checkpoint import check_field_types, load_model, save_model
 from .seeding import derive_rng
 from .tensor import Tensor
-from .text import Dataset, LabeledExample, PAD_ID, pad_rows
+from .text import Dataset, LabeledExample, PAD_ID, pad_rows, write_text
 from .training import fit
 
 RECORDS_FORMAT = "# maskaug-ab-records v1"
@@ -480,7 +479,7 @@ def write_records(records: Sequence[dict], path) -> None:
         lines.append(
             f"{r['arm']}\t{r['seed']}\t{r['test_accuracy']!r}\t{r['train_size']}\t{r['epochs_used']}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def format_table(records: Sequence[dict], summary: Mapping[str, float]) -> str:

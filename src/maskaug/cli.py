@@ -51,7 +51,9 @@ from .classify import (
 )
 from .encoder import EncoderConfig, load_encoder, save_encoder
 from .styletransfer import check_rewrite, transfer_style, write_style_pairs
-from .text import ParseError, build_vocab, load_tsv, load_vocab, read_tsv, save_vocab, tokenize
+from .text import (
+    ParseError, build_vocab, load_tsv, load_vocab, read_tsv, save_vocab, tokenize, write_text,
+)
 from .training import (
     MaskPolicy,
     SkipExample,
@@ -87,7 +89,7 @@ def _require(args: argparse.Namespace, name: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _archive_config(args: argparse.Namespace, out: Path) -> None:
@@ -367,7 +369,7 @@ def cmd_ab_experiment(args, out: Path) -> None:
     )
     write_records(records, out / "records.tsv")
     table = format_table(records, summary)
-    (out / "table.txt").write_text(table + "\n", encoding="utf-8")
+    write_text(out / "table.txt", table + "\n")
     print(table)
 
 

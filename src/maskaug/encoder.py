@@ -11,7 +11,6 @@ tied to the token embedding, plus a free output bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -160,9 +159,7 @@ def forward(
             f"condition id {int(batch.cond_ids.max())} out of range "
             f"[0, {config.num_conditions})"
         )
-    p, train = config.dropout, rng is not None
-    heads, h = config.heads, config.hidden
-    dh = h // heads
+    p, train, h = config.dropout, rng is not None, config.hidden
 
     x = T.add(
         T.add(
@@ -172,7 +169,8 @@ def forward(
         T.embedding_lookup(params["cond_emb"], batch.cond_ids),
     )
     x = T.dropout(x, p, rng, train)
-    score_bias = Tensor(T.attention_mask_bias(batch.pad_mask))
+    score_bias = T.attention_mask_bias(batch.pad_mask)
+    attention_names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
     def scored_rows(x):  # the gather's scatter-add backward routes gradients to `rows` only
         return T.embedding_lookup(T.reshape(x, (b * t, h)), rows)
@@ -182,21 +180,8 @@ def forward(
     last = config.layers - 1
     for i in range(config.layers):
         pre = T.layer_norm(x, params[f"layer{i}.ln1_gain"], params[f"layer{i}.ln1_bias"])
-
-        def project(name_w, name_b):
-            y = T.add(T.matmul(pre, params[name_w]), params[name_b])
-            y = T.reshape(y, (b, t, heads, dh))
-            return T.transpose(y, (0, 2, 1, 3))  # (B, A, T, dh)
-
-        q = project(f"layer{i}.wq", f"layer{i}.bq")
-        k = project(f"layer{i}.wk", f"layer{i}.bk")
-        v = project(f"layer{i}.wv", f"layer{i}.bv")
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        attn = T.softmax(T.add(scores, score_bias), axis=-1)
-        attn = T.dropout(attn, p, rng, train)
-        ctx = T.matmul(attn, v)  # (B, A, T, dh)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h))
-        out = T.add(T.matmul(ctx, params[f"layer{i}.wo"]), params[f"layer{i}.bo"])
+        attention_params = (params[f"layer{i}.{n}"] for n in attention_names)
+        out = T.attention(pre, *attention_params, score_bias, config.heads, p, rng)
         x = T.add(x, T.dropout(out, p, rng, train))
 
         pruned = rows is not None and i == last

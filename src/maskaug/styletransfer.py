@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ from .augment import AugmentationPolicy, _refill
 from .classify import Classifier, predict_logits
 from .encoder import EncoderConfig
 from .tensor import Tensor
-from .text import LabeledExample, Vocabulary, decode
+from .text import LabeledExample, Vocabulary, decode, write_text
 from .training import SkipExample, maskable_positions
 
 PAIRS_FORMAT = "# maskaug-style-pairs v1"
@@ -109,4 +108,4 @@ def write_style_pairs(
     for original, generated in pairs:
         lines.append(f"original\t{decode(original.tokens, vocab)}")
         lines.append(f"generated\t{decode(generated.tokens, vocab)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

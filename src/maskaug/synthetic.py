@@ -7,9 +7,8 @@ directly measurable.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .seeding import derive_rng
+from .text import write_text
 
 POSITIVE_WORDS = ("good", "great", "fine")
 NEGATIVE_WORDS = ("bad", "awful", "poor")
@@ -52,6 +51,4 @@ def with_label_noise(
 
 
 def write_rows_tsv(rows: list[tuple[int, str]], path) -> None:
-    Path(path).write_text(
-        "\n".join(f"{label}\t{text}" for label, text in rows) + "\n", encoding="utf-8"
-    )
+    write_text(path, "\n".join(f"{label}\t{text}" for label, text in rows) + "\n")

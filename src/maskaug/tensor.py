@@ -510,7 +510,7 @@ def dropout(x, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# recurrence
+# recurrence and attention
 # ---------------------------------------------------------------------------
 
 
@@ -598,6 +598,75 @@ def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
             _accumulate(emb, gemb)
 
     return _node(hs[t][np.argsort(order)], (emb, w_ih, w_hh, b), _bwd)
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias: np.ndarray, heads: int,
+              p: float, rng: np.random.Generator | None) -> Tensor:
+    """Multi-head self-attention (Vaswani et al., arXiv 1706.03762) of a
+    (B, T, H) input as one graph node: (softmax(q kᵀ/√dh + score_bias) v) Wo + bo,
+    q, k, v = x W + b split into `heads` heads of dh = H / heads.
+
+    `score_bias` is a plain array that broadcasts to (B, heads, T, T). With
+    an `rng` and p > 0 the attention weights get a `dropout_mask` drawn at
+    that shape. The backward pass is hand-written (the fused-kernel idea of
+    Dao et al., arXiv 2205.14135). Each product and sum is the one the
+    per-op graph makes, so the value and every gradient equal it bit for bit.
+    """
+    x = as_tensor(x)
+    params = tuple(as_tensor(w) for w in (wq, bq, wk, bk, wv, bv, wo, bo))
+    score_bias = np.asarray(score_bias, dtype=np.float64)
+    shapes = [w.data.shape for w in params]
+    if x.ndim == 3:
+        b, t, h = x.data.shape
+    if (
+        x.ndim != 3 or heads < 1 or h % heads or shapes != [(h, h), (h,)] * 4
+        or score_bias.ndim > 4
+        or any(m not in (1, n) for m, n in zip(score_bias.shape[::-1], (t, t, heads, b)))
+    ):
+        named = zip(("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"), shapes)
+        raise ValueError(f"attention shapes disagree: x {x.shape}, " + "".join(
+            f"{n} {shape}, " for n, shape in named) + f"score_bias {score_bias.shape}, heads {heads}")
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    dh = h // heads
+    s = 1.0 / math.sqrt(dh)
+    x2 = x.data.reshape(-1, h)
+
+    def project(w, bias):  # (B, heads, T, dh)
+        return (x2 @ w.data + bias.data).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * s + score_bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    keep = dropout_mask(attn.shape, p, rng) if rng is not None and p > 0.0 else None
+    dropped = attn if keep is None else attn * keep
+    ctx = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(b * t, h)
+
+    def _bwd(g):
+        g2 = g.reshape(-1, h)
+        _accumulate(bo, g.sum(axis=(0, 1)))
+        if wo.requires_grad:
+            _accumulate(wo, ctx.T @ g2)
+        gctx = (g2 @ wo.data.T).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+        gdropped = np.matmul(gctx, np.swapaxes(v, -1, -2))
+        gattn = gdropped if keep is None else gdropped * keep
+        gscores = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * s
+        gq = np.matmul(gscores, k)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gscores), -1, -2)
+        gv = np.matmul(np.swapaxes(dropped, -1, -2), gctx)
+        gx = []
+        for gy, w, bias in ((gq, wq, bq), (gk, wk, bk), (gv, wv, bv)):
+            gy = gy.transpose(0, 2, 1, 3).reshape(b, t, h)
+            _accumulate(bias, gy.sum(axis=(0, 1)))
+            gy2 = gy.reshape(-1, h)
+            if w.requires_grad:
+                _accumulate(w, x2.T @ gy2)
+            gx.append(gy2 @ w.data.T)
+        if x.requires_grad:
+            _accumulate(x, ((gx[0] + gx[1]) + gx[2]).reshape(b, t, h))
+
+    out = (ctx @ wo.data + bo.data).reshape(b, t, h)
+    return _node(out, (x,) + params, _bwd)
 
 
 def attention_mask_bias(pad_mask: np.ndarray) -> np.ndarray:

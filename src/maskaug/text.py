@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import warnings
 from collections import Counter
@@ -109,8 +110,20 @@ def pad_rows(rows: Sequence[Sequence[int]], fill: int, width: int) -> np.ndarray
     return out
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 to a temp file beside `path`, then rename it into
+    place, so a failed write leaves any previous file whole."""
+    path = Path(path)
+    staged = path.with_name(path.name + ".tmp")
+    try:
+        staged.write_text(text, encoding="utf-8")
+        os.replace(staged, path)
+    finally:
+        staged.unlink(missing_ok=True)
+
+
 def save_vocab(vocab: Vocabulary, path) -> None:
-    Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(vocab.id_to_token) + "\n")
 
 
 def read_lines(path) -> list[str]:

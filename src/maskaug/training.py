@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .encoder import (
 from .optim import adam_step, clip_by_global_norm, init_adam
 from .seeding import derive_rng
 from .tensor import Tensor
-from .text import Dataset, LabeledExample, MASK_ID, NUM_SPECIALS, pad_rows
+from .text import Dataset, LabeledExample, MASK_ID, NUM_SPECIALS, pad_rows, write_text
 
 IGNORE_ID = -1
 METRICS_FORMAT = "# maskaug-metrics v1"
@@ -381,4 +380,4 @@ def write_metrics(history: Sequence[dict], path) -> None:
         lines.append(
             f"{row['epoch']}\t{row['split']}\t{row['loss']!r}\t{row['masked_acc']!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,87 @@ class TestLstm:
         ids[1, 0] = 5
         with pytest.raises(IndexError):
             T.lstm(*arrays, ids, lengths, 2)
+
+
+def attention_inputs(batch, steps, hidden, seed):
+    """Input, the eight projection weights and biases, a pad bias from ragged
+    lengths (one full row, one of length 1) and a cotangent for the output."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(batch, steps, hidden))]
+    for _ in range(4):
+        arrays.append(rng.normal(0.0, hidden**-0.5, size=(hidden, hidden)))
+        arrays.append(rng.normal(0.0, 0.1, size=hidden))
+    lengths = rng.integers(1, steps + 1, size=batch)
+    lengths[:2] = (steps, 1)
+    score_bias = T.attention_mask_bias(np.arange(steps)[None, :] < lengths[:, None])
+    return arrays, score_bias, rng.normal(size=(batch, steps, hidden))
+
+
+def per_op_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng):
+    """Self-attention as a graph of small ops: the formula T.attention fuses."""
+    b, t, h = x.shape
+    dh = h // heads
+
+    def project(w, bias):
+        y = T.add(T.matmul(x, w), bias)
+        y = T.reshape(y, (b, t, heads, dh))
+        return T.transpose(y, (0, 2, 1, 3))  # (B, A, T, dh)
+
+    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    attn = T.softmax(T.add(scores, Tensor(score_bias)), axis=-1)
+    attn = T.dropout(attn, p, rng, rng is not None)
+    ctx = T.matmul(attn, v)  # (B, A, T, dh)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h))
+    return T.add(T.matmul(ctx, wo), bo)
+
+
+class TestAttention:
+    def test_gradients_match_finite_differences(self):
+        arrays, score_bias, w = attention_inputs(batch=2, steps=3, hidden=4, seed=15)
+        err = check_gradients(
+            lambda xs: weighted_sum(T.attention(*xs, score_bias, 2, 0.0, None), w), arrays
+        )
+        assert err < GRAD_TOL
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("batch, steps, hidden", [(3, 5, 8), (32, 7, 64), (16, 25, 64)])
+    def test_matches_per_op_formula_bit_for_bit(self, batch, steps, hidden, heads, train):
+        arrays, score_bias, g = attention_inputs(batch, steps, hidden, seed=steps + heads)
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        per_op = [Tensor(a, requires_grad=True) for a in arrays]
+        rngs = [np.random.default_rng(16) if train else None for _ in range(2)]
+        out = T.attention(*fused, score_bias, heads, 0.3, rngs[0])
+        want = per_op_attention(*per_op, score_bias, heads, 0.3, rngs[1])
+        assert out._parents == tuple(fused)  # the whole block is one node
+        assert np.array_equal(out.data, want.data)
+        if train:
+            assert rngs[0].random() == rngs[1].random()
+        weighted_sum(out, g).backward()
+        weighted_sum(want, g).backward()
+        for got, ref in zip(fused, per_op):
+            assert np.array_equal(got.grad, ref.grad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda a, bias: ([a[0][0]] + a[1:], bias), id="x-2d"),
+            pytest.param(lambda a, bias: (a[:3] + [a[3][:, :3]] + a[4:], bias), id="wk-not-square"),
+            pytest.param(lambda a, bias: (a[:8] + [a[8][:3]], bias), id="bo-short"),
+            pytest.param(lambda a, bias: (a, bias[..., :2]), id="bias-wrong-keys"),
+            pytest.param(lambda a, bias: (a, bias[None]), id="bias-5d"),
+        ],
+    )
+    def test_bad_shapes_raise_one_error_naming_them(self, edit):
+        arrays, score_bias = edit(*attention_inputs(batch=2, steps=3, hidden=4, seed=17)[:2])
+        with pytest.raises(ValueError, match=r"attention shapes disagree: x .* bo .* heads 2"):
+            T.attention(*arrays, score_bias, 2, 0.0, None)
+
+    def test_hidden_not_divisible_by_heads_raises(self):
+        arrays, score_bias, _ = attention_inputs(batch=2, steps=3, hidden=4, seed=18)
+        with pytest.raises(ValueError, match=r"x \(2, 3, 4\), .* heads 3"):
+            T.attention(*arrays, score_bias, 3, 0.0, None)
 
 
 class TestGraph:

@@ -1,7 +1,13 @@
 import pytest
 
+from maskaug import text
+from maskaug.classify import write_records
+from maskaug.cli import _write_json
+from maskaug.styletransfer import write_style_pairs
+from maskaug.synthetic import write_rows_tsv
 from maskaug.text import (
     CLS_ID,
+    LabeledExample,
     PAD_ID,
     ParseError,
     UNK_ID,
@@ -13,7 +19,9 @@ from maskaug.text import (
     read_tsv,
     save_vocab,
     tokenize,
+    write_text,
 )
+from maskaug.training import write_metrics
 
 
 class TestTokenize:
@@ -241,3 +249,48 @@ class TestLoadTsv:
         with pytest.raises(ValueError) as exc:
             load_tsv(path, vocab, **setting)
         assert named in str(exc.value)
+
+
+def _pairs_writer(path):
+    vocab = build_vocab([tokenize("alpha beta")])
+    original, generated = (LabeledExample(tuple(encode(w, vocab, 4)), 0) for w in ("alpha", "beta"))
+    write_style_pairs(path, [(original, generated)], vocab)
+
+
+# artifact writers of six modules; each must write through write_text
+ARTIFACT_WRITERS = {
+    "vocab": lambda path: save_vocab(build_vocab([tokenize("alpha beta")]), path),
+    "rows-tsv": lambda path: write_rows_tsv([(0, "a dull plot"), (1, "a fine cast")], path),
+    "metrics": lambda path: write_metrics(
+        [{"epoch": 1, "split": "val", "loss": 0.5, "masked_acc": 0.25}], path
+    ),
+    "records": lambda path: write_records(
+        [{"arm": "none", "seed": 1, "test_accuracy": 0.5, "train_size": 4, "epochs_used": 2}],
+        path,
+    ),
+    "style-pairs": _pairs_writer,
+    "json": lambda path: _write_json(path, {"generated": 3}),
+}
+
+
+class TestWriteText:
+    def test_writes_utf8_through_a_rename(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, "0\tcafé\n")
+        write_text(path, "1\tnaïve\n")
+        assert path.read_bytes() == "1\tnaïve\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("writer", ARTIFACT_WRITERS.values(), ids=ARTIFACT_WRITERS.keys())
+    def test_failed_rename_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous\n")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(text.os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            writer(path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
