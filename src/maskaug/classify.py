@@ -138,20 +138,11 @@ def _cnn_logits(
     lengths: np.ndarray,
     rng,
 ) -> Tensor:
-    b, t = token_ids.shape
-    emb = T.embedding_lookup(params["emb"], token_ids)  # (B, T, E)
-    pooled = []
-    for w in cfg.filter_widths:
-        windows = T.unfold_windows(emb, w)  # (B, L, w*E)
-        feat = T.relu(T.add(T.matmul(windows, params[f"conv{w}_w"]), params[f"conv{w}_b"]))
-        n = t - w + 1
-        # windows that start beyond a sentence's own span never win the max;
-        # sentences shorter than the filter keep their first (padded-up) window
-        n_valid = np.maximum(lengths - w + 1, 1)
-        invalid = np.arange(n)[None, :] >= n_valid[:, None]
-        feat = T.add(feat, Tensor(np.where(invalid, T.MASK_NEG, 0.0)[:, :, None]))
-        pooled.append(T.reduce_max(feat, axis=1))  # (B, F)
-    x = T.concat(pooled, axis=-1)
+    widths = cfg.filter_widths
+    x = T.conv_max_pool(
+        params["emb"], [params[f"conv{w}_w"] for w in widths],
+        [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
+    )  # (B, F·len(widths))
     train = rng is not None
     x = T.dropout(x, cfg.dropout, rng, train)
     x = T.relu(T.add(T.matmul(x, params["fc1_w"]), params["fc1_b"]))

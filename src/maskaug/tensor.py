@@ -16,6 +16,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 MASK_NEG = -1e30  # additive score mask: never wins a max, underflows to exactly 0 in softmax
@@ -443,9 +444,9 @@ def layer_norm(x, gain, bias) -> Tensor:
         raise ValueError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} disagree with H={h}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / h
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / h
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     out_data = xhat * gain.data + bias.data
@@ -457,8 +458,8 @@ def layer_norm(x, gain, bias) -> Tensor:
             _accumulate(bias, g.reshape(-1, h).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = dxhat.sum(axis=-1, keepdims=True) / h
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / h
             _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
     return _node(out_data, (x, gain, bias), _bwd)
@@ -510,7 +511,7 @@ def dropout(x, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# recurrence and attention
+# fused layers: recurrence, attention, convolution
 # ---------------------------------------------------------------------------
 
 
@@ -667,6 +668,94 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias: np.ndarray, heads: 
 
     out = (ctx @ wo.data + bo.data).reshape(b, t, h)
     return _node(out, (x,) + params, _bwd)
+
+
+def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
+                  widths: Sequence[int]) -> Tensor:
+    """Max-over-time pooled convolution features (Kim, arXiv 1408.5882) of
+    right-padded ids as one graph node: (B, F·len(widths)).
+
+    For each width w the (B, T-w+1, w·E) windows of the gathered embeddings
+    go through one folded GEMM with the (w·E, F) filter, the bias and a
+    ReLU. Windows that start past a row's length get `MASK_NEG`, so they
+    never win the max; a row shorter than w keeps its first window. The
+    backward pass is hand-written (the fused-kernel idea of Dao et al.,
+    arXiv 2205.14135). Each product and sum is the one the per-op graph of
+    unfold_windows, matmul, add, relu, add, reduce_max and concat makes, in
+    the same order, so the value and every gradient equal it bit for bit.
+    """
+    table = as_tensor(table)
+    weights = tuple(as_tensor(w) for w in weights)
+    biases = tuple(as_tensor(b) for b in biases)
+    ids = np.asarray(ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    widths = tuple(int(w) for w in widths)
+    if table.ndim == 2 and weights and weights[0].ndim == 2:
+        e, f = table.shape[1], weights[0].shape[1]
+    if (
+        table.ndim != 2 or ids.ndim != 2 or lengths.shape != ids.shape[:1] or not widths
+        or not weights or weights[0].ndim != 2 or len(weights) != len(widths)
+        or len(biases) != len(widths) or min(widths) < 1 or max(widths) > ids.shape[1]
+        or any(w.shape != (k * e, f) for w, k in zip(weights, widths))
+        or any(b.shape != (f,) for b in biases)
+    ):
+        raise ValueError(
+            f"conv_max_pool shapes disagree: table {table.shape}, weights "
+            f"{[w.shape for w in weights]}, biases {[b.shape for b in biases]}, "
+            f"ids {ids.shape}, lengths {lengths.shape}, widths {widths}"
+        )
+    v = table.data.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise IndexError(f"embedding id out of range [0, {v})")
+    b, t = ids.shape
+    emb = table.data[ids]  # (B, T, E)
+    rows, cols = np.arange(b)[:, None], np.arange(f)[None, :]
+    pooled, saved = [], []
+    for k, weight, bias in zip(widths, weights, biases):
+        n = t - k + 1
+        # window i is the k·E values of rows i..i+k-1, contiguous in emb: a
+        # read-only strided view that reshape copies into one (B·n, k·E) block
+        windows = as_strided(emb, (b, n, k * e), emb.strides, writeable=False)
+        win2 = windows.reshape(-1, k * e)
+        pre = (win2 @ weight.data).reshape(b, n, f)
+        pre += bias.data
+        n_valid = np.maximum(lengths - k + 1, 1)
+        invalid = np.arange(n)[None, :] >= n_valid[:, None]
+        feat = np.maximum(pre, 0.0)
+        feat += np.where(invalid, MASK_NEG, 0.0)[:, :, None]
+        pooled.append(feat.max(axis=1))
+        saved.append((win2, pre, feat))  # the argmax waits for a backward pass
+
+    def _bwd(g):
+        gemb = None
+        for i, (k, weight, bias, (win2, pre, feat)) in enumerate(
+            zip(widths, weights, biases, saved)
+        ):
+            n = t - k + 1
+            # each pooled gradient goes to the first window attaining the max, then the ReLU
+            at = (rows, feat.argmax(axis=1), cols)
+            gf = np.zeros((b, n, f))
+            gf[at] = g[:, i * f : (i + 1) * f] * (pre[at] > 0.0)
+            _accumulate(bias, gf.sum(axis=(0, 1)))
+            g2 = gf.reshape(-1, f)
+            if weight.requires_grad:
+                _accumulate(weight, win2.T @ g2)
+            if table.requires_grad:
+                gwin = (g2 @ weight.data.T).reshape(b, n, k * e)
+                gx = np.zeros((b, t, e))
+                for j in range(k):
+                    gx[:, j : j + n, :] += gwin[:, :, j * e : (j + 1) * e]
+                if gemb is None:
+                    gemb = gx
+                else:
+                    gemb += gx
+        if table.requires_grad:
+            # bincount adds each (id, column) bin's terms in input order, as np.add.at does
+            bins = (ids.reshape(-1, 1) * e + np.arange(e)).reshape(-1)
+            gt = np.bincount(bins, weights=gemb.reshape(-1), minlength=v * e).reshape(v, e)
+            _accumulate(table, gt)
+
+    return _node(np.concatenate(pooled, axis=-1), (table,) + weights + biases, _bwd)
 
 
 def attention_mask_bias(pad_mask: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from maskaug.tensor import Tensor
 from maskaug import tensor as T
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample
 from maskaug.training import TrainingError
+from test_tensor import per_op_cnn
 
 ALPHA = NUM_SPECIALS  # word that marks label 1
 BETA = NUM_SPECIALS + 1  # word that marks label 0
@@ -166,6 +167,24 @@ class TestCnn:
         cfg = CnnConfig(seed=0, max_epochs=1, patience=1)
         clf, _ = train_cnn(short, cfg, vocab_size=VOCAB_SIZE)
         assert predict_proba(clf, short.train[0]).shape == (2,)
+
+    def test_training_equals_the_per_op_extractor_bit_for_bit(self, monkeypatch):
+        # ragged rows, some shorter than the widest filter, with the head's
+        # dropout live: the fused extractor trains to the very same bits
+        rng = np.random.default_rng(4)
+        examples = [
+            LabeledExample(ex.tokens[: int(rng.integers(2, len(ex.tokens) + 1))], ex.label)
+            for ex in separable_dataset(n=60).train
+        ]
+        dataset = Dataset(train=examples[6:], val=examples[:6], test=[], num_labels=2)
+        cfg = CnnConfig(dropout=0.5, seed=6, max_epochs=3, patience=3)
+        fused, _ = train_cnn(dataset, cfg, vocab_size=VOCAB_SIZE)
+        monkeypatch.setattr(T, "conv_max_pool", per_op_cnn)
+        per_op, _ = train_cnn(dataset, cfg, vocab_size=VOCAB_SIZE)
+        assert fused.epochs_used == per_op.epochs_used
+        assert fused.params.keys() == per_op.params.keys()
+        for name, param in fused.params.items():
+            assert np.array_equal(param.data, per_op.params[name].data), name
 
     def test_pooling_ignores_distant_order(self):
         # same window multiset => identical pooled features => identical logits

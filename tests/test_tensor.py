@@ -164,6 +164,28 @@ class TestLayerNorm:
         )
         assert err < GRAD_TOL
 
+    @pytest.mark.parametrize("shape", [(224, 64), (32, 7, 64), (16, 25, 64), (5, 3)])
+    def test_matches_the_mean_formula_bit_for_bit(self, shape):
+        # the row means are sums over h; ndarray.mean gives the same bits
+        rng = np.random.default_rng(sum(shape))
+        x, gain, bias = (Tensor(a, requires_grad=True) for a in (
+            rng.normal(size=shape), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])))
+        g = rng.normal(size=shape)
+        out = T.layer_norm(x, gain, bias)
+        weighted_sum(out, g).backward()
+        mu = x.data.mean(axis=-1, keepdims=True)
+        centered = x.data - mu
+        inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + T._LN_EPS)
+        xhat = centered * inv
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        h = shape[-1]
+        assert np.array_equal(out.data, xhat * gain.data + bias.data)
+        assert np.array_equal(x.grad, inv * (dxhat - m1 - xhat * m2))
+        assert np.array_equal(gain.grad, (g * xhat).reshape(-1, h).sum(axis=0))
+        assert np.array_equal(bias.grad, g.reshape(-1, h).sum(axis=0))
+
     def test_scalar_extent_rejected(self):
         with pytest.raises(ValueError):
             T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]))
@@ -421,6 +443,112 @@ class TestAttention:
         arrays, score_bias, _ = attention_inputs(batch=2, steps=3, hidden=4, seed=18)
         with pytest.raises(ValueError, match=r"x \(2, 3, 4\), .* heads 3"):
             T.attention(*arrays, score_bias, 3, 0.0, None)
+
+
+def cnn_inputs(vocab, batch, steps, emb_dim, filters, widths, seed):
+    """Table, per-width filters and biases, right-padded ids with rows of
+    length 1 and of full length, ragged lengths from 1 to `steps`, repeated
+    ids, and a cotangent for the pooled features."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(0.0, 0.5, size=(vocab, emb_dim))]
+    arrays += [rng.normal(0.0, (w * emb_dim) ** -0.5, size=(w * emb_dim, filters)) for w in widths]
+    arrays += [rng.normal(0.0, 0.1, size=filters) for _ in widths]
+    lengths = rng.integers(1, steps + 1, size=batch)
+    lengths[:2] = (1, steps)
+    lengths = rng.permutation(lengths)
+    ids = rng.choice(rng.integers(1, vocab, size=6), size=(batch, steps))  # many repeats
+    ids[np.arange(steps)[None, :] >= lengths[:, None]] = 0
+    return arrays, ids, lengths, rng.normal(size=(batch, filters * len(widths)))
+
+
+def per_op_cnn(table, weights, biases, ids, lengths, widths):
+    """The CNN feature extractor as a graph of small ops: the formula
+    T.conv_max_pool fuses."""
+    t = ids.shape[1]
+    emb = T.embedding_lookup(table, ids)  # (B, T, E)
+    pooled = []
+    for w, weight, bias in zip(widths, weights, biases):
+        windows = T.unfold_windows(emb, w)  # (B, T-w+1, w*E)
+        feat = T.relu(T.add(T.matmul(windows, weight), bias))
+        n_valid = np.maximum(lengths - w + 1, 1)
+        invalid = np.arange(t - w + 1)[None, :] >= n_valid[:, None]
+        feat = T.add(feat, Tensor(np.where(invalid, T.MASK_NEG, 0.0)[:, :, None]))
+        pooled.append(T.reduce_max(feat, axis=1))  # (B, F)
+    return T.concat(pooled, axis=-1)
+
+
+def split_cnn(arrays, widths):
+    k = len(widths)
+    return arrays[0], arrays[1 : 1 + k], arrays[1 + k :]
+
+
+class TestConvMaxPool:
+    def test_gradients_match_finite_differences(self):
+        widths = (1, 2, 3)
+        arrays, ids, lengths, w = cnn_inputs(vocab=5, batch=3, steps=4, emb_dim=2, filters=3,
+                                             widths=widths, seed=19)
+
+        def build(xs):
+            table, weights, biases = split_cnn(xs, widths)
+            return weighted_sum(T.conv_max_pool(table, weights, biases, ids, lengths, widths), w)
+
+        assert check_gradients(build, arrays) < GRAD_TOL
+
+    @pytest.mark.parametrize(
+        "vocab, steps, widths",
+        [(21, 7, (1,)), (21, 7, (3, 4, 5)), (21, 7, (2, 3, 4, 5, 6)), (5000, 24, (1,)),
+         (5000, 24, (3, 4, 5)), (5000, 24, (2, 3, 4, 5, 6)), (9, 5, (2, 5))],
+    )
+    def test_matches_per_op_formula_bit_for_bit(self, vocab, steps, widths):
+        # ragged rows from length 1 to full, many shorter than the widest filter
+        arrays, ids, lengths, g = cnn_inputs(vocab, batch=32, steps=steps, emb_dim=32,
+                                             filters=16, widths=widths, seed=steps + len(widths))
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        per_op = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.conv_max_pool(*split_cnn(fused, widths), ids, lengths, widths)
+        want = per_op_cnn(*split_cnn(per_op, widths), ids, lengths, widths)
+        assert out._parents == tuple(fused)  # the whole extractor is one node
+        assert np.array_equal(out.data, want.data)
+        weighted_sum(out, g).backward()
+        weighted_sum(want, g).backward()
+        for got, ref in zip(fused, per_op):
+            assert np.array_equal(got.grad, ref.grad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda a, ids, lens, w: ([a[0][0]] + a[1:], ids, lens, w), id="table-1d"),
+            pytest.param(lambda a, ids, lens, w: (a[:1] + [a[1][:-1]] + a[2:], ids, lens, w),
+                         id="weight-rows"),
+            pytest.param(lambda a, ids, lens, w: (a[:2] + [a[2][:, :2]] + a[3:], ids, lens, w),
+                         id="filters-differ"),
+            pytest.param(lambda a, ids, lens, w: (a[:3] + [a[3][:2]] + a[4:], ids, lens, w),
+                         id="bias-short"),
+            pytest.param(lambda a, ids, lens, w: (a[:4], ids, lens, w), id="bias-missing"),
+            pytest.param(lambda a, ids, lens, w: (a, ids[0], lens, w), id="ids-1d"),
+            pytest.param(lambda a, ids, lens, w: (a, ids, lens[:1], w), id="lengths-short"),
+            pytest.param(lambda a, ids, lens, w: (a, ids[:, :2], lens, w),
+                         id="ids-shorter-than-width"),
+            pytest.param(lambda a, ids, lens, w: (a, ids, lens, ()), id="no-widths"),
+            pytest.param(lambda a, ids, lens, w: (a, ids, lens, (0, 3)), id="width-0"),
+        ],
+    )
+    def test_bad_shapes_raise_one_error_naming_them(self, edit):
+        widths = (2, 3)
+        arrays, ids, lengths, _ = cnn_inputs(vocab=7, batch=2, steps=4, emb_dim=3, filters=4,
+                                             widths=widths, seed=21)
+        arrays, ids, lengths, widths = edit(arrays, ids, lengths, widths)
+        with pytest.raises(ValueError, match=r"conv_max_pool shapes disagree: table .* "
+                                             r"weights .* biases .* ids .* lengths .* widths"):
+            T.conv_max_pool(arrays[0], arrays[1:3], arrays[3:], ids, lengths, widths)
+
+    @pytest.mark.parametrize("bad_id", [-1, 7])
+    def test_out_of_range_id(self, bad_id):
+        arrays, ids, lengths, _ = cnn_inputs(vocab=7, batch=2, steps=4, emb_dim=3, filters=4,
+                                             widths=(2,), seed=23)
+        ids[1, 0] = bad_id
+        with pytest.raises(IndexError):
+            T.conv_max_pool(arrays[0], arrays[1:2], arrays[2:], ids, lengths, (2,))
 
 
 class TestGraph:
