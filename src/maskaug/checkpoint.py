@@ -32,6 +32,10 @@ from .tensor import Tensor
 
 MAGIC = b"MAUGCKPT1\n"
 
+# a model's parameters, name -> (shape, init), in draw and file order; init is the
+# std of a zero-mean normal draw or a function of the shape that draws nothing
+Layout = Mapping[str, tuple[tuple[int, ...], float | Callable]]
+
 
 class CheckpointError(RuntimeError):
     """Raised for unreadable, truncated, or incompatible checkpoints."""
@@ -41,8 +45,7 @@ def save_arrays(arrays: Mapping[str, "Tensor | np.ndarray"], path) -> None:
     path = Path(path)
     chunks: list[bytes] = [MAGIC, struct.pack("<I", len(arrays))]
     for name, value in arrays.items():
-        data = value.data if isinstance(value, Tensor) else np.asarray(value)
-        data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(value.data if isinstance(value, Tensor) else value, dtype=np.float64)
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
@@ -79,8 +82,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
-        data = np.frombuffer(take(n_bytes), dtype="<f8").reshape(shape).copy()
-        out[name] = data
+        out[name] = np.frombuffer(take(n_bytes), dtype="<f8").reshape(shape).copy()
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after checkpoint payload: {path}")
     return out
@@ -119,6 +121,15 @@ def check_field_types(config) -> None:
             raise ValueError(f"{field.name} must be {kind}, got {value!r}")
 
 
+def draw_params(layout: Layout, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh trainable parameters for `layout`, drawn from `rng` in its order."""
+    params = {}
+    for name, (shape, init) in layout.items():
+        data = init(shape) if callable(init) else rng.normal(0.0, init, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
 def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path) -> None:
     """Arrays to `path`, `meta` (keys in the given order) to `<path>.json`.
 
@@ -155,8 +166,8 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
     """(description, params) of a model file written by `save_model`.
 
     The sidecar must be a JSON object tagged `fmt`; `build(meta)` returns the
-    description and a reference parameter set whose names and shapes the
-    stored arrays must match. Every failure raises CheckpointError.
+    description and the Layout whose names and shapes the stored arrays must
+    match. Every failure raises CheckpointError.
     """
     sidecar = Path(str(path) + ".json")
     try:
@@ -168,18 +179,17 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
     if not isinstance(meta, dict) or meta.get("format") != fmt:
         raise CheckpointError(f"sidecar {sidecar} is not tagged {fmt!r}")
     try:
-        model, reference = build(meta)
+        model, layout = build(meta)
     except KeyError as exc:
         raise CheckpointError(f"sidecar {sidecar} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad sidecar {sidecar}: {type(exc).__name__}: {exc}") from None
     arrays = load_arrays(path)
-    if set(arrays) != set(reference):
+    if set(arrays) != set(layout):
         raise CheckpointError(f"parameter names in {path} do not match the architecture")
-    for name, ref in reference.items():
-        if arrays[name].shape != ref.data.shape:
+    for name, (shape, _) in layout.items():
+        if arrays[name].shape != shape:
             raise CheckpointError(
-                f"parameter '{name}' in {path} has shape {arrays[name].shape}, "
-                f"expected {ref.data.shape}"
+                f"parameter '{name}' in {path} has shape {arrays[name].shape}, expected {shape}"
             )
     return model, {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import check_field_types, load_model, save_model
+from .checkpoint import Layout, check_field_types, draw_params, load_model, save_model
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import Dataset, LabeledExample, PAD_ID, pad_rows, write_text
@@ -54,8 +54,9 @@ class CnnConfig:
     def __post_init__(self):
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
         check_field_types(self)
-        if not self.filter_widths or any(w < 1 for w in self.filter_widths):
-            raise ValueError(f"filter widths must be positive, got {self.filter_widths}")
+        widths = self.filter_widths
+        if not widths or min(widths) < 1 or len(set(widths)) < len(widths):
+            raise ValueError(f"filter widths must be positive and distinct, got {widths}")
         _check_values(
             self, ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience")
         )
@@ -94,6 +95,12 @@ class Classifier:
     num_labels: int
     epochs_used: int = 0
 
+    def __post_init__(self):
+        check_field_types(self)
+        for name, least in (("vocab_size", 1), ("num_labels", 1), ("epochs_used", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # batching
@@ -114,21 +121,18 @@ def _pad_batch(
 # ---------------------------------------------------------------------------
 
 
-def _init_cnn(cfg: CnnConfig, vocab_size: int, num_labels: int, rng) -> dict[str, Tensor]:
-    def normal(*shape, std):
-        return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-    params = {"emb": normal(vocab_size, cfg.emb_dim, std=0.1)}
+def _cnn_layout(cfg: CnnConfig, vocab_size: int, num_labels: int) -> Layout:
+    layout = {"emb": ((vocab_size, cfg.emb_dim), 0.1)}
     for w in cfg.filter_widths:
         fan_in = w * cfg.emb_dim
-        params[f"conv{w}_w"] = normal(fan_in, cfg.num_filters, std=1.0 / np.sqrt(fan_in))
-        params[f"conv{w}_b"] = Tensor(np.zeros(cfg.num_filters), requires_grad=True)
+        layout[f"conv{w}_w"] = ((fan_in, cfg.num_filters), 1.0 / np.sqrt(fan_in))
+        layout[f"conv{w}_b"] = ((cfg.num_filters,), np.zeros)
     total = cfg.num_filters * len(cfg.filter_widths)
-    params["fc1_w"] = normal(total, cfg.hidden_dim, std=1.0 / np.sqrt(total))
-    params["fc1_b"] = Tensor(np.zeros(cfg.hidden_dim), requires_grad=True)
-    params["fc2_w"] = normal(cfg.hidden_dim, num_labels, std=1.0 / np.sqrt(cfg.hidden_dim))
-    params["fc2_b"] = Tensor(np.zeros(num_labels), requires_grad=True)
-    return params
+    layout["fc1_w"] = ((total, cfg.hidden_dim), 1.0 / np.sqrt(total))
+    layout["fc1_b"] = ((cfg.hidden_dim,), np.zeros)
+    layout["fc2_w"] = ((cfg.hidden_dim, num_labels), 1.0 / np.sqrt(cfg.hidden_dim))
+    layout["fc2_b"] = ((num_labels,), np.zeros)
+    return layout
 
 
 def _cnn_logits(
@@ -155,20 +159,16 @@ def _cnn_logits(
 # ---------------------------------------------------------------------------
 
 
-def _init_rnn(cfg: RnnConfig, vocab_size: int, num_labels: int, rng) -> dict[str, Tensor]:
-    def normal(*shape, std):
-        return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
+def _rnn_layout(cfg: RnnConfig, vocab_size: int, num_labels: int) -> Layout:
     h = cfg.state_dim
-    bias = np.zeros(4 * h)
-    bias[h : 2 * h] = 1.0  # forget gate opens at init
     return {
-        "emb": normal(vocab_size, cfg.emb_dim, std=0.1),
-        "w_ih": normal(cfg.emb_dim, 4 * h, std=1.0 / np.sqrt(cfg.emb_dim)),
-        "w_hh": normal(h, 4 * h, std=1.0 / np.sqrt(h)),
-        "b": Tensor(bias, requires_grad=True),
-        "out_w": normal(h, num_labels, std=1.0 / np.sqrt(h)),
-        "out_b": Tensor(np.zeros(num_labels), requires_grad=True),
+        "emb": ((vocab_size, cfg.emb_dim), 0.1),
+        "w_ih": ((cfg.emb_dim, 4 * h), 1.0 / np.sqrt(cfg.emb_dim)),
+        "w_hh": ((h, 4 * h), 1.0 / np.sqrt(h)),
+        # the input, forget, candidate and output gate blocks: the forget gate opens at init
+        "b": ((4 * h,), lambda shape: np.repeat([0.0, 1.0, 0.0, 0.0], shape[0] // 4)),
+        "out_w": ((h, num_labels), 1.0 / np.sqrt(h)),
+        "out_b": ((num_labels,), np.zeros),
     }
 
 
@@ -192,14 +192,14 @@ def _rnn_logits(
 
 class _Kind(NamedTuple):
     config: type
-    init: Callable
+    layout: Callable  # (config, vocab_size, num_labels) -> Layout
     logits: Callable  # (params, config, ids, lengths, rng) -> logits; an rng trains
     min_len: Callable  # config -> shortest padded batch the logits accept
 
 
 _KINDS = {
-    "cnn": _Kind(CnnConfig, _init_cnn, _cnn_logits, lambda cfg: max(cfg.filter_widths)),
-    "rnn": _Kind(RnnConfig, _init_rnn, _rnn_logits, lambda cfg: 1),
+    "cnn": _Kind(CnnConfig, _cnn_layout, _cnn_logits, lambda cfg: max(cfg.filter_widths)),
+    "rnn": _Kind(RnnConfig, _rnn_layout, _rnn_logits, lambda cfg: 1),
 }
 
 
@@ -273,7 +273,8 @@ def train_classifier(
         raise ValueError("a validation split is required for early stopping")
     if vocab_size is None:
         vocab_size = _data_vocab_size(dataset)
-    params = spec.init(cfg, vocab_size, dataset.num_labels, derive_rng(cfg.seed, kind, "init"))
+    layout = spec.layout(cfg, vocab_size, dataset.num_labels)
+    params = draw_params(layout, derive_rng(cfg.seed, kind, "init"))
     clf = Classifier(kind, params, cfg, vocab_size, dataset.num_labels)
     min_len = spec.min_len(cfg)
     val_reports: dict[int, EvalReport] = {}
@@ -404,12 +405,10 @@ def load_classifier(path) -> Classifier:
             meta["kind"], {}, spec.config(**meta["config"]),
             meta["vocab_size"], meta["num_labels"], meta["epochs_used"],
         )
-        rng = np.random.default_rng(0)
-        return clf, spec.init(clf.config, clf.vocab_size, clf.num_labels, rng)
+        return clf, spec.layout(clf.config, clf.vocab_size, clf.num_labels)
 
     clf, params = load_model(path, CLF_CONFIG_FORMAT, build)
-    clf.params = params
-    return clf
+    return replace(clf, params=params)
 
 
 # ---------------------------------------------------------------------------

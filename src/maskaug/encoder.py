@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError, check_field_types, load_model, save_model
+from .checkpoint import CheckpointError, Layout, check_field_types, draw_params
+from .checkpoint import load_model, save_model
 from .tensor import Tensor
 from .text import CLS_ID, MASK_ID, PAD_ID, pad_rows
 
@@ -37,12 +38,13 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for name in ("vocab_size", "ff"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
         if self.hidden < 2:  # layer norm needs two features to normalise
             raise ValueError(f"hidden must be >= 2, got {self.hidden}")
-        if self.ff < 1:
-            raise ValueError(f"ff must be >= 1, got {self.ff}")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
         if self.hidden % self.heads != 0:
@@ -84,49 +86,39 @@ def batch_from_examples(
     return InputBatch(pad_rows(sequences, PAD_ID, t), conds, live)
 
 
-def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh parameter set; weights ~ N(0, 0.02), norms at identity."""
+def param_layout(config: EncoderConfig) -> Layout:
+    """The encoder's parameters: weights ~ N(0, 0.02), norms at identity."""
     h, f, v = config.hidden, config.ff, config.vocab_size
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "token_emb": normal(v, h),
-        "pos_emb": normal(config.max_len, h),
-        "cond_emb": normal(config.num_conditions, h),
+    layout = {
+        "token_emb": ((v, h), 0.02),
+        "pos_emb": ((config.max_len, h), 0.02),
+        "cond_emb": ((config.num_conditions, h), 0.02),
     }
     for i in range(config.layers):
-        params[f"layer{i}.ln1_gain"] = ones(h)
-        params[f"layer{i}.ln1_bias"] = zeros(h)
-        params[f"layer{i}.wq"] = normal(h, h)
-        params[f"layer{i}.bq"] = zeros(h)
-        params[f"layer{i}.wk"] = normal(h, h)
-        params[f"layer{i}.bk"] = zeros(h)
-        params[f"layer{i}.wv"] = normal(h, h)
-        params[f"layer{i}.bv"] = zeros(h)
-        params[f"layer{i}.wo"] = normal(h, h)
-        params[f"layer{i}.bo"] = zeros(h)
-        params[f"layer{i}.ln2_gain"] = ones(h)
-        params[f"layer{i}.ln2_bias"] = zeros(h)
-        params[f"layer{i}.ffn_w1"] = normal(h, f)
-        params[f"layer{i}.ffn_b1"] = zeros(f)
-        params[f"layer{i}.ffn_w2"] = normal(f, h)
-        params[f"layer{i}.ffn_b2"] = zeros(h)
-    params["final_ln_gain"] = ones(h)
-    params["final_ln_bias"] = zeros(h)
-    params["mlm_w"] = normal(h, h)
-    params["mlm_b"] = zeros(h)
-    params["mlm_ln_gain"] = ones(h)
-    params["mlm_ln_bias"] = zeros(h)
-    params["mlm_out_bias"] = zeros(v)
-    return params
+        layout[f"layer{i}.ln1_gain"] = ((h,), np.ones)
+        layout[f"layer{i}.ln1_bias"] = ((h,), np.zeros)
+        for name in ("q", "k", "v", "o"):
+            layout[f"layer{i}.w{name}"] = ((h, h), 0.02)
+            layout[f"layer{i}.b{name}"] = ((h,), np.zeros)
+        layout[f"layer{i}.ln2_gain"] = ((h,), np.ones)
+        layout[f"layer{i}.ln2_bias"] = ((h,), np.zeros)
+        layout[f"layer{i}.ffn_w1"] = ((h, f), 0.02)
+        layout[f"layer{i}.ffn_b1"] = ((f,), np.zeros)
+        layout[f"layer{i}.ffn_w2"] = ((f, h), 0.02)
+        layout[f"layer{i}.ffn_b2"] = ((h,), np.zeros)
+    layout["final_ln_gain"] = ((h,), np.ones)
+    layout["final_ln_bias"] = ((h,), np.zeros)
+    layout["mlm_w"] = ((h, h), 0.02)
+    layout["mlm_b"] = ((h,), np.zeros)
+    layout["mlm_ln_gain"] = ((h,), np.ones)
+    layout["mlm_ln_bias"] = ((h,), np.zeros)
+    layout["mlm_out_bias"] = ((v,), np.zeros)
+    return layout
+
+
+def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh parameter set drawn from `rng` in `param_layout` order."""
+    return draw_params(param_layout(config), rng)
 
 
 def forward(
@@ -273,11 +265,10 @@ def swap_condition_table(
     if new_num_conditions < 1:
         raise ValueError("new_num_conditions must be >= 1")
     old = params["cond_emb"].data
-    h = old.shape[1]
     if new_num_conditions <= old.shape[0]:
         table = old[:new_num_conditions].copy()
     else:
-        table = rng.normal(0.0, 0.02, size=(new_num_conditions, h))
+        table = rng.normal(0.0, 0.02, size=(new_num_conditions, old.shape[1]))
     out = dict(params)
     out["cond_emb"] = Tensor(table, requires_grad=True)
     return out
@@ -315,7 +306,7 @@ def load_encoder(
                 raise CheckpointError(
                     f"checkpoint config {config} does not match requested {expected}"
                 )
-        return config, init_params(config, np.random.default_rng(0))
+        return config, param_layout(config)
 
     config, params = load_model(path, CONFIG_FORMAT, build)
     return params, config

@@ -465,21 +465,30 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _node(out_data, (x, gain, bias), _bwd)
 
 
+def _check_ids(ids: np.ndarray, v: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise IndexError(f"embedding id out of range [0, {v})")
+
+
+def _scatter_rows(ids: np.ndarray, g: np.ndarray, v: int) -> np.ndarray:
+    """g's rows summed by id into a (v, E) table, each bin in input order as np.add.at adds."""
+    e = g.shape[-1]
+    bins = (ids.reshape(-1, 1) * e + np.arange(e)).reshape(-1)
+    sums = np.bincount(bins, weights=g.reshape(-1), minlength=v * e)
+    return sums.reshape(v, e).astype(np.float64, copy=False)  # bincount of no ids is int
+
+
 def embedding_lookup(table, ids) -> Tensor:
     """Gather rows of a (V, H) table; gradients accumulate into repeated ids."""
     table = as_tensor(table)
     if table.ndim != 2:
         raise ValueError(f"embedding table must be 2-d, got {table.shape}")
     ids = np.asarray(ids, dtype=np.int64)
-    v = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise IndexError(f"embedding id out of range [0, {v})")
+    _check_ids(ids, table.data.shape[0])
     out_data = table.data[ids]
 
     def _bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        _accumulate(table, gt)
+        _accumulate(table, _scatter_rows(ids, g, table.data.shape[0]))
 
     return _node(out_data, (table,), _bwd)
 
@@ -540,9 +549,7 @@ def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
             f"lstm shapes disagree: emb {emb.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
             f"b {b.shape}, ids {ids.shape}, lengths {lengths.shape}, state_dim {d}"
         )
-    v = emb.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise IndexError(f"embedding id out of range [0, {v})")
+    _check_ids(ids, emb.data.shape[0])
     n, t = ids.shape
     # rows sorted longest first, so the rows still live at step s are the
     # first n_live[s]: each step works on a contiguous prefix, and a frozen
@@ -594,9 +601,7 @@ def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
         if b.requires_grad:
             _accumulate(b, dz2.sum(axis=0))
         if emb.requires_grad:
-            gemb = np.zeros_like(emb.data)
-            np.add.at(gemb, flat_ids, dz2 @ w_ih.data.T)
-            _accumulate(emb, gemb)
+            _accumulate(emb, _scatter_rows(flat_ids, dz2 @ w_ih.data.T, emb.data.shape[0]))
 
     return _node(hs[t][np.argsort(order)], (emb, w_ih, w_hh, b), _bwd)
 
@@ -704,9 +709,7 @@ def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
             f"{[w.shape for w in weights]}, biases {[b.shape for b in biases]}, "
             f"ids {ids.shape}, lengths {lengths.shape}, widths {widths}"
         )
-    v = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise IndexError(f"embedding id out of range [0, {v})")
+    _check_ids(ids, table.data.shape[0])
     b, t = ids.shape
     emb = table.data[ids]  # (B, T, E)
     rows, cols = np.arange(b)[:, None], np.arange(f)[None, :]
@@ -750,10 +753,7 @@ def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
                 else:
                     gemb += gx
         if table.requires_grad:
-            # bincount adds each (id, column) bin's terms in input order, as np.add.at does
-            bins = (ids.reshape(-1, 1) * e + np.arange(e)).reshape(-1)
-            gt = np.bincount(bins, weights=gemb.reshape(-1), minlength=v * e).reshape(v, e)
-            _accumulate(table, gt)
+            _accumulate(table, _scatter_rows(ids, gemb, table.data.shape[0]))
 
     return _node(np.concatenate(pooled, axis=-1), (table,) + weights + biases, _bwd)
 

@@ -3,7 +3,7 @@ import pytest
 
 from maskaug import checkpoint
 from maskaug.checkpoint import (
-    CheckpointError, MAGIC, load_arrays, load_model, save_arrays, save_model,
+    CheckpointError, MAGIC, draw_params, load_arrays, load_model, save_arrays, save_model,
 )
 from maskaug.tensor import Tensor
 
@@ -17,6 +17,10 @@ def arrays():
         "scalar": np.asarray(rng.normal()),
         "cube": rng.normal(size=(2, 3, 4)),
     }
+
+
+def _layout_of(arrays):
+    return {name: (value.shape, np.zeros) for name, value in arrays.items()}
 
 
 def test_round_trip_is_byte_exact(tmp_path, arrays):
@@ -108,8 +112,7 @@ def test_failed_model_write_keeps_the_previous_pair(tmp_path, arrays, monkeypatc
         save_model(newer, {"format": "test v1", "step": 2}, path)
 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    reference = {name: Tensor(value) for name, value in arrays.items()}
-    meta, loaded = load_model(path, "test v1", lambda meta: (meta, reference))
+    meta, loaded = load_model(path, "test v1", lambda meta: (meta, _layout_of(arrays)))
     assert meta["step"] == 1
     for name, original in arrays.items():
         assert loaded[name].data.tobytes() == original.tobytes()
@@ -122,3 +125,64 @@ def test_model_write_bytes_match_plain_writes(tmp_path, arrays):
     save_arrays(arrays, tmp_path / "plain.ckpt")
     assert path.read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
     assert (tmp_path / "model.ckpt.json").read_text() == '{\n  "format": "test v1",\n  "step": 1\n}\n'
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda layout: layout.pop("bias"), "do not match the architecture",
+                     id="missing-name"),
+        pytest.param(lambda layout: layout.update(extra=((2,), np.zeros)),
+                     "do not match the architecture", id="extra-name"),
+        pytest.param(lambda layout: layout.update(cube=((2, 4, 3), 0.02)),
+                     "parameter 'cube' in .* has shape \\(2, 3, 4\\), expected \\(2, 4, 3\\)",
+                     id="wrong-shape"),
+    ],
+)
+def test_load_model_checks_names_and_shapes_against_the_layout(tmp_path, arrays, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_model(arrays, {"format": "test v1"}, path)
+    layout = _layout_of(arrays)
+    edit(layout)
+    with pytest.raises(CheckpointError, match=message):
+        load_model(path, "test v1", lambda meta: (meta, layout))
+
+
+def test_load_model_reads_shapes_without_drawing(tmp_path, arrays, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_model(arrays, {"format": "test v1"}, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load built a parameter")
+
+    # a layout far too large to allocate, whose init functions must never run
+    layout = {name: (value.shape, refuse) for name, value in arrays.items()}
+    layout["token_emb"] = ((2**50, 4), refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(CheckpointError, match=r"expected \(1125899906842624, 4\)"):
+        load_model(path, "test v1", lambda meta: (meta, layout))
+    layout["token_emb"] = ((11, 4), refuse)
+    _, loaded = load_model(path, "test v1", lambda meta: (meta, layout))
+    assert all(loaded[name].data.tobytes() == arrays[name].tobytes() for name in arrays)
+
+
+def test_draw_params_follows_the_layout_order():
+    layout = {
+        "a": ((2, 3), 0.5),
+        "gain": ((3,), np.ones),
+        "b": ((4,), 2.0),
+        "bias": ((3,), lambda shape: np.full(shape, -0.0)),
+    }
+    params = draw_params(layout, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    want = {
+        "a": rng.normal(0.0, 0.5, size=(2, 3)),
+        "gain": np.ones(3),
+        "b": rng.normal(0.0, 2.0, size=(4,)),
+        "bias": np.full(3, -0.0),
+    }
+    assert list(params) == list(want)
+    for name, value in want.items():
+        assert params[name].requires_grad
+        assert params[name].data.shape == value.shape
+        assert params[name].data.tobytes() == value.tobytes()

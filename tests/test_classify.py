@@ -9,9 +9,9 @@ from maskaug.classify import (
     check_folds,
     CnnConfig,
     RnnConfig,
+    _cnn_layout,
     _cnn_logits,
-    _init_cnn,
-    _init_rnn,
+    _rnn_layout,
     ab_experiment,
     cross_validate,
     evaluate,
@@ -26,6 +26,7 @@ from maskaug.classify import (
     train_rnn,
     write_records,
 )
+from maskaug.checkpoint import draw_params
 from maskaug.gradcheck import gradient_disagreement, numeric_gradient
 from maskaug.tensor import Tensor
 from maskaug import tensor as T
@@ -76,6 +77,59 @@ def order_dataset(n=160, seed=1):
 def test_ill_typed_config_field_raises_value_error_naming_it(make, field, value):
     with pytest.raises(ValueError, match=field):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("widths", [(), (0, 3), (3, 4, 3)])
+def test_filter_widths_must_be_positive_and_distinct(widths):
+    with pytest.raises(ValueError) as info:
+        CnnConfig(filter_widths=widths)
+    assert str(info.value) == f"filter widths must be positive and distinct, got {widths}"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"vocab_size": "5"}, "vocab_size must be an int, got '5'"),
+     ({"vocab_size": 0}, "vocab_size must be >= 1, got 0"),
+     ({"num_labels": 2.0}, "num_labels must be an int, got 2.0"),
+     ({"num_labels": 0}, "num_labels must be >= 1, got 0"),
+     ({"epochs_used": None}, "epochs_used must be an int, got None"),
+     ({"epochs_used": -3}, "epochs_used must be >= 0, got -3")],
+)
+def test_classifier_sizes_are_checked(fields, message):
+    with pytest.raises(ValueError) as info:
+        classify.Classifier("cnn", {}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
+    assert str(info.value) == message
+
+
+def test_fresh_parameters_equal_the_written_out_draws_bit_for_bit():
+    cnn = CnnConfig(filter_widths=(2, 3, 5), num_filters=4, emb_dim=6, hidden_dim=7)
+    rnn = RnnConfig(emb_dim=5, state_dim=3)
+    rng = np.random.default_rng(31)
+    want_cnn = {"emb": rng.normal(0.0, 0.1, size=(VOCAB_SIZE, 6))}
+    for w in (2, 3, 5):
+        want_cnn[f"conv{w}_w"] = rng.normal(0.0, 1.0 / np.sqrt(w * 6), size=(w * 6, 4))
+        want_cnn[f"conv{w}_b"] = np.zeros(4)
+    want_cnn["fc1_w"] = rng.normal(0.0, 1.0 / np.sqrt(12), size=(12, 7))
+    want_cnn["fc1_b"] = np.zeros(7)
+    want_cnn["fc2_w"] = rng.normal(0.0, 1.0 / np.sqrt(7), size=(7, 3))
+    want_cnn["fc2_b"] = np.zeros(3)
+    rng = np.random.default_rng(31)
+    want_rnn = {
+        "emb": rng.normal(0.0, 0.1, size=(VOCAB_SIZE, 5)),
+        "w_ih": rng.normal(0.0, 1.0 / np.sqrt(5), size=(5, 12)),
+        "w_hh": rng.normal(0.0, 1.0 / np.sqrt(3), size=(3, 12)),
+        "b": np.array([0.0] * 3 + [1.0] * 3 + [0.0] * 6),  # the forget block opens
+        "out_w": rng.normal(0.0, 1.0 / np.sqrt(3), size=(3, 3)),
+        "out_b": np.zeros(3),
+    }
+    for layout, want in ((_cnn_layout(cnn, VOCAB_SIZE, 3), want_cnn),
+                         (_rnn_layout(rnn, VOCAB_SIZE, 3), want_rnn)):
+        params = draw_params(layout, np.random.default_rng(31))
+        assert list(params) == list(want)
+        for name, value in want.items():
+            assert params[name].requires_grad, name
+            assert params[name].data.shape == value.shape, name
+            assert params[name].data.tobytes() == value.tobytes(), name
 
 
 @pytest.mark.parametrize("make", [CnnConfig, RnnConfig])
@@ -189,7 +243,7 @@ class TestCnn:
     def test_pooling_ignores_distant_order(self):
         # same window multiset => identical pooled features => identical logits
         cfg = CnnConfig(filter_widths=(2,), seed=0, max_epochs=1, patience=1)
-        params = _init_cnn(cfg, VOCAB_SIZE, 2, np.random.default_rng(0))
+        params = draw_params(_cnn_layout(cfg, VOCAB_SIZE, 2), np.random.default_rng(0))
         s1 = np.array([[ALPHA, BETA, ALPHA, BETA, ALPHA]])
         s2 = np.array([[BETA, ALPHA, BETA, ALPHA, BETA]])
         lengths = np.array([5])
@@ -236,7 +290,7 @@ class TestRnn:
     )
     def test_recurrent_cell_gradient_check(self, token_ids, lengths):
         cfg = RnnConfig(emb_dim=4, state_dim=3)
-        params = _init_rnn(cfg, vocab_size=9, num_labels=2, rng=np.random.default_rng(1))
+        params = draw_params(_rnn_layout(cfg, vocab_size=9, num_labels=2), np.random.default_rng(1))
         token_ids = np.array(token_ids)
         lengths = np.array(lengths)
         names = list(params)
@@ -321,6 +375,24 @@ class TestPersistence:
         assert np.array_equal(
             predict_proba(loaded, dataset.train[0]), predict_proba(clf, dataset.train[0])
         )
+
+
+    @pytest.mark.parametrize("kind", ["cnn", "rnn"])
+    def test_load_draws_no_model(self, kind, tmp_path, monkeypatch):
+        dataset = separable_dataset(n=20)
+        cfg = (CnnConfig if kind == "cnn" else RnnConfig)(seed=0, max_epochs=1, patience=1)
+        clf, _ = train_classifier(dataset, kind, cfg, vocab_size=VOCAB_SIZE)
+        save_classifier(clf, tmp_path / "clf.ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load drew a model")
+
+        monkeypatch.setattr(classify, "draw_params", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_classifier(tmp_path / "clf.ckpt")
+        assert (loaded.vocab_size, loaded.num_labels) == (VOCAB_SIZE, 2)
+        assert all(loaded.params[k].data.tobytes() == p.data.tobytes()
+                   for k, p in clf.params.items())
 
 
 class TestAbExperiment:

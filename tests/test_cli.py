@@ -309,6 +309,23 @@ MODEL_FILE_FAULTS = [
     ),
     pytest.param("encoder", _malformed_sidecar, "malformed", id="encoder-malformed-json"),
     pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(layers=m["layers"] + 1)), "architecture",
+        id="encoder-extra-layer",
+    ),
+    pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(hidden=2 * m["hidden"])), "shape",
+        id="encoder-other-hidden",
+    ),
+    # 2**50 rows of anything exceed the address space: the check must not allocate them
+    pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(vocab_size=2**50)), "shape",
+        id="encoder-vocab-size-too-large",
+    ),
+    pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(vocab_size=0)), "vocab_size",
+        id="encoder-empty-vocab",
+    ),
+    pytest.param(
         "classifier", _edit_sidecar(lambda m: m["config"].update(extra=1)), "extra",
         id="classifier-extra-config-key",
     ),
@@ -332,6 +349,26 @@ MODEL_FILE_FAULTS = [
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m.update(vocab_size=1000)), "shape",
         id="classifier-vocab-size-mismatch",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(vocab_size=2**50)), "shape",
+        id="classifier-vocab-size-too-large",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(vocab_size="x")), "vocab_size",
+        id="classifier-ill-typed-vocab-size",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(num_labels=0)), "num_labels",
+        id="classifier-no-labels",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(epochs_used=-3)), "epochs_used",
+        id="classifier-negative-epochs-used",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(epochs_used=None)), "epochs_used",
+        id="classifier-null-epochs-used",
     ),
     pytest.param("classifier", _truncate(12), "truncated", id="classifier-truncated-header"),
     pytest.param("classifier", _truncate(300), "truncated", id="classifier-truncated-payload"),

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from maskaug import encoder
 from maskaug import tensor as T
 from maskaug.checkpoint import CheckpointError
 from maskaug.encoder import (
@@ -73,11 +74,73 @@ class TestConfig:
             EncoderConfig(vocab_size=10, **fields)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("vocab_size", [0, -3])
+    def test_empty_vocabulary_is_rejected(self, vocab_size):
+        with pytest.raises(ValueError) as info:
+            EncoderConfig(vocab_size=vocab_size)
+        assert str(info.value) == f"vocab_size must be >= 1, got {vocab_size}"
+
     def test_zero_layers_accepted(self):
         assert EncoderConfig(vocab_size=10, layers=0).layers == 0
 
     def test_integral_dropout_accepted(self):
         assert EncoderConfig(vocab_size=10, dropout=0).dropout == 0
+
+
+def reference_draws(config, rng):
+    """The encoder's fresh parameters written out draw by draw: every weight
+    N(0, 0.02) from `rng` in this order, gains at 1 and biases at 0."""
+    h, f, v = config.hidden, config.ff, config.vocab_size
+    out = {}
+
+    def normal(name, *shape):
+        out[name] = rng.normal(0.0, 0.02, size=shape)
+
+    def const(name, value, n):
+        out[name] = np.full(n, value)
+
+    normal("token_emb", v, h)
+    normal("pos_emb", config.max_len, h)
+    normal("cond_emb", config.num_conditions, h)
+    for i in range(config.layers):
+        const(f"layer{i}.ln1_gain", 1.0, h)
+        const(f"layer{i}.ln1_bias", 0.0, h)
+        normal(f"layer{i}.wq", h, h)
+        const(f"layer{i}.bq", 0.0, h)
+        normal(f"layer{i}.wk", h, h)
+        const(f"layer{i}.bk", 0.0, h)
+        normal(f"layer{i}.wv", h, h)
+        const(f"layer{i}.bv", 0.0, h)
+        normal(f"layer{i}.wo", h, h)
+        const(f"layer{i}.bo", 0.0, h)
+        const(f"layer{i}.ln2_gain", 1.0, h)
+        const(f"layer{i}.ln2_bias", 0.0, h)
+        normal(f"layer{i}.ffn_w1", h, f)
+        const(f"layer{i}.ffn_b1", 0.0, f)
+        normal(f"layer{i}.ffn_w2", f, h)
+        const(f"layer{i}.ffn_b2", 0.0, h)
+    const("final_ln_gain", 1.0, h)
+    const("final_ln_bias", 0.0, h)
+    normal("mlm_w", h, h)
+    const("mlm_b", 0.0, h)
+    const("mlm_ln_gain", 1.0, h)
+    const("mlm_ln_bias", 0.0, h)
+    const("mlm_out_bias", 0.0, v)
+    return out
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_draws_equal_the_written_out_sequence_bit_for_bit(self, layers):
+        config = EncoderConfig(vocab_size=17, layers=layers, hidden=6, heads=2, ff=10,
+                               max_len=9, num_conditions=3)
+        params = init_params(config, np.random.default_rng(23))
+        want = reference_draws(config, np.random.default_rng(23))
+        assert list(params) == list(want)
+        for name, value in want.items():
+            assert params[name].requires_grad, name
+            assert params[name].data.shape == value.shape, name
+            assert params[name].data.tobytes() == value.tobytes(), name
 
 
 class TestForward:
@@ -383,4 +446,27 @@ class TestPersistence:
         sidecar = tmp_path / "enc.ckpt.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "ff": 0}))
         with pytest.raises(CheckpointError, match="ff must be >= 1, got 0"):
+            load_encoder(path)
+
+    def test_load_draws_no_model(self, tiny, tmp_path, monkeypatch):
+        params, config = tiny
+        path = tmp_path / "enc.ckpt"
+        save_encoder(params, config, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load drew a model")
+
+        for name in ("init_params", "draw_params"):
+            monkeypatch.setattr(encoder, name, refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded, _ = load_encoder(path)
+        assert all(loaded[k].data.tobytes() == p.data.tobytes() for k, p in params.items())
+
+    def test_sidecar_vocabulary_too_large_to_allocate_is_a_shape_error(self, tiny, tmp_path):
+        params, config = tiny
+        path = tmp_path / "enc.ckpt"
+        save_encoder(params, config, path)
+        sidecar = tmp_path / "enc.ckpt.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "vocab_size": 2**50}))
+        with pytest.raises(CheckpointError, match=r"'token_emb'.*expected \(1125899906842624, 8\)"):
             load_encoder(path)

@@ -229,6 +229,30 @@ class TestEmbedding:
         with pytest.raises(IndexError):
             T.embedding_lookup(Tensor(np.zeros((3, 2))), np.array([0, 3]))
 
+    @pytest.mark.parametrize("ids_shape", [(40,), (8, 5)], ids=["1-d", "2-d"])
+    def test_gradient_equals_add_at_bit_for_bit(self, ids_shape):
+        rng = np.random.default_rng(15)
+        table = Tensor(rng.normal(size=(9, 6)), requires_grad=True)
+        ids = rng.integers(0, 4, size=ids_shape)  # repeated ids, id 0, rows 4..8 untouched
+        g = rng.normal(size=ids_shape + (6,))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        weighted_sum(T.embedding_lookup(table, ids), g).backward()
+        want = np.zeros((9, 6))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 6))
+        assert table.grad.tobytes() == want.tobytes()  # tobytes also tells -0.0 from 0.0
+
+    def test_no_ids_give_a_float_zero_gradient(self):
+        table = Tensor(np.ones((3, 2)), requires_grad=True)
+        T.reduce_sum(T.embedding_lookup(table, np.zeros(0, dtype=np.int64))).backward()
+        assert table.grad.dtype == np.float64 and not table.grad.any()
+
+
+def add_at_scatter(ids, g, v):
+    """The np.add.at scatter the table gradients used before the bincount one."""
+    out = np.zeros((v, g.shape[-1]))
+    np.add.at(out, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+    return out
+
 
 class TestDropout:
     def test_zero_rate_is_exact_identity(self):
@@ -355,6 +379,21 @@ class TestLstm:
         padded = np.concatenate([ids[:, :4], np.zeros((5, 3), dtype=np.int64)], axis=1)
         longer = T.lstm(*arrays, padded, np.minimum(lengths, 4), 2).data
         assert np.max(np.abs(longer - short)) <= 1e-12
+
+    @pytest.mark.parametrize("vocab, steps", [(21, 6), (5000, 25)])
+    def test_table_gradient_equals_add_at_bit_for_bit(self, vocab, steps, monkeypatch):
+        arrays, ids, lengths, g = lstm_inputs(vocab, batch=32, steps=steps, emb_dim=8,
+                                              state_dim=4, seed=vocab - steps)
+        ids[:, 1] = ids[0, 0]  # a repeated id on top of the padding's id 0
+
+        def table_grad():
+            emb = Tensor(arrays[0], requires_grad=True)
+            weighted_sum(T.lstm(emb, *arrays[1:], ids, lengths, 4), g).backward()
+            return emb.grad
+
+        shipped = table_grad()
+        monkeypatch.setattr(T, "_scatter_rows", add_at_scatter)
+        assert shipped.tobytes() == table_grad().tobytes()
 
     def test_out_of_range_id(self):
         arrays, ids, lengths, _ = lstm_inputs(vocab=5, batch=2, steps=3, emb_dim=2,
