@@ -63,7 +63,7 @@ class AugmentationPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, top_k=1, multiplier=1)
         ks = (self.k,) if isinstance(self.k, int) else tuple(self.k)
         if any(k < 1 for k in ks):
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -71,12 +71,8 @@ class AugmentationPolicy:
             raise ValueError(f"k range must be (lo, hi) with lo <= hi, got {self.k}")
         if self.sampler not in ("greedy", "top_k", "temperature"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be > 0")
-        if self.multiplier < 1:
-            raise ValueError("multiplier must be >= 1")
 
 
 @dataclass

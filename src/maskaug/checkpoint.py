@@ -96,8 +96,9 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_field_types(config) -> None:
-    """Raise ValueError naming the first ill-typed field of a config dataclass.
+def check_field_types(config, **least: int) -> None:
+    """Raise ValueError naming the first ill-typed field of a config dataclass,
+    then the first field named in `least` that lies below its least value.
 
     Fields annotated `int` take an integer, `tuple[int, ...]` a tuple of
     them, `float` a real number and `float | None` a real number or None; a
@@ -119,6 +120,9 @@ def check_field_types(config) -> None:
             continue
         if not ok:
             raise ValueError(f"{field.name} must be {kind}, got {value!r}")
+    for name, n in least.items():
+        if getattr(config, name) < n:
+            raise ValueError(f"{name} must be >= {n}, got {getattr(config, name)}")
 
 
 def draw_params(layout: Layout, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -185,8 +189,12 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad sidecar {sidecar}: {type(exc).__name__}: {exc}") from None
     arrays = load_arrays(path)
-    if set(arrays) != set(layout):
-        raise CheckpointError(f"parameter names in {path} do not match the architecture")
+    missing, unexpected = sorted(set(layout) - set(arrays)), sorted(set(arrays) - set(layout))
+    if missing or unexpected:
+        raise CheckpointError(
+            f"parameter names in {path} do not match the architecture: missing {len(missing)} "
+            f"{missing[:3]}, unexpected {len(unexpected)} {unexpected[:3]}"
+        )
     for name, (shape, _) in layout.items():
         if arrays[name].shape != shape:
             raise CheckpointError(

@@ -27,11 +27,8 @@ CLF_CONFIG_FORMAT = "maskaug-classifier-config v1"
 _CLIP_NORM = 5.0  # global gradient-norm cap for both classifiers
 
 
-def _check_values(cfg, positive: Sequence[str]) -> None:
-    """The checks both classifier configs share: the `positive` fields, lr and dropout."""
-    for name in positive:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be positive")
+def _check_rates(cfg) -> None:
+    """The lr and dropout checks both classifier configs share."""
     if not cfg.lr > 0:
         raise ValueError(f"lr must be > 0, got {cfg.lr}")
     if not 0.0 <= cfg.dropout < 1.0:
@@ -53,13 +50,13 @@ class CnnConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
-        check_field_types(self)
+        check_field_types(
+            self, num_filters=1, emb_dim=1, hidden_dim=1, max_epochs=1, batch_size=1, patience=1
+        )
         widths = self.filter_widths
         if not widths or min(widths) < 1 or len(set(widths)) < len(widths):
             raise ValueError(f"filter widths must be positive and distinct, got {widths}")
-        _check_values(
-            self, ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience")
-        )
+        _check_rates(self)
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,8 @@ class RnnConfig:
     patience: int = 5
 
     def __post_init__(self):
-        check_field_types(self)
-        _check_values(self, ("emb_dim", "state_dim", "max_epochs", "batch_size", "patience"))
+        check_field_types(self, emb_dim=1, state_dim=1, max_epochs=1, batch_size=1, patience=1)
+        _check_rates(self)
 
 
 @dataclass
@@ -96,10 +93,7 @@ class Classifier:
     epochs_used: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        for name, least in (("vocab_size", 1), ("num_labels", 1), ("epochs_used", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        check_field_types(self, vocab_size=1, num_labels=1, epochs_used=0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +334,12 @@ def cross_validate(
     """
     check_folds(len(examples), folds)
     cfg = _kind(kind).config() if cfg is None else cfg
-    order = derive_rng(cfg.seed, "cv-folds").permutation(len(examples))
-    assignment = [order[i::folds].tolist() for i in range(folds)]
+    order = derive_rng(cfg.seed, "cv-folds").permutation(len(examples)).tolist()
+    assignment = [order[i::folds] for i in range(folds)]
     scores: list[float] = []
-    for fold, held_out in enumerate(assignment):
+    for held_out in assignment:
         held = set(held_out)
-        rest = [examples[i] for i in range(len(examples)) if i not in held]
+        rest = [examples[i] for i in order if i not in held]  # shuffled, so val mixes labels
         cut = max(1, len(rest) // 10)
         fold_data = Dataset(
             train=rest[cut:], val=rest[:cut],

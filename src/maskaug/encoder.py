@@ -37,24 +37,13 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        check_field_types(self)
-        for name in ("vocab_size", "ff"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        if self.hidden < 2:  # layer norm needs two features to normalise
-            raise ValueError(f"hidden must be >= 2, got {self.hidden}")
-        if self.heads < 1:
-            raise ValueError("heads must be >= 1")
+        check_field_types(  # hidden >= 2: layer norm needs two features to normalise
+            self, vocab_size=1, ff=1, layers=0, hidden=2, heads=1, num_conditions=1, max_len=2
+        )
         if self.hidden % self.heads != 0:
             raise ValueError(
                 f"hidden size {self.hidden} not divisible by {self.heads} heads"
             )
-        if self.num_conditions < 1:
-            raise ValueError("num_conditions must be >= 1")
-        if self.max_len < 2:
-            raise ValueError("max_len must be >= 2")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 

@@ -61,13 +61,11 @@ class MaskPolicy:
     k: int = 1
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, k=1)
         if self.mode not in ("ratio", "fixed_k"):
             raise ValueError(f"unknown mask mode {self.mode!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"mask ratio must lie in (0, 1], got {self.ratio}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,9 @@ class TrainConfig:
     clip_norm: float | None = 1.0
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, batch_size=1, patience=1)
         if not 1 <= self.epochs <= 50:
             raise ValueError(f"epochs must lie in [1, 50], got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.clip_norm is not None and not self.clip_norm > 0:

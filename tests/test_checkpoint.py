@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from maskaug import checkpoint
+from maskaug.augment import AugmentationPolicy
 from maskaug.checkpoint import (
     CheckpointError, MAGIC, draw_params, load_arrays, load_model, save_arrays, save_model,
 )
+from maskaug.classify import Classifier, CnnConfig, RnnConfig
+from maskaug.encoder import EncoderConfig
 from maskaug.tensor import Tensor
+from maskaug.training import MaskPolicy, TrainConfig
 
 
 @pytest.fixture
@@ -130,10 +134,14 @@ def test_model_write_bytes_match_plain_writes(tmp_path, arrays):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(lambda layout: layout.pop("bias"), "do not match the architecture",
+        pytest.param(lambda layout: layout.pop("bias"),
+                     r"do not match the architecture: missing 0 \[\], unexpected 1 \['bias'\]$",
                      id="missing-name"),
         pytest.param(lambda layout: layout.update(extra=((2,), np.zeros)),
-                     "do not match the architecture", id="extra-name"),
+                     r"do not match the architecture: missing 1 \['extra'\], unexpected 0 \[\]$",
+                     id="extra-name"),
+        pytest.param(lambda layout: layout.update({f"w{i}": ((1,), np.zeros) for i in range(5)}),
+                     r"missing 5 \['w0', 'w1', 'w2'\], unexpected 0 \[\]$", id="five-extra-names"),
         pytest.param(lambda layout: layout.update(cube=((2, 4, 3), 0.02)),
                      "parameter 'cube' in .* has shape \\(2, 3, 4\\), expected \\(2, 4, 3\\)",
                      id="wrong-shape"),
@@ -186,3 +194,47 @@ def test_draw_params_follows_the_layout_order():
         assert params[name].requires_grad
         assert params[name].data.shape == value.shape
         assert params[name].data.tobytes() == value.tobytes()
+
+
+def _encoder(**fields):
+    return EncoderConfig(**{"vocab_size": 9, **fields})
+
+
+def _classifier(**fields):
+    return Classifier("cnn", {}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
+
+
+# every config field that check_field_types bounds below, with its least value
+LEAST = [
+    *[(_encoder, name, n) for name, n in [("vocab_size", 1), ("ff", 1), ("layers", 0),
+                                          ("hidden", 2), ("heads", 1), ("num_conditions", 1),
+                                          ("max_len", 2)]],
+    (TrainConfig, "batch_size", 1),
+    (TrainConfig, "patience", 1),
+    (MaskPolicy, "k", 1),
+    (AugmentationPolicy, "top_k", 1),
+    (AugmentationPolicy, "multiplier", 1),
+    *[(CnnConfig, name, 1) for name in
+      ("num_filters", "emb_dim", "hidden_dim", "max_epochs", "batch_size", "patience")],
+    *[(RnnConfig, name, 1) for name in
+      ("emb_dim", "state_dim", "max_epochs", "batch_size", "patience")],
+    *[(_classifier, name, n) for name, n in [("vocab_size", 1), ("num_labels", 1),
+                                             ("epochs_used", 0)]],
+]
+
+
+@pytest.mark.parametrize(
+    "make, field, least",
+    [pytest.param(*row, id=f"{row[0].__name__.strip('_')}-{row[1]}") for row in LEAST],
+)
+def test_each_bounded_config_field_rejects_one_below_its_least_value(make, field, least):
+    with pytest.raises(ValueError) as info:
+        make(**{field: least - 1})
+    assert str(info.value) == f"{field} must be >= {least}, got {least - 1}"
+    assert getattr(make(**{field: least}), field) == least
+
+
+def test_bounds_are_checked_after_every_type():
+    # a bound is only compared once every field has its declared type
+    with pytest.raises(ValueError, match="^max_len must be an int, got '2'$"):
+        EncoderConfig(vocab_size=0, max_len="2")

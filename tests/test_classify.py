@@ -456,6 +456,20 @@ class TestCrossValidation:
         again, _ = cross_validate(examples, 2, "cnn", cfg, folds=5, vocab_size=VOCAB_SIZE)
         assert again == mean
 
+    def test_validation_rows_mix_the_labels_of_a_sorted_input(self, monkeypatch):
+        dataset = separable_dataset(n=100)
+        examples = sorted(dataset.train + dataset.val, key=lambda e: e.label)  # 50 zeros, 50 ones
+        real, val_labels = classify.train_classifier, []
+
+        def spy(fold_data, *args):
+            val_labels.append({e.label for e in fold_data.val})
+            return real(fold_data, *args)
+
+        monkeypatch.setattr(classify, "train_classifier", spy)
+        cfg = CnnConfig(max_epochs=1, batch_size=16)
+        cross_validate(examples, 2, "cnn", cfg, folds=5, vocab_size=VOCAB_SIZE)
+        assert val_labels == [{0, 1}] * 5
+
     def test_validation(self):
         dataset = separable_dataset(n=20)
         with pytest.raises(ValueError):

@@ -309,8 +309,16 @@ MODEL_FILE_FAULTS = [
     ),
     pytest.param("encoder", _malformed_sidecar, "malformed", id="encoder-malformed-json"),
     pytest.param(
-        "encoder", _edit_sidecar(lambda m: m.update(layers=m["layers"] + 1)), "architecture",
+        "encoder", _edit_sidecar(lambda m: m.update(layers=m["layers"] + 1)),
+        "do not match the architecture: missing 16 ['layer1.bk', 'layer1.bo', 'layer1.bq'], "
+        "unexpected 0 []",
         id="encoder-extra-layer",
+    ),
+    pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(layers=0)),
+        "do not match the architecture: missing 0 [], "
+        "unexpected 16 ['layer0.bk', 'layer0.bo', 'layer0.bq']",
+        id="encoder-missing-layer",
     ),
     pytest.param(
         "encoder", _edit_sidecar(lambda m: m.update(hidden=2 * m["hidden"])), "shape",
@@ -336,6 +344,10 @@ MODEL_FILE_FAULTS = [
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m["config"].update(dropout=1.5)), "dropout",
         id="classifier-bad-dropout",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m["config"].update(num_filters=0)),
+        "num_filters must be >= 1, got 0", id="classifier-no-filters",
     ),
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m.update(kind="gru")), "gru",
@@ -638,6 +650,8 @@ class TestErrorCategories:
                          id="classifier-lr"),
             pytest.param("train-classifier", ["--dropout-rate", "1.5"],
                          "dropout must lie in [0, 1), got 1.5", id="classifier-dropout"),
+            pytest.param("train-classifier", ["--num-filters", "0"],
+                         "num_filters must be >= 1, got 0", id="classifier-num-filters"),
         ],
     )
     def test_bad_value_is_one_line_config_error(
