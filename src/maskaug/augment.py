@@ -71,8 +71,8 @@ class AugmentationPolicy:
             raise ValueError(f"k range must be (lo, hi) with lo <= hi, got {self.k}")
         if self.sampler not in ("greedy", "top_k", "temperature"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        if not self.temperature > 0.0:  # NaN too
+            raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass
@@ -130,8 +130,10 @@ def sample_replacement(
     if p.sum() <= 0.0:
         raise SkipExample("no candidate tokens outside the specials")
     if policy.temperature != 1.0:
+        # (p / max p) ** (1/T) in log space: the largest stays 1, so a small T cannot zero all
         live = p > 0.0
-        p[live] = np.exp(np.log(p[live]) / policy.temperature)
+        log_p = np.log(p[live])
+        p[live] = np.exp((log_p - log_p.max()) / policy.temperature)
     if policy.sampler == "greedy":
         return int(np.argmax(p))
     if policy.sampler == "top_k":

@@ -11,7 +11,7 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ def _check_rates(cfg) -> None:
 
 @dataclass(frozen=True)
 class CnnConfig:
+    kind: ClassVar[str] = "cnn"  # not a field: the config class names its classifier
     filter_widths: tuple[int, ...] = (3, 4, 5)
     num_filters: int = 32
     emb_dim: int = 32
@@ -61,6 +62,7 @@ class CnnConfig:
 
 @dataclass(frozen=True)
 class RnnConfig:
+    kind: ClassVar[str] = "rnn"
     emb_dim: int = 32
     state_dim: int = 64
     dropout: float = 0.3
@@ -85,7 +87,6 @@ class EvalReport:
 
 @dataclass
 class Classifier:
-    kind: str  # "cnn" | "rnn"
     params: dict[str, Tensor]
     config: "CnnConfig | RnnConfig"
     vocab_size: int
@@ -197,10 +198,10 @@ _KINDS = {
 }
 
 
-def _kind(kind: str) -> _Kind:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown classifier kind {kind!r}")
-    return _KINDS[kind]
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise ValueError(f"unknown classifier kind {name!r}")
+    return _KINDS[name]
 
 
 def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
@@ -213,7 +214,7 @@ def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
 
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
     _check_vocab(clf, examples)
-    spec = _KINDS[clf.kind]
+    spec = _KINDS[clf.config.kind]
     token_ids, lengths, _ = _pad_batch(examples, spec.min_len(clf.config))
     logits = spec.logits(clf.params, clf.config, token_ids, lengths, None)
     return logits.data
@@ -241,35 +242,19 @@ def evaluate(clf: Classifier, examples: Sequence[LabeledExample], split: str = "
     )
 
 
-def _data_vocab_size(dataset: Dataset) -> int:
-    return 1 + max(
-        max(ex.tokens)
-        for split in (dataset.train, dataset.val, dataset.test)
-        if split
-        for ex in split
-    )
-
-
 def train_classifier(
-    dataset: Dataset,
-    kind: str,
-    cfg: "CnnConfig | RnnConfig | None" = None,
-    vocab_size: int | None = None,
+    dataset: Dataset, cfg: "CnnConfig | RnnConfig", vocab_size: int
 ) -> tuple[Classifier, EvalReport]:
-    """Train a `kind` ("cnn" or "rnn") classifier; `cfg` defaults to the
-    kind's default config, `vocab_size` to the largest id in the data + 1.
-    Returns the classifier and the validation report of the epoch `fit` kept."""
-    spec = _kind(kind)
-    cfg = spec.config() if cfg is None else cfg
+    """Train the classifier `cfg.kind` names. Returns the classifier and the
+    validation report of the epoch `fit` kept."""
+    spec = _KINDS[cfg.kind]
     if not dataset.train:
         raise ValueError("training split is empty")
     if not dataset.val:
         raise ValueError("a validation split is required for early stopping")
-    if vocab_size is None:
-        vocab_size = _data_vocab_size(dataset)
     layout = spec.layout(cfg, vocab_size, dataset.num_labels)
-    params = draw_params(layout, derive_rng(cfg.seed, kind, "init"))
-    clf = Classifier(kind, params, cfg, vocab_size, dataset.num_labels)
+    params = draw_params(layout, derive_rng(cfg.seed, cfg.kind, "init"))
+    clf = Classifier(params, cfg, vocab_size, dataset.num_labels)
     min_len = spec.min_len(cfg)
     val_reports: dict[int, EvalReport] = {}
 
@@ -287,21 +272,22 @@ def train_classifier(
     clf.params, clf.epochs_used = fit(
         params, dataset.train, chunk_loss, validate,
         epochs=cfg.max_epochs, batch_size=cfg.batch_size, lr=cfg.lr, patience=cfg.patience,
-        clip_norm=_CLIP_NORM, seed=cfg.seed, phase=kind,
+        clip_norm=_CLIP_NORM, seed=cfg.seed, phase=cfg.kind,
     )
     return clf, val_reports[clf.epochs_used]
 
 
 def train_cnn(
-    dataset: Dataset, cfg: CnnConfig | None = None, vocab_size: int | None = None
+    dataset: Dataset, cfg: CnnConfig, vocab_size: int | None = None
 ) -> tuple[Classifier, EvalReport]:
-    return train_classifier(dataset, "cnn", cfg, vocab_size)
+    """`train_classifier`; `vocab_size` defaults to the largest id in the data + 1."""
+    if vocab_size is None:
+        vocab_size = 1 + max(max(ex.tokens) for ex in dataset.train + dataset.val + dataset.test)
+    return train_classifier(dataset, cfg, vocab_size)
 
 
-def train_rnn(
-    dataset: Dataset, cfg: RnnConfig | None = None, vocab_size: int | None = None
-) -> tuple[Classifier, EvalReport]:
-    return train_classifier(dataset, "rnn", cfg, vocab_size)
+def train_rnn(dataset: Dataset, cfg: RnnConfig, vocab_size: int) -> tuple[Classifier, EvalReport]:
+    return train_classifier(dataset, cfg, vocab_size)
 
 
 def check_folds(n_examples: int, folds: int) -> None:
@@ -323,17 +309,15 @@ def check_folds(n_examples: int, folds: int) -> None:
 def cross_validate(
     examples: Sequence[LabeledExample],
     num_labels: int,
-    kind: str = "cnn",
-    cfg: "CnnConfig | RnnConfig | None" = None,
-    folds: int = 10,
-    vocab_size: int | None = None,
+    cfg: "CnnConfig | RnnConfig",
+    folds: int,
+    vocab_size: int,
 ) -> tuple[float, list[float]]:
     """k-fold cross-validation accuracy; off the default path, for corpora
     without a standard test split. Fold assignment is deterministic in the
     config seed. Returns (mean accuracy, per-fold accuracies).
     """
     check_folds(len(examples), folds)
-    cfg = _kind(kind).config() if cfg is None else cfg
     order = derive_rng(cfg.seed, "cv-folds").permutation(len(examples)).tolist()
     assignment = [order[i::folds] for i in range(folds)]
     scores: list[float] = []
@@ -345,7 +329,7 @@ def cross_validate(
             train=rest[cut:], val=rest[:cut],
             test=[examples[i] for i in held_out], num_labels=num_labels,
         )
-        clf, _ = train_classifier(fold_data, kind, cfg, vocab_size)
+        clf, _ = train_classifier(fold_data, cfg, vocab_size)
         scores.append(evaluate(clf, fold_data.test, "test").accuracy["test"])
     return float(np.mean(scores)), scores
 
@@ -355,21 +339,17 @@ GRID = {"lr": (1e-3, 3e-3), "dropout": (0.0, 0.3, 0.5)}
 
 
 def grid_search(
-    dataset: Dataset,
-    kind: str = "cnn",
-    cfg: "CnnConfig | RnnConfig | None" = None,
-    vocab_size: int | None = None,
+    dataset: Dataset, cfg: "CnnConfig | RnnConfig", vocab_size: int
 ) -> tuple[Classifier, EvalReport, list[dict]]:
     """Train one classifier per combination of GRID's values, everything
     else held at `cfg`, and keep the first with the best validation accuracy.
 
     Returns (that classifier, its report, trials); the winning config is `clf.config`.
     """
-    cfg = _kind(kind).config() if cfg is None else cfg
     combos: list[dict] = [{}]
     for name, values in GRID.items():
         combos = [{**combo, name: value} for combo in combos for value in values]
-    runs = [train_classifier(dataset, kind, replace(cfg, **combo), vocab_size) for combo in combos]
+    runs = [train_classifier(dataset, replace(cfg, **combo), vocab_size) for combo in combos]
     trials = [{**combo, "val_accuracy": r.accuracy["val"]} for combo, (_, r) in zip(combos, runs)]
     clf, report = max(runs, key=lambda run: run[1].accuracy["val"])  # the first of a tie
     return clf, report, trials
@@ -383,7 +363,7 @@ def grid_search(
 def save_classifier(clf: Classifier, path) -> None:
     meta = {
         "format": CLF_CONFIG_FORMAT,
-        "kind": clf.kind,
+        "kind": clf.config.kind,
         "config": asdict(clf.config),
         "vocab_size": clf.vocab_size,
         "num_labels": clf.num_labels,
@@ -396,7 +376,7 @@ def load_classifier(path) -> Classifier:
     def build(meta):
         spec = _kind(meta["kind"])
         clf = Classifier(
-            meta["kind"], {}, spec.config(**meta["config"]),
+            {}, spec.config(**meta["config"]),
             meta["vocab_size"], meta["num_labels"], meta["epochs_used"],
         )
         return clf, spec.layout(clf.config, clf.vocab_size, clf.num_labels)
@@ -415,31 +395,29 @@ Augmenter = Callable[[Dataset, int], Dataset]
 def ab_experiment(
     dataset: Dataset,
     augmenters: Mapping[str, Augmenter | None],
-    classifier: str = "cnn",
-    seeds: Sequence[int] = (1, 2, 3),
-    cfg: "CnnConfig | RnnConfig | None" = None,
-    vocab_size: int | None = None,
+    classifier: str,
+    seeds: Sequence[int],
+    cfg: "CnnConfig | RnnConfig",
+    vocab_size: int,
 ) -> tuple[list[dict], dict[str, float]]:
     """Train one classifier per (augmentation arm x seed) and compare.
 
     Every arm of a seed shares the classifier config, seed, and embedding
-    shape (pass `vocab_size`; augmenters may introduce ids unseen in the
-    base data); only the augmented training split differs. `None` as an
-    augmenter means the untouched dataset. Returns (per-run records,
-    arm -> mean accuracy).
+    shape (`vocab_size` covers the ids augmenters may introduce); only the
+    augmented training split differs. `classifier` must be the kind `cfg`
+    names. `None` as an augmenter means the untouched dataset. Returns
+    (per-run records, arm -> mean accuracy).
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    spec = _kind(classifier)
-    cfg = spec.config() if cfg is None else cfg
-    if vocab_size is None:
-        vocab_size = _data_vocab_size(dataset)
+    if classifier != cfg.kind:
+        raise ValueError(f"classifier {classifier!r} does not match its {cfg.kind!r} config")
     records: list[dict] = []
     for seed in seeds:
         for arm, fn in augmenters.items():
             arm_data = fn(dataset, seed) if fn is not None else dataset
             run_cfg = replace(cfg, seed=seed)
-            clf, _ = train_classifier(arm_data, classifier, run_cfg, vocab_size)
+            clf, _ = train_classifier(arm_data, run_cfg, vocab_size)
             test_acc = evaluate(clf, arm_data.test, "test").accuracy["test"]
             records.append(
                 {

@@ -290,7 +290,7 @@ def _classifier_config(args) -> "CnnConfig | RnnConfig":
     )
     if args.classifier == "cnn":
         return CnnConfig(num_filters=args.num_filters, hidden_dim=args.hidden_dim, **shared)
-    return RnnConfig(state_dim=args.hidden_dim, **shared)  # train_classifier rejects other kinds
+    return RnnConfig(state_dim=args.hidden_dim, **shared)  # --classifier's choices: cnn, rnn
 
 
 def cmd_train_classifier(args, out: Path) -> None:
@@ -302,9 +302,9 @@ def cmd_train_classifier(args, out: Path) -> None:
         check_folds(len(examples), args.cv)
     trials = None
     if args.grid:
-        clf, report, trials = grid_search(dataset, args.classifier, cfg, vocab_size=len(vocab))
+        clf, report, trials = grid_search(dataset, cfg, len(vocab))
     else:
-        clf, report = train_classifier(dataset, args.classifier, cfg, vocab_size=len(vocab))
+        clf, report = train_classifier(dataset, cfg, len(vocab))
     save_classifier(clf, out / "classifier.ckpt")
     summary = {
         "accuracy": {**evaluate(clf, dataset.train, "train").accuracy, **report.accuracy},
@@ -315,8 +315,7 @@ def cmd_train_classifier(args, out: Path) -> None:
         summary["grid_trials"] = trials
     if args.cv is not None:
         mean, per_fold = cross_validate(
-            examples, dataset.num_labels, args.classifier, clf.config,
-            folds=args.cv, vocab_size=len(vocab),
+            examples, dataset.num_labels, clf.config, args.cv, len(vocab)
         )
         summary["cv_accuracy"] = {"mean": mean, "folds": per_fold}
     if dataset.test:
@@ -360,12 +359,7 @@ def cmd_ab_experiment(args, out: Path) -> None:
     if "cbert" in encoders:
         _check_labels(dataset, "conditional encoder", encoders["cbert"].num_conditions)
     records, summary = ab_experiment(
-        dataset,
-        augmenters,
-        classifier=args.classifier,
-        seeds=seeds,
-        cfg=_classifier_config(args),
-        vocab_size=len(vocab),
+        dataset, augmenters, args.classifier, seeds, _classifier_config(args), len(vocab)
     )
     write_records(records, out / "records.tsv")
     table = format_table(records, summary)
@@ -539,14 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_value(action: argparse.Action, value, path: Path):
-    """`value` parsed as its flag's command-line text; a switch takes only true or false."""
+    """`value` parsed as its flag's text, within its choices; a switch takes only true or false."""
     if value is None or (action.nargs == 0 and isinstance(value, bool)):
         return value
     if action.nargs != 0 and not isinstance(value, (list, dict)):
         try:
-            return (action.type or str)(str(value))
+            parsed = (action.type or str)(str(value))
         except ValueError:
             pass
+        else:
+            if action.choices is None or parsed in action.choices:
+                return parsed
     raise ValueError(f"config file {path}: {action.dest!r} cannot be {json.dumps(value)}")
 
 

@@ -224,8 +224,8 @@ def fit(
     accuracy go to `validate(params, epoch, train_loss, train_acc)`, which
     scores the parameters, higher is better. Returns a copy of the
     parameters of the first epoch that beat all earlier ones, with that
-    epoch number; stops after `patience` epochs without a new best. A
-    non-finite loss or a parameter left without gradient raises TrainingError.
+    epoch number; stops after `patience` epochs without a new best. A non-finite
+    loss, a parameter left without gradient or an epoch with no step raises TrainingError.
     """
     # private copy: backward() must never deposit gradients on caller tensors
     params = _snapshot(params)
@@ -259,6 +259,8 @@ def fit(
                 grads = clip_by_global_norm(grads, clip_norm)
             params, state = adam_step(params, grads, state)
 
+        if not rows:
+            raise TrainingError(f"{phase}: epoch {epoch} made no training step")
         score = validate(params, epoch, *_weighted_mean(rows))
         if score > best_score:
             best_score, best_params, best_epoch = score, _snapshot(params), epoch

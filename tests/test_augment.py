@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,11 @@ class TestPolicy:
         with pytest.raises(ValueError, match=field):
             AugmentationPolicy(**{field: value})
 
+    def test_nan_temperature_is_rejected(self):
+        with pytest.raises(ValueError) as info:
+            AugmentationPolicy(temperature=float("nan"))
+        assert str(info.value) == "temperature must be > 0, got nan"
+
 
 class TestSampleReplacement:
     def test_specials_never_sampled(self):
@@ -90,6 +97,19 @@ class TestSampleReplacement:
         rng = np.random.default_rng(1)
         picks = {sample_replacement(probs, 7, policy, rng) for _ in range(200)}
         assert picks <= {4, 5}
+
+    @pytest.mark.parametrize("sampler", ["greedy", "top_k", "temperature"])
+    def test_small_temperature_picks_the_top_content_id(self, sampler):
+        # p ** (1/T) underflows every candidate to 0 here; tempered against the max, the top stays
+        probs = np.array([0.3, 0.0, 0.0, 0.0, 0.2, 0.35, 0.1, 0.05])
+        policy = AugmentationPolicy(k=1, sampler=sampler, temperature=1e-4, exclude_original=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            picks = {
+                sample_replacement(probs, 4, policy, np.random.default_rng(seed))
+                for seed in range(20)
+            }
+        assert picks == {5}
 
 
     @staticmethod
@@ -354,6 +374,17 @@ class TestSynonyms:
         out = synonym_augment(ex, table, k=3, rng=np.random.default_rng(0), vocab=vocab)
         assert out.tokens[2] == ex.tokens[2]
         assert out.tokens[3] == ex.tokens[3]
+
+    def test_more_covered_words_than_k_change_exactly_k(self, vocab):
+        table = self.table({"good": ("great", "fine"), "film": ("story",), "bad": ("fine",)})
+        words = ("good", "film", "bad", "film", "good")
+        ex = LabeledExample((CLS_ID, *map(vocab.id_of, words)), 1)
+        for seed in range(10):
+            out = synonym_augment(ex, table, k=2, rng=np.random.default_rng(seed), vocab=vocab)
+            changed = [i for i, (a, b) in enumerate(zip(ex.tokens, out.tokens)) if a != b]
+            assert len(changed) == 2
+            for i in changed:
+                assert vocab.token_of(out.tokens[i]) in table.alternatives(words[i - 1])
 
     def test_no_coverage_raises_skip(self, vocab):
         table = self.table({"zebra": ("horse",)})

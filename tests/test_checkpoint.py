@@ -201,7 +201,7 @@ def _encoder(**fields):
 
 
 def _classifier(**fields):
-    return Classifier("cnn", {}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
+    return Classifier({}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
 
 
 # every config field that check_field_types bounds below, with its least value

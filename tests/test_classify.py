@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -97,8 +99,19 @@ def test_filter_widths_must_be_positive_and_distinct(widths):
 )
 def test_classifier_sizes_are_checked(fields, message):
     with pytest.raises(ValueError) as info:
-        classify.Classifier("cnn", {}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
+        classify.Classifier({}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
     assert str(info.value) == message
+
+
+def test_the_config_class_names_its_kind_outside_the_fields():
+    assert (CnnConfig.kind, RnnConfig.kind) == ("cnn", "rnn")
+    assert [f.name for f in dataclasses.fields(CnnConfig)] == [
+        "filter_widths", "num_filters", "emb_dim", "hidden_dim", "dropout", "lr", "seed",
+        "max_epochs", "batch_size", "patience",
+    ]
+    assert [f.name for f in dataclasses.fields(RnnConfig)] == [
+        "emb_dim", "state_dim", "dropout", "lr", "seed", "max_epochs", "batch_size", "patience",
+    ]
 
 
 def test_fresh_parameters_equal_the_written_out_draws_bit_for_bit():
@@ -153,7 +166,7 @@ def test_dropout_outside_unit_interval_is_rejected(make, dropout):
 def test_predict_proba_equals_the_stable_exp_formula_bitwise(kind):
     dataset = separable_dataset(n=20)
     cfg = (CnnConfig if kind == "cnn" else RnnConfig)(seed=0, max_epochs=1, patience=1)
-    clf, _ = train_classifier(dataset, kind, cfg, vocab_size=VOCAB_SIZE)
+    clf, _ = train_classifier(dataset, cfg, vocab_size=VOCAB_SIZE)
     for example in dataset.train[:6]:
         logits = predict_logits(clf, [example])[0]
         e = np.exp(logits - logits.max())
@@ -371,17 +384,27 @@ class TestPersistence:
         clf, _ = train_cnn(dataset, cfg, vocab_size=VOCAB_SIZE)
         save_classifier(clf, tmp_path / "clf.ckpt")
         loaded = load_classifier(tmp_path / "clf.ckpt")
-        assert loaded.kind == "cnn" and loaded.config == cfg
+        assert loaded.config.kind == "cnn" and loaded.config == cfg
         assert np.array_equal(
             predict_proba(loaded, dataset.train[0]), predict_proba(clf, dataset.train[0])
         )
 
 
+    @pytest.mark.parametrize("make", [CnnConfig, RnnConfig])
+    def test_sidecar_names_the_kind_of_the_config(self, make, tmp_path):
+        cfg = make(seed=0, max_epochs=1, patience=1)
+        clf, _ = train_classifier(separable_dataset(n=20), cfg, VOCAB_SIZE)
+        save_classifier(clf, tmp_path / "clf.ckpt")
+        meta = json.loads((tmp_path / "clf.ckpt.json").read_text())
+        assert list(meta) == ["format", "kind", "config", "vocab_size", "num_labels", "epochs_used"]
+        assert meta["kind"] == make.kind
+        assert load_classifier(tmp_path / "clf.ckpt").config == cfg
+
     @pytest.mark.parametrize("kind", ["cnn", "rnn"])
     def test_load_draws_no_model(self, kind, tmp_path, monkeypatch):
         dataset = separable_dataset(n=20)
         cfg = (CnnConfig if kind == "cnn" else RnnConfig)(seed=0, max_epochs=1, patience=1)
-        clf, _ = train_classifier(dataset, kind, cfg, vocab_size=VOCAB_SIZE)
+        clf, _ = train_classifier(dataset, cfg, vocab_size=VOCAB_SIZE)
         save_classifier(clf, tmp_path / "clf.ckpt")
 
         def refuse(*args, **kwargs):
@@ -441,7 +464,14 @@ class TestAbExperiment:
     def test_seed_required(self):
         dataset = separable_dataset(n=20)
         with pytest.raises(ValueError):
-            ab_experiment(dataset, {"none": None}, "cnn", seeds=(), vocab_size=VOCAB_SIZE)
+            ab_experiment(dataset, {"none": None}, "cnn", (), CnnConfig(), VOCAB_SIZE)
+
+
+    def test_classifier_must_be_the_kind_of_the_config(self):
+        dataset = separable_dataset(n=20)
+        with pytest.raises(ValueError) as info:
+            ab_experiment(dataset, {"none": None}, "rnn", (1,), CnnConfig(), VOCAB_SIZE)
+        assert str(info.value) == "classifier 'rnn' does not match its 'cnn' config"
 
 
 class TestCrossValidation:
@@ -449,11 +479,11 @@ class TestCrossValidation:
         dataset = separable_dataset(n=100)
         examples = dataset.train + dataset.val
         cfg = CnnConfig(seed=2, max_epochs=10, patience=10, lr=3e-3, dropout=0.0, batch_size=8)
-        mean, per_fold = cross_validate(examples, 2, "cnn", cfg, folds=5, vocab_size=VOCAB_SIZE)
+        mean, per_fold = cross_validate(examples, 2, cfg, folds=5, vocab_size=VOCAB_SIZE)
         assert len(per_fold) == 5
         assert mean == pytest.approx(float(np.mean(per_fold)))
         assert mean > 0.7  # separable task, small folds
-        again, _ = cross_validate(examples, 2, "cnn", cfg, folds=5, vocab_size=VOCAB_SIZE)
+        again, _ = cross_validate(examples, 2, cfg, folds=5, vocab_size=VOCAB_SIZE)
         assert again == mean
 
     def test_validation_rows_mix_the_labels_of_a_sorted_input(self, monkeypatch):
@@ -467,28 +497,28 @@ class TestCrossValidation:
 
         monkeypatch.setattr(classify, "train_classifier", spy)
         cfg = CnnConfig(max_epochs=1, batch_size=16)
-        cross_validate(examples, 2, "cnn", cfg, folds=5, vocab_size=VOCAB_SIZE)
+        cross_validate(examples, 2, cfg, folds=5, vocab_size=VOCAB_SIZE)
         assert val_labels == [{0, 1}] * 5
 
     def test_validation(self):
         dataset = separable_dataset(n=20)
         with pytest.raises(ValueError):
-            cross_validate(dataset.train, 2, "cnn", folds=1, vocab_size=VOCAB_SIZE)
+            cross_validate(dataset.train, 2, CnnConfig(), folds=1, vocab_size=VOCAB_SIZE)
         with pytest.raises(ValueError):
-            cross_validate(dataset.train[:3], 2, "cnn", folds=10, vocab_size=VOCAB_SIZE)
+            cross_validate(dataset.train[:3], 2, CnnConfig(), folds=10, vocab_size=VOCAB_SIZE)
         # a fold of 3 held out of 5 leaves 2 examples: one to train, one to validate
         check_folds(5, 2)
         check_folds(3, 3)
         for n, folds in ((3, 2), (2, 2)):
             with pytest.raises(ValueError, match=f"{n} examples in {folds} folds leave 1 "):
-                cross_validate(dataset.train[:n], 2, "cnn", folds=folds, vocab_size=VOCAB_SIZE)
+                cross_validate(dataset.train[:n], 2, CnnConfig(), folds=folds, vocab_size=VOCAB_SIZE)
 
 
 class TestGridSearch:
     def test_picks_best_validation_config(self):
         dataset = separable_dataset(n=60)
         base = CnnConfig(seed=1, max_epochs=2, patience=2)
-        clf, report, trials = grid_search(dataset, "cnn", base, vocab_size=VOCAB_SIZE)
+        clf, report, trials = grid_search(dataset, base, vocab_size=VOCAB_SIZE)
         assert [(t["lr"], t["dropout"]) for t in trials] == [
             (lr, dropout) for lr in GRID["lr"] for dropout in GRID["dropout"]
         ]
@@ -500,8 +530,8 @@ class TestGridSearch:
     def test_returns_the_classifier_training_its_config_gives(self, kind, make):
         dataset = separable_dataset(n=40)
         base = make(seed=4, max_epochs=2, patience=2)
-        clf, report, _ = grid_search(dataset, kind, base, vocab_size=VOCAB_SIZE)
-        again, again_report = train_classifier(dataset, kind, clf.config, vocab_size=VOCAB_SIZE)
+        clf, report, _ = grid_search(dataset, base, vocab_size=VOCAB_SIZE)
+        again, again_report = train_classifier(dataset, clf.config, vocab_size=VOCAB_SIZE)
         assert clf.params.keys() == again.params.keys()
         for name, param in clf.params.items():
             assert np.array_equal(param.data, again.params[name].data), name

@@ -126,6 +126,54 @@ class TestArtifacts:
         report = json.loads((out / "report.json").read_text())
         assert report["generated"] == 0 and report["skipped"] == 2
 
+    def test_augment_at_a_small_temperature_keeps_every_word(self, workdir, vocab_file, finetuned):
+        out = workdir / "aug-cold"
+        code = main([
+            "augment", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--model", str(finetuned), "--sampler", "greedy", "--temperature", "0.0001",
+            "--k", "1", "--out", str(out), "--seed", "3",
+        ])
+        assert code == EXIT_OK
+        rows = [line.split("\t") for line in (out / "augmented.tsv").read_text().splitlines()[2:]]
+        originals = [text for _, text, _, name, _ in rows if name == "original"]
+        generated = [(text, int(src)) for _, text, src, name, _ in rows if name != "original"]
+        assert len(generated) == 40
+        for text, src in generated:  # a refill of <pad> would drop a word from the text
+            assert len(text.split()) == len(originals[src].split()), (text, originals[src])
+
+    def test_rnn_classifier_trains_and_evaluates(self, workdir, vocab_file, tmp_path):
+        clf_out, eval_out = tmp_path / "clf-rnn", tmp_path / "eval-rnn"
+        assert main([
+            "train-classifier", "--data", str(workdir / "train.tsv"),
+            "--test", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--classifier", "rnn", "--hidden-dim", "8", "--epochs", "2",
+            "--out", str(clf_out), "--seed", "1",
+        ]) == EXIT_OK
+        meta = json.loads((clf_out / "classifier.ckpt.json").read_text())
+        assert meta["kind"] == "rnn" and meta["config"]["state_dim"] == 8
+        assert main([
+            "eval", "--data", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--classifier-ckpt", str(clf_out / "classifier.ckpt"), "--out", str(eval_out),
+        ]) == EXIT_OK
+        report = json.loads((clf_out / "report.json").read_text())
+        assert json.loads((eval_out / "eval.json").read_text())["accuracy"] == (
+            report["accuracy"]["test"]
+        )
+
+    def test_pretrain_without_a_validation_split_reports_the_training_rows(
+        self, workdir, vocab_file, tmp_path
+    ):
+        out = tmp_path / "pre"
+        assert main([
+            "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--val-fraction", "0", "--epochs", "2", "--hidden", "16", "--ff", "32",
+            "--layers", "1", "--out", str(out), "--seed", "5",
+        ]) == EXIT_OK
+        rows = [line.split("\t") for line in (out / "metrics.tsv").read_text().splitlines()[2:]]
+        train = [(epoch, loss, acc) for epoch, split, loss, acc in rows if split == "train"]
+        assert len(train) == 2
+        assert train == [(epoch, loss, acc) for epoch, split, loss, acc in rows if split == "val"]
+
     def test_eval_and_style_subcommands(self, workdir, vocab_file, finetuned, classifier_ckpt):
         assert main([
             "eval", "--data", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
@@ -202,6 +250,19 @@ class TestArtifacts:
         ]) == EXIT_OK
         body = [l for l in (out / "pairs.tsv").read_text().splitlines()[1:] if l]
         assert len(body) == 2  # one pair; the unknown-only sentence was skipped
+
+    def test_style_transfer_reports_the_skipped_sentence(
+        self, workdir, vocab_file, finetuned, classifier_ckpt, tmp_path, capsys
+    ):
+        data = tmp_path / "oov.tsv"
+        data.write_text("1\tthe movie was good really\n0\txqzt blorp\n")
+        out = tmp_path / "style"
+        assert main([
+            "style-transfer", "--data", str(data), "--vocab", str(vocab_file),
+            "--model", str(finetuned), "--classifier-ckpt", str(classifier_ckpt),
+            "--out", str(out),
+        ]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out / 'pairs.tsv'} (1 pairs, 1 skipped)\n"
 
     def test_ab_experiment_records(self, workdir, vocab_file, pretrained, finetuned):
         out = workdir / "ab"
@@ -617,6 +678,29 @@ class TestErrorCategories:
         assert code == EXIT_TRAINING
         assert capsys.readouterr().err.startswith("error[training]: cnn: loss diverged")
 
+    def test_style_transfer_without_target_label_needs_binary_data(
+        self, workdir, vocab_file, finetuned, tmp_path, capsys
+    ):
+        data = tmp_path / "three.tsv"
+        data.write_text("0\tthe movie was bad\n1\tthe movie was good\n2\tthe movie was fine\n" * 4)
+        clf = tmp_path / "clf3"
+        assert main([
+            "train-classifier", "--data", str(data), "--vocab", str(vocab_file),
+            "--epochs", "1", "--out", str(clf),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "style"
+        code = main([
+            "style-transfer", "--data", str(data), "--vocab", str(vocab_file),
+            "--model", str(finetuned), "--classifier-ckpt", str(clf / "classifier.ckpt"),
+            "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error[config]: --target-label is required for non-binary datasets\n"
+        )
+        assert not out.exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert main(["pretrain", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
@@ -913,7 +997,8 @@ class TestConfigFile:
          pytest.param("clip_norm", True, id="clip_norm-bool"),
          ("max_len", 10.5), ("cv", 2.5), ("grid", "no"), ("max_size", 10.5), ("seed", 1.5),
          ("limit", 2.5), pytest.param("limit", True, id="limit-bool"), ("top_m", 1.5),
-         ("target_label", 1.0), pytest.param("arms", ["none"], id="arms-list")],
+         ("target_label", 1.0), pytest.param("arms", ["none"], id="arms-list"),
+         ("classifier", "gru"), ("sampler", "beam"), ("augmenter", "eda")],
     )
     def test_ill_typed_config_value_is_one_line_config_error(
         self, field, value, workdir, vocab_file, tmp_path, capsys

@@ -52,7 +52,7 @@ def setup():
 def test_attribution_equals_the_stable_exp_formula_bitwise(kind):
     dataset = signal_dataset(n=20)
     cfg = (CnnConfig if kind == "cnn" else RnnConfig)(seed=1, max_epochs=1, patience=1)
-    clf, _ = train_classifier(dataset, kind, cfg, vocab_size=VOCAB_SIZE)
+    clf, _ = train_classifier(dataset, cfg, vocab_size=VOCAB_SIZE)
     for example in dataset.train[:6]:
         positions = [i for i, t in enumerate(example.tokens) if t >= NUM_SPECIALS]
         variants = [example] + [
@@ -128,7 +128,7 @@ class TestAttribution:
     ("rnn", RnnConfig(seed=2, max_epochs=2)),
 ])
 def test_stacked_scores_match_per_variant_formula(kind, cfg):
-    classifier, _ = train_classifier(signal_dataset(n=40), kind, cfg, vocab_size=VOCAB_SIZE)
+    classifier, _ = train_classifier(signal_dataset(n=40), cfg, vocab_size=VOCAB_SIZE)
     sentences = [
         LabeledExample((CLS_ID, NEUTRAL[0], MARKER_POS, NEUTRAL[1], NEUTRAL[2], NEUTRAL[3]), 1),
         LabeledExample((CLS_ID, MARKER_NEG), 0),  # one content token
@@ -205,7 +205,7 @@ def serial_transfer(params, config, clf, example, target, top_m):
 ])
 def test_transfer_matches_serial_reference(setup, kind, cfg, top_m):
     dataset, _, params, config = setup
-    classifier, _ = train_classifier(signal_dataset(n=40), kind, cfg, vocab_size=VOCAB_SIZE)
+    classifier, _ = train_classifier(signal_dataset(n=40), cfg, vocab_size=VOCAB_SIZE)
     for example in dataset.train[:8]:
         target = 1 - example.label
         got = transfer_style(params, config, classifier, example, target, top_m)

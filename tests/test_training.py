@@ -7,7 +7,7 @@ from maskaug import tensor as T
 from maskaug import training
 from maskaug.encoder import EncoderConfig, forward, init_params
 from maskaug.seeding import derive_rng
-from maskaug.text import CLS_ID, MASK_ID, NUM_SPECIALS, Dataset, LabeledExample
+from maskaug.text import CLS_ID, MASK_ID, NUM_SPECIALS, UNK_ID, Dataset, LabeledExample
 from maskaug.training import (
     IGNORE_ID,
     MaskPolicy,
@@ -402,6 +402,16 @@ def test_eval_mask_stream_is_derived_once_per_run(monkeypatch):
     assert calls == [("pretrain", "eval-mask")]
     _val_pinned_run("finetune", monkeypatch)
     assert calls == [("pretrain", "eval-mask"), ("finetune", "eval-mask")]
+
+
+def test_training_split_of_skipped_sentences_is_training_error():
+    # no word is maskable, so every chunk is skipped and no epoch makes a step
+    unmaskable = [LabeledExample((CLS_ID, UNK_ID, UNK_ID), 0)] * 4
+    dataset = replace(template_dataset(), train=unmaskable)
+    config = EncoderConfig(vocab_size=14, layers=1, hidden=8, heads=2, ff=16, max_len=8)
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=1)
+    with pytest.raises(TrainingError, match="^pretrain: epoch 1 made no training step$"):
+        pretrain_mlm(dataset, config, MaskPolicy(), cfg)
 
 
 def test_validation_split_of_skipped_sentences_is_training_error():
