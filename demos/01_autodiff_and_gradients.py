@@ -33,13 +33,14 @@ for name, build, shapes in [
 # The stable softmax never overflows, even on absurd logits.
 print("softmax([1000, 0]) =", T.softmax(Tensor([1000.0, 0.0])).data)
 
-# Adam walks a quadratic bowl to the bottom.
-params = {"p": Tensor(np.array([2.0, -1.5, 0.5]), requires_grad=True)}
-state = init_adam(params, lr=0.1)
+# Adam walks a quadratic bowl to the bottom. The optimizer state owns a copy
+# of the parameters; each adam_step takes their .grad and updates them in place.
+state = init_adam({"p": Tensor(np.array([2.0, -1.5, 0.5]))}, lr=0.1)
+p = state.params["p"]
 for step in range(120):
-    bowl = T.reduce_sum(T.mul(params["p"], params["p"]))
+    bowl = T.reduce_sum(T.mul(p, p))
     bowl.backward()
-    params, state = adam_step(params, {"p": params["p"].grad}, state)
+    adam_step(state)
     if step % 30 == 0:
         print(f"step {step:3d}  loss {float(bowl.data):.6f}")
-print("final point:", params["p"].data)
+print("final point:", p.data)

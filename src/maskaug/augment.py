@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .checkpoint import check_field_types
+from .checkpoint import check_field_types, is_int
 from .encoder import EncoderConfig, mlm_distributions
 from .seeding import derive_rng
 from .tensor import Tensor
@@ -64,11 +64,11 @@ class AugmentationPolicy:
 
     def __post_init__(self):
         check_field_types(self, top_k=1, multiplier=1)
-        ks = (self.k,) if isinstance(self.k, int) else tuple(self.k)
-        if any(k < 1 for k in ks):
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not isinstance(self.k, int) and ks[0] > ks[1]:
-            raise ValueError(f"k range must be (lo, hi) with lo <= hi, got {self.k}")
+        k = self.k
+        pair = isinstance(k, tuple) and len(k) == 2 and all(map(is_int, k)) and 1 <= k[0] <= k[1]
+        if not (is_int(k) and k >= 1 or pair):
+            raise ValueError(f"k must be an int >= 1 or a (lo, hi) pair of ints with "
+                             f"1 <= lo <= hi, got {k!r}")
         if self.sampler not in ("greedy", "top_k", "temperature"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if not self.temperature > 0.0:  # NaN too
@@ -85,7 +85,7 @@ class AugmentReport:
 
 
 def _draw_k(policy: AugmentationPolicy, rng: np.random.Generator) -> int:
-    if isinstance(policy.k, int):
+    if not isinstance(policy.k, tuple):
         return policy.k
     lo, hi = policy.k
     return int(rng.integers(lo, hi + 1))

@@ -78,7 +78,10 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"parameter name is not UTF-8 in checkpoint: {path}") from None
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
@@ -88,7 +91,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     return out
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -109,9 +112,9 @@ def check_field_types(config, **least: int) -> None:
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if field.type in ("int", int):
-            kind, ok = "an int", _is_int(value)
+            kind, ok = "an int", is_int(value)
         elif field.type == "tuple[int, ...]":
-            kind, ok = "a tuple of ints", all(_is_int(v) for v in value)
+            kind, ok = "a tuple of ints", all(is_int(v) for v in value)
         elif field.type in ("float", float):
             kind, ok = "a real number", _is_real(value)
         elif field.type == "float | None":

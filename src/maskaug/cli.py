@@ -256,7 +256,7 @@ def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: s
     if name == "synonym":
         _require(args, "synonyms")
         table = SynonymTable.load(args.synonyms)
-        k = policy.k if isinstance(policy.k, int) else policy.k[1]
+        k = policy.k[1] if isinstance(policy.k, tuple) else policy.k
         return (lambda d, s: synonym_augment_dataset(d, table, vocab, k, args.multiplier, s)), None
     raise ValueError(f"unknown augmenter {name!r}")
 

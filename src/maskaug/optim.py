@@ -1,8 +1,18 @@
-"""Adam with bias correction, as a pure update over named parameters."""
+"""Adam with bias correction, updated in place over one flat arena.
+
+`init_adam` copies the parameters into one contiguous float64 buffer and
+hands out, per name, a trainable Tensor whose data views into it; the
+gradient and both moments live in buffers of the same layout. Each step,
+`clip_by_global_norm` (optional) and `adam_step` first move every
+parameter's `.grad` into its gradient view, then work on the whole buffers
+with no per-step allocation. The elementwise operations and their order are
+those of the per-tensor formula, so the parameters keep their bits.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from typing import Mapping
 
 import numpy as np
 
@@ -11,61 +21,105 @@ from .tensor import Tensor
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
 
 
-@dataclass(frozen=True)
+def _views(buffer: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of a flat `buffer`, reshaped to `shapes`."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """The arena: flat parameter, gradient, `m` and `v` buffers plus scratch.
 
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    lr: float = 1e-3
+    `params`, `grads`, `m` and `v` map each parameter name, in the caller's
+    order, to its view of the matching buffer (`params` as trainable
+    Tensors); `step` counts the updates made.
+    """
 
+    def __init__(self, params: Mapping[str, Tensor], lr: float):
+        self.lr = lr
+        self.step = 0
+        self._shapes = [p.data.shape for p in params.values()]
+        size = sum(math.prod(shape) for shape in self._shapes)
+        self._flat, self._grad = np.empty(size), np.empty(size)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._scratch = np.empty((2, size))
+        self._grads_taken = False
+        self.params: dict[str, Tensor] = {}
+        for (name, p), view in zip(params.items(), _views(self._flat, self._shapes)):
+            view[...] = p.data
+            self.params[name] = Tensor(view, requires_grad=True)
+        names = list(params)
+        self.grads = dict(zip(names, _views(self._grad, self._shapes)))
+        self.m = dict(zip(names, _views(self._m, self._shapes)))
+        self.v = dict(zip(names, _views(self._v, self._shapes)))
+        self._squares = _views(self._scratch[0], self._shapes)
 
-def init_adam(params: dict[str, Tensor], lr: float = 1e-3) -> AdamState:
-    zeros = lambda: {k: np.zeros_like(p.data) for k, p in params.items()}
-    return AdamState(step=0, m=zeros(), v=zeros(), lr=lr)
-
-
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update. Pure: inputs are never mutated."""
-    t = state.step + 1
-    new_params: dict[str, Tensor] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"grad shape {g.shape} != param shape {p.data.shape} for '{name}'"
-            )
-        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        updated = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
-        new_params[name] = Tensor(updated, requires_grad=True)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v, lr=state.lr)
+    def snapshot(self) -> dict[str, Tensor]:
+        """A copy of the parameters, name -> trainable Tensor over one new buffer."""
+        views = _views(self._flat.copy(), self._shapes)
+        return {name: Tensor(view, requires_grad=True) for name, view in zip(self.params, views)}
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g) ** 2))
-    return float(np.sqrt(total))
+def init_adam(params: Mapping[str, Tensor], lr: float = 1e-3) -> AdamState:
+    """An arena holding a copy of `params`, with zero moments; train `state.params`."""
+    return AdamState(params, lr)
 
 
-def clip_by_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> dict[str, np.ndarray]:
-    """Rescale all gradients so their joint L2 norm is at most max_norm."""
-    norm = global_norm(grads)
+def _take_grads(state: AdamState) -> None:
+    """Move each parameter's `.grad` into its gradient view, once per step."""
+    if state._grads_taken:
+        return
+    for (name, p), view in zip(state.params.items(), state.grads.values()):
+        g = p.grad
+        if g is None or g.shape != view.shape:
+            got = None if g is None else g.shape
+            raise ValueError(f"gradient for '{name}' is {got}, parameter shape is {view.shape}")
+        view[...] = g
+        p.grad = None
+    state._grads_taken = True
+
+
+def clip_by_global_norm(state: AdamState, max_norm: float) -> None:
+    """Take this step's gradients into the arena and rescale them in place so
+    their joint L2 norm is at most max_norm."""
+    _take_grads(state)
+    np.multiply(state._grad, state._grad, out=state._scratch[0])
+    # summed view by view in name order, as the per-tensor norm was, so the factor keeps its
+    # bits; np.add.reduce is np.sum without its Python-level wrapper
+    norm = float(np.sqrt(sum(float(np.add.reduce(sq, axis=None)) for sq in state._squares)))
     if norm <= max_norm or norm == 0.0:
-        return dict(grads)
-    factor = max_norm / norm
-    return {k: np.asarray(g) * factor for k, g in grads.items()}
+        return
+    state._grad *= max_norm / norm
+
+
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update of the parameters, in place.
+
+    Takes this step's gradients first, unless `clip_by_global_norm` already
+    did. Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), then
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
+    """
+    _take_grads(state)
+    state._grads_taken = False
+    state.step += 1
+    t = state.step
+    g, m, v = state._grad, state._m, state._v
+    a, b = state._scratch
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=a)
+    m += a
+    v *= BETA2
+    np.multiply(g, g, out=a)
+    a *= 1.0 - BETA2
+    v += a
+    np.divide(m, 1.0 - BETA1**t, out=a)
+    a *= state.lr
+    np.divide(v, 1.0 - BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += EPS
+    a /= b
+    state._flat -= a

@@ -5,6 +5,8 @@ logits, losses) lives in a Tensor. Ops build a graph of parent links as
 they run; Tensor.backward() replays it in reverse topological order.
 Tensors are treated as immutable once created: every op allocates a new
 array and never writes into its inputs, so a recorded graph stays valid.
+Only the optimizer writes into parameter leaves, between steps, once the
+step's graph is gone.
 
 Everything is float64. Softmax and the log-likelihood losses subtract the
 row maximum before exponentiating, so finite inputs never produce NaN/Inf.
@@ -12,6 +14,7 @@ row maximum before exponentiating, so finite inputs never produce NaN/Inf.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Sequence
 
@@ -21,6 +24,35 @@ from scipy.special import erf
 
 MASK_NEG = -1e30  # additive score mask: never wins a max, underflows to exactly 0 in softmax
 _LN_EPS = 1e-5  # layer_norm's variance floor
+
+# glibc's mallopt parameters (malloc.h) and the values this package pins them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the whole process.
+
+    By default glibc raises its mmap threshold to the largest mapped block
+    freed so far and returns heap memory above twice that to the system, so
+    how often a step's arrays are page-faulted in again depends on what the
+    process allocated before. With fixed thresholds, blocks below 32 MiB come
+    from the heap and up to 64 MiB of free heap stays mapped. On any other C
+    library, or without one, this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)  # the C library this process already runs on
+    except (OSError, TypeError):
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or not hasattr(libc, "gnu_get_libc_version"):
+        return  # the parameter numbers are glibc's
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_heap_thresholds()
 
 
 class Tensor:

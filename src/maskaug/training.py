@@ -194,10 +194,6 @@ def _weighted_mean(rows: Sequence[tuple[float, int, float]]) -> tuple[float, flo
     return total_loss / total_weight, total_correct / total_weight
 
 
-def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
-
-
 def fit(
     params: dict[str, Tensor],
     examples: Sequence[LabeledExample],
@@ -222,17 +218,19 @@ def fit(
     accuracy) for one chunk, or None to skip it; `rng` is the run's one
     (seed, phase, "dropout") stream. The epoch's weighted mean loss and
     accuracy go to `validate(params, epoch, train_loss, train_acc)`, which
-    scores the parameters, higher is better. Returns a copy of the
+    scores the parameters, higher is better. Both closures see the Adam
+    arena's own parameters, which every step updates in place, so neither
+    may keep them past its call. Returns a copy of the
     parameters of the first epoch that beat all earlier ones, with that
     epoch number; stops after `patience` epochs without a new best. A non-finite
     loss, a parameter left without gradient or an epoch with no step raises TrainingError.
     """
-    # private copy: backward() must never deposit gradients on caller tensors
-    params = _snapshot(params)
+    # the arena trains a copy: backward() never deposits gradients on caller tensors
+    state = init_adam(params, lr=lr)
+    params = state.params
     shuffle_rng = derive_rng(seed, phase, "shuffle")
     drop_rng = derive_rng(seed, phase, "dropout")
-    state = init_adam(params, lr=lr)
-    best_score, best_params, best_epoch = -math.inf, _snapshot(params), 0
+    best_score, best_params, best_epoch = -math.inf, state.snapshot(), 0
     since_best = 0
     step = 0
 
@@ -251,19 +249,18 @@ def fit(
             loss.backward()
             rows.append((float(loss.data), weight, acc))
             del out, loss  # the step's graph dies here, not during the next forward
-            grads = {k: p.grad for k, p in params.items()}
-            missing = [k for k, g in grads.items() if g is None]
+            missing = [k for k, p in params.items() if p.grad is None]
             if missing:
                 raise TrainingError(f"{phase}: no gradient for {missing}")
             if clip_norm is not None:
-                grads = clip_by_global_norm(grads, clip_norm)
-            params, state = adam_step(params, grads, state)
+                clip_by_global_norm(state, clip_norm)
+            adam_step(state)  # updates `params` in place
 
         if not rows:
             raise TrainingError(f"{phase}: epoch {epoch} made no training step")
         score = validate(params, epoch, *_weighted_mean(rows))
         if score > best_score:
-            best_score, best_params, best_epoch = score, _snapshot(params), epoch
+            best_score, best_params, best_epoch = score, state.snapshot(), epoch
             since_best = 0
         else:
             since_best += 1

@@ -58,7 +58,12 @@ class TestPolicy:
             AugmentationPolicy(multiplier=0)
 
     @pytest.mark.parametrize(
-        "field, value", [("top_k", "5"), ("temperature", "hot"), ("multiplier", 1.5)]
+        "field, value",
+        [
+            ("top_k", "5"), ("temperature", "hot"), ("multiplier", 1.5),
+            ("k", (1, 2, 3)), ("k", (2,)), ("k", "12"), ("k", True), ("k", (1.5, 2)),
+            ("k", (0, 2)), ("k", [1, 2]),
+        ],
     )
     def test_ill_typed_field_raises_value_error_naming_it(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -84,6 +84,17 @@ def test_trailing_garbage(tmp_path, arrays):
         load_arrays(path)
 
 
+def test_name_that_is_not_utf8_is_a_checkpoint_error_naming_the_path(tmp_path, arrays):
+    path = tmp_path / "model.ckpt"
+    save_arrays(arrays, path)
+    blob = bytearray(path.read_bytes())
+    blob[len(MAGIC) + 4 + 2] = 0xFF  # first byte of the first name, after count and length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="not UTF-8") as info:
+        load_arrays(path)
+    assert str(path) in str(info.value)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_arrays(tmp_path / "nope.ckpt")

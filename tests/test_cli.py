@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maskaug import classify, cli
+from maskaug.checkpoint import MAGIC
 from maskaug.cli import (
     EXIT_CHECKPOINT,
     EXIT_MISSING_FILE,
@@ -352,6 +353,14 @@ def _malformed_sidecar(ckpt):
     Path(f"{ckpt}.json").write_text("{nope")
 
 
+def _name_byte(value):
+    def apply(ckpt):
+        blob = bytearray(ckpt.read_bytes())
+        blob[len(MAGIC) + 4 + 2] = value  # first byte of the first parameter name
+        ckpt.write_bytes(bytes(blob))
+    return apply
+
+
 def _truncate(n_bytes):
     def apply(ckpt):
         ckpt.write_bytes(ckpt.read_bytes()[:n_bytes])
@@ -443,6 +452,7 @@ MODEL_FILE_FAULTS = [
         "classifier", _edit_sidecar(lambda m: m.update(epochs_used=None)), "epochs_used",
         id="classifier-null-epochs-used",
     ),
+    pytest.param("encoder", _name_byte(0xFF), "not UTF-8", id="encoder-name-not-utf8"),
     pytest.param("classifier", _truncate(12), "truncated", id="classifier-truncated-header"),
     pytest.param("classifier", _truncate(300), "truncated", id="classifier-truncated-payload"),
 ]

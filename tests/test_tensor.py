@@ -609,3 +609,38 @@ class TestGraph:
         attn = T.softmax(T.add(scores, Tensor(bias)), axis=-1)
         assert np.all(attn.data[..., 2:] == 0.0)
         assert np.all(np.abs(attn.data.sum(axis=-1) - 1.0) <= 1e-9)
+
+
+class TestHeapThresholds:
+    class FakeLibc:
+        def __init__(self, glibc=True):
+            self.calls = []
+            if glibc:
+                self.gnu_get_libc_version = lambda: b"2.36"
+                self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+    def test_glibc_gets_both_thresholds(self, monkeypatch):
+        libc = self.FakeLibc()
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+        T._pin_heap_thresholds()
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_other_c_library_is_left_alone(self, monkeypatch):
+        libc = self.FakeLibc(glibc=False)
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+        T._pin_heap_thresholds()
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_no_loadable_c_library_is_harmless(self, monkeypatch, error):
+        def fail(name):
+            raise error("no C library")
+
+        monkeypatch.setattr(T.ctypes, "CDLL", fail)
+        T._pin_heap_thresholds()
+
+    def test_glibc_without_mallopt_is_harmless(self, monkeypatch):
+        libc = self.FakeLibc()
+        del libc.mallopt
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+        T._pin_heap_thresholds()

@@ -331,6 +331,43 @@ def test_fit_shuffles_and_drops_out_from_its_seed_and_phase():
     assert len(draws) == 6 and draws == [dropout.random() for _ in draws]
 
 
+def _fit_on_w(params, chunk_loss, validate, epochs=3):
+    examples = [example(1, start=NUM_SPECIALS + i) for i in range(4)]
+    return fit(
+        params, examples, chunk_loss, validate,
+        epochs=epochs, batch_size=2, lr=0.1, patience=epochs, clip_norm=1.0, seed=0, phase="probe",
+    )
+
+
+def _w_loss(params, chunk, rng):
+    return T.reduce_sum(T.mul(params["w"], params["w"])), len(chunk), 0.0
+
+
+def test_fit_leaves_the_callers_parameters_untouched():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    _fit_on_w({"w": w}, _w_loss, lambda params, epoch, loss, acc: float(epoch))
+    assert np.array_equal(w.data, [1.0, -2.0]) and w.grad is None
+
+
+def test_fit_returns_parameters_that_later_steps_do_not_move():
+    seen = []
+
+    def validate(params, epoch, loss, acc):
+        seen.append(params["w"].data.copy())
+        return -float(epoch)  # the first epoch stays best
+
+    best, epoch = _fit_on_w({"w": Tensor(np.array([1.0, -2.0]))}, _w_loss, validate)
+    assert epoch == 1 and len(seen) == 3
+    assert np.array_equal(best["w"].data, seen[0])
+    assert not np.array_equal(seen[0], seen[2])
+
+
+def test_fit_names_a_parameter_left_without_gradient():
+    params = {"w": Tensor(np.ones(2)), "unused": Tensor(np.ones(3))}
+    with pytest.raises(TrainingError, match=r"probe: no gradient for \['unused'\]"):
+        _fit_on_w(params, _w_loss, lambda params, epoch, loss, acc: 0.0)
+
+
 def _val_pinned_run(phase, monkeypatch):
     """A 3-epoch run whose validation split holds skipped sentences and a
     wholly skipped batch; returns (history, val examples, the encoder config
