@@ -3,7 +3,9 @@
 Two evaluators measure what an augmented training set buys: a convolutional
 classifier (filter widths over word embeddings, max-over-time pooling, a
 two-layer ReLU head, softmax) and a recurrent one (single-layer LSTM whose
-final state feeds an affine layer with softmax). Both train with Adam and
+final state feeds an affine layer with softmax). Each config class owns its
+classifier's parameter layout and forward pass, and `CONFIGS` finds the class
+by the kind a sidecar or `--classifier` names. Both train with Adam and
 dropout through the shared `training.fit` loop and stop early on validation
 accuracy.
 """
@@ -11,7 +13,7 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -59,10 +61,44 @@ class CnnConfig:
             raise ValueError(f"filter widths must be positive and distinct, got {widths}")
         _check_rates(self)
 
+    @property
+    def min_len(self) -> int:
+        """The shortest padded batch the logits accept: the widest filter."""
+        return max(self.filter_widths)
+
+    def layout(self, vocab_size: int, num_labels: int) -> Layout:
+        layout = {"emb": ((vocab_size, self.emb_dim), 0.1)}
+        for w in self.filter_widths:
+            fan_in = w * self.emb_dim
+            layout[f"conv{w}_w"] = ((fan_in, self.num_filters), 1.0 / np.sqrt(fan_in))
+            layout[f"conv{w}_b"] = ((self.num_filters,), np.zeros)
+        total = self.num_filters * len(self.filter_widths)
+        layout["fc1_w"] = ((total, self.hidden_dim), 1.0 / np.sqrt(total))
+        layout["fc1_b"] = ((self.hidden_dim,), np.zeros)
+        layout["fc2_w"] = ((self.hidden_dim, num_labels), 1.0 / np.sqrt(self.hidden_dim))
+        layout["fc2_b"] = ((num_labels,), np.zeros)
+        return layout
+
+    def logits(
+        self, params: dict[str, Tensor], token_ids: np.ndarray, lengths: np.ndarray, rng
+    ) -> Tensor:
+        """(B, num_labels) logits; an rng trains (dropout on), None evaluates."""
+        widths = self.filter_widths
+        x = T.conv_max_pool(
+            params["emb"], [params[f"conv{w}_w"] for w in widths],
+            [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
+        )  # (B, F·len(widths))
+        train = rng is not None
+        x = T.dropout(x, self.dropout, rng, train)
+        x = T.relu(T.add(T.matmul(x, params["fc1_w"]), params["fc1_b"]))
+        x = T.dropout(x, self.dropout, rng, train)
+        return T.add(T.matmul(x, params["fc2_w"]), params["fc2_b"])
+
 
 @dataclass(frozen=True)
 class RnnConfig:
     kind: ClassVar[str] = "rnn"
+    min_len: ClassVar[int] = 1
     emb_dim: int = 32
     state_dim: int = 64
     dropout: float = 0.3
@@ -75,6 +111,30 @@ class RnnConfig:
     def __post_init__(self):
         check_field_types(self, emb_dim=1, state_dim=1, max_epochs=1, batch_size=1, patience=1)
         _check_rates(self)
+
+    def layout(self, vocab_size: int, num_labels: int) -> Layout:
+        h = self.state_dim
+        return {
+            "emb": ((vocab_size, self.emb_dim), 0.1),
+            "w_ih": ((self.emb_dim, 4 * h), 1.0 / np.sqrt(self.emb_dim)),
+            "w_hh": ((h, 4 * h), 1.0 / np.sqrt(h)),
+            # the input, forget, candidate and output gate blocks: the forget gate opens at init
+            "b": ((4 * h,), lambda shape: np.repeat([0.0, 1.0, 0.0, 0.0], shape[0] // 4)),
+            "out_w": ((h, num_labels), 1.0 / np.sqrt(h)),
+            "out_b": ((num_labels,), np.zeros),
+        }
+
+    def logits(
+        self, params: dict[str, Tensor], token_ids: np.ndarray, lengths: np.ndarray, rng
+    ) -> Tensor:
+        emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
+        h = T.lstm(emb, w_ih, w_hh, b, token_ids, lengths, self.state_dim)  # (B, H) final states
+        h = T.dropout(h, self.dropout, rng, rng is not None)
+        return T.add(T.matmul(h, params["out_w"]), params["out_b"])
+
+
+# each classifier config class by the kind it names, as sidecars and --classifier spell it
+CONFIGS = {cls.kind: cls for cls in (CnnConfig, RnnConfig)}
 
 
 @dataclass
@@ -112,96 +172,8 @@ def _pad_batch(
 
 
 # ---------------------------------------------------------------------------
-# CNN
-# ---------------------------------------------------------------------------
-
-
-def _cnn_layout(cfg: CnnConfig, vocab_size: int, num_labels: int) -> Layout:
-    layout = {"emb": ((vocab_size, cfg.emb_dim), 0.1)}
-    for w in cfg.filter_widths:
-        fan_in = w * cfg.emb_dim
-        layout[f"conv{w}_w"] = ((fan_in, cfg.num_filters), 1.0 / np.sqrt(fan_in))
-        layout[f"conv{w}_b"] = ((cfg.num_filters,), np.zeros)
-    total = cfg.num_filters * len(cfg.filter_widths)
-    layout["fc1_w"] = ((total, cfg.hidden_dim), 1.0 / np.sqrt(total))
-    layout["fc1_b"] = ((cfg.hidden_dim,), np.zeros)
-    layout["fc2_w"] = ((cfg.hidden_dim, num_labels), 1.0 / np.sqrt(cfg.hidden_dim))
-    layout["fc2_b"] = ((num_labels,), np.zeros)
-    return layout
-
-
-def _cnn_logits(
-    params: dict[str, Tensor],
-    cfg: CnnConfig,
-    token_ids: np.ndarray,
-    lengths: np.ndarray,
-    rng,
-) -> Tensor:
-    widths = cfg.filter_widths
-    x = T.conv_max_pool(
-        params["emb"], [params[f"conv{w}_w"] for w in widths],
-        [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
-    )  # (B, F·len(widths))
-    train = rng is not None
-    x = T.dropout(x, cfg.dropout, rng, train)
-    x = T.relu(T.add(T.matmul(x, params["fc1_w"]), params["fc1_b"]))
-    x = T.dropout(x, cfg.dropout, rng, train)
-    return T.add(T.matmul(x, params["fc2_w"]), params["fc2_b"])
-
-
-# ---------------------------------------------------------------------------
-# LSTM
-# ---------------------------------------------------------------------------
-
-
-def _rnn_layout(cfg: RnnConfig, vocab_size: int, num_labels: int) -> Layout:
-    h = cfg.state_dim
-    return {
-        "emb": ((vocab_size, cfg.emb_dim), 0.1),
-        "w_ih": ((cfg.emb_dim, 4 * h), 1.0 / np.sqrt(cfg.emb_dim)),
-        "w_hh": ((h, 4 * h), 1.0 / np.sqrt(h)),
-        # the input, forget, candidate and output gate blocks: the forget gate opens at init
-        "b": ((4 * h,), lambda shape: np.repeat([0.0, 1.0, 0.0, 0.0], shape[0] // 4)),
-        "out_w": ((h, num_labels), 1.0 / np.sqrt(h)),
-        "out_b": ((num_labels,), np.zeros),
-    }
-
-
-def _rnn_logits(
-    params: dict[str, Tensor],
-    cfg: RnnConfig,
-    token_ids: np.ndarray,
-    lengths: np.ndarray,
-    rng,
-) -> Tensor:
-    emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
-    h = T.lstm(emb, w_ih, w_hh, b, token_ids, lengths, cfg.state_dim)  # (B, H) final states
-    h = T.dropout(h, cfg.dropout, rng, rng is not None)
-    return T.add(T.matmul(h, params["out_w"]), params["out_b"])
-
-
-# ---------------------------------------------------------------------------
 # shared training / evaluation
 # ---------------------------------------------------------------------------
-
-
-class _Kind(NamedTuple):
-    config: type
-    layout: Callable  # (config, vocab_size, num_labels) -> Layout
-    logits: Callable  # (params, config, ids, lengths, rng) -> logits; an rng trains
-    min_len: Callable  # config -> shortest padded batch the logits accept
-
-
-_KINDS = {
-    "cnn": _Kind(CnnConfig, _cnn_layout, _cnn_logits, lambda cfg: max(cfg.filter_widths)),
-    "rnn": _Kind(RnnConfig, _rnn_layout, _rnn_logits, lambda cfg: 1),
-}
-
-
-def _kind(name: str) -> _Kind:
-    if name not in _KINDS:
-        raise ValueError(f"unknown classifier kind {name!r}")
-    return _KINDS[name]
 
 
 def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
@@ -214,10 +186,8 @@ def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
 
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
     _check_vocab(clf, examples)
-    spec = _KINDS[clf.config.kind]
-    token_ids, lengths, _ = _pad_batch(examples, spec.min_len(clf.config))
-    logits = spec.logits(clf.params, clf.config, token_ids, lengths, None)
-    return logits.data
+    token_ids, lengths, _ = _pad_batch(examples, clf.config.min_len)
+    return clf.config.logits(clf.params, token_ids, lengths, None).data
 
 
 def predict_proba(clf: Classifier, example: LabeledExample) -> np.ndarray:
@@ -247,20 +217,18 @@ def train_classifier(
 ) -> tuple[Classifier, EvalReport]:
     """Train the classifier `cfg.kind` names. Returns the classifier and the
     validation report of the epoch `fit` kept."""
-    spec = _KINDS[cfg.kind]
     if not dataset.train:
         raise ValueError("training split is empty")
     if not dataset.val:
         raise ValueError("a validation split is required for early stopping")
-    layout = spec.layout(cfg, vocab_size, dataset.num_labels)
+    layout = cfg.layout(vocab_size, dataset.num_labels)
     params = draw_params(layout, derive_rng(cfg.seed, cfg.kind, "init"))
     clf = Classifier(params, cfg, vocab_size, dataset.num_labels)
-    min_len = spec.min_len(cfg)
     val_reports: dict[int, EvalReport] = {}
 
     def chunk_loss(params, chunk, rng):
-        token_ids, lengths, labels = _pad_batch(chunk, min_len)
-        logits = spec.logits(params, cfg, token_ids, lengths, rng)
+        token_ids, lengths, labels = _pad_batch(chunk, cfg.min_len)
+        logits = cfg.logits(params, token_ids, lengths, rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
 
@@ -374,12 +342,13 @@ def save_classifier(clf: Classifier, path) -> None:
 
 def load_classifier(path) -> Classifier:
     def build(meta):
-        spec = _kind(meta["kind"])
+        if meta["kind"] not in CONFIGS:
+            raise ValueError(f"unknown classifier kind {meta['kind']!r}")
         clf = Classifier(
-            {}, spec.config(**meta["config"]),
+            {}, CONFIGS[meta["kind"]](**meta["config"]),
             meta["vocab_size"], meta["num_labels"], meta["epochs_used"],
         )
-        return clf, spec.layout(clf.config, clf.vocab_size, clf.num_labels)
+        return clf, clf.config.layout(clf.vocab_size, clf.num_labels)
 
     clf, params = load_model(path, CLF_CONFIG_FORMAT, build)
     return replace(clf, params=params)

@@ -36,6 +36,7 @@ from .augment import (
 )
 from .checkpoint import CheckpointError
 from .classify import (
+    CONFIGS,
     CnnConfig,
     RnnConfig,
     ab_experiment,
@@ -290,6 +291,8 @@ def _classifier_config(args) -> "CnnConfig | RnnConfig":
     )
     if args.classifier == "cnn":
         return CnnConfig(num_filters=args.num_filters, hidden_dim=args.hidden_dim, **shared)
+    if args.num_filters != CnnConfig.num_filters:  # the flag's default
+        raise ValueError("--num-filters applies only to --classifier cnn")
     return RnnConfig(state_dim=args.hidden_dim, **shared)  # --classifier's choices: cnn, rnn
 
 
@@ -435,8 +438,8 @@ def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_classifier_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--classifier", choices=("cnn", "rnn"), default="cnn")
-    sp.add_argument("--num-filters", type=int, default=32)
+    sp.add_argument("--classifier", choices=tuple(CONFIGS), default="cnn")
+    sp.add_argument("--num-filters", type=int, default=CnnConfig.num_filters)
     sp.add_argument("--emb-dim", type=int, default=32)
     sp.add_argument("--hidden-dim", type=int, default=64)
     sp.add_argument("--dropout-rate", type=float, default=0.5)

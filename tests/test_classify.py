@@ -11,9 +11,6 @@ from maskaug.classify import (
     check_folds,
     CnnConfig,
     RnnConfig,
-    _cnn_layout,
-    _cnn_logits,
-    _rnn_layout,
     ab_experiment,
     cross_validate,
     evaluate,
@@ -135,8 +132,8 @@ def test_fresh_parameters_equal_the_written_out_draws_bit_for_bit():
         "out_w": rng.normal(0.0, 1.0 / np.sqrt(3), size=(3, 3)),
         "out_b": np.zeros(3),
     }
-    for layout, want in ((_cnn_layout(cnn, VOCAB_SIZE, 3), want_cnn),
-                         (_rnn_layout(rnn, VOCAB_SIZE, 3), want_rnn)):
+    for layout, want in ((cnn.layout(VOCAB_SIZE, 3), want_cnn),
+                         (rnn.layout(VOCAB_SIZE, 3), want_rnn)):
         params = draw_params(layout, np.random.default_rng(31))
         assert list(params) == list(want)
         for name, value in want.items():
@@ -256,12 +253,12 @@ class TestCnn:
     def test_pooling_ignores_distant_order(self):
         # same window multiset => identical pooled features => identical logits
         cfg = CnnConfig(filter_widths=(2,), seed=0, max_epochs=1, patience=1)
-        params = draw_params(_cnn_layout(cfg, VOCAB_SIZE, 2), np.random.default_rng(0))
+        params = draw_params(cfg.layout(VOCAB_SIZE, 2), np.random.default_rng(0))
         s1 = np.array([[ALPHA, BETA, ALPHA, BETA, ALPHA]])
         s2 = np.array([[BETA, ALPHA, BETA, ALPHA, BETA]])
         lengths = np.array([5])
-        l1 = _cnn_logits(params, cfg, s1, lengths, None).data
-        l2 = _cnn_logits(params, cfg, s2, lengths, None).data
+        l1 = cfg.logits(params, s1, lengths, None).data
+        l2 = cfg.logits(params, s2, lengths, None).data
         assert np.array_equal(l1, l2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -303,7 +300,7 @@ class TestRnn:
     )
     def test_recurrent_cell_gradient_check(self, token_ids, lengths):
         cfg = RnnConfig(emb_dim=4, state_dim=3)
-        params = draw_params(_rnn_layout(cfg, vocab_size=9, num_labels=2), np.random.default_rng(1))
+        params = draw_params(cfg.layout(vocab_size=9, num_labels=2), np.random.default_rng(1))
         token_ids = np.array(token_ids)
         lengths = np.array(lengths)
         names = list(params)
@@ -398,6 +395,13 @@ class TestPersistence:
         meta = json.loads((tmp_path / "clf.ckpt.json").read_text())
         assert list(meta) == ["format", "kind", "config", "vocab_size", "num_labels", "epochs_used"]
         assert meta["kind"] == make.kind
+        # kind, min_len, layout and logits belong to the class, not to the sidecar
+        assert list(meta["config"]) == {
+            "cnn": ["filter_widths", "num_filters", "emb_dim", "hidden_dim", "dropout", "lr",
+                    "seed", "max_epochs", "batch_size", "patience"],
+            "rnn": ["emb_dim", "state_dim", "dropout", "lr", "seed", "max_epochs", "batch_size",
+                    "patience"],
+        }[make.kind]
         assert load_classifier(tmp_path / "clf.ckpt").config == cfg
 
     @pytest.mark.parametrize("kind", ["cnn", "rnn"])

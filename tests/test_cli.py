@@ -427,6 +427,11 @@ MODEL_FILE_FAULTS = [
         "classifier", _edit_sidecar(lambda m: m.pop("kind")), "kind",
         id="classifier-missing-kind",
     ),
+    # an LSTM's config takes no filter widths
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m.update(kind="rnn")), "filter_widths",
+        id="classifier-rnn-kind-over-cnn-config",
+    ),
     pytest.param("classifier", _malformed_sidecar, "malformed", id="classifier-malformed-json"),
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m.update(vocab_size=1000)), "shape",
@@ -746,6 +751,13 @@ class TestErrorCategories:
                          "dropout must lie in [0, 1), got 1.5", id="classifier-dropout"),
             pytest.param("train-classifier", ["--num-filters", "0"],
                          "num_filters must be >= 1, got 0", id="classifier-num-filters"),
+            pytest.param("train-classifier", ["--classifier", "rnn", "--num-filters", "-5"],
+                         "--num-filters applies only to --classifier cnn",
+                         id="rnn-num-filters"),
+            pytest.param("ab-experiment",
+                         ["--classifier", "rnn", "--num-filters", "-5", "--arms", "none"],
+                         "--num-filters applies only to --classifier cnn",
+                         id="ab-rnn-num-filters"),
         ],
     )
     def test_bad_value_is_one_line_config_error(
