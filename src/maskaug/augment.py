@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -255,6 +255,16 @@ def synonym_augment(
 # ---------------------------------------------------------------------------
 
 
+def _fill_in_chunks(
+    picked: Iterable[tuple[int, Pick]], fill: Callable[[list[Pick]], list[Outcome]]
+) -> Iterator[tuple[int, Outcome]]:
+    """Each `(index, pick)`'s index and outcome, in order, with `fill` run on
+    CHUNK_SIZE picks at a time."""
+    queue = iter(picked)
+    while chunk := list(islice(queue, CHUNK_SIZE)):
+        yield from zip([idx for idx, _ in chunk], fill([pick for _, pick in chunk]))
+
+
 def _dataset_pass(
     dataset: Dataset,
     multiplier: int,
@@ -282,16 +292,14 @@ def _dataset_pass(
             yield idx, (example, rng, drawn)
 
     for round_no in range(1, multiplier + 1):
-        queue = picked(round_no)
-        while chunk := list(islice(queue, CHUNK_SIZE)):
-            for (idx, _), outcome in zip(chunk, fill([p for _, p in chunk])):
-                if isinstance(outcome, SkipExample):
-                    report.skipped += 1
-                    continue
-                new, positions = outcome
-                generated.append(new)
-                report.generated += 1
-                report.provenance.append((idx, name, positions))
+        for idx, outcome in _fill_in_chunks(picked(round_no), fill):
+            if isinstance(outcome, SkipExample):
+                report.skipped += 1
+                continue
+            new, positions = outcome
+            generated.append(new)
+            report.generated += 1
+            report.provenance.append((idx, name, positions))
     augmented = Dataset(
         train=list(dataset.train) + generated,
         val=list(dataset.val),

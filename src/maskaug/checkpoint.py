@@ -174,8 +174,10 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
 
     The sidecar must be a JSON object tagged `fmt`; `build(meta)` returns the
     description and the Layout whose names and shapes the stored arrays must
-    match. Every failure raises CheckpointError.
+    match. A path that is a directory raises IsADirectoryError; every other
+    failure raises CheckpointError.
     """
+    arrays = load_arrays(path)  # first, so the error names the path the caller gave
     sidecar = Path(str(path) + ".json")
     try:
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -191,7 +193,6 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
         raise CheckpointError(f"sidecar {sidecar} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad sidecar {sidecar}: {type(exc).__name__}: {exc}") from None
-    arrays = load_arrays(path)
     missing, unexpected = sorted(set(layout) - set(arrays)), sorted(set(arrays) - set(layout))
     if missing or unexpected:
         raise CheckpointError(

@@ -4,7 +4,8 @@ Two evaluators measure what an augmented training set buys: a convolutional
 classifier (filter widths over word embeddings, max-over-time pooling, a
 two-layer ReLU head, softmax) and a recurrent one (single-layer LSTM whose
 final state feeds an affine layer with softmax). Each config class owns its
-classifier's parameter layout and forward pass, and `CONFIGS` finds the class
+classifier's parameter layout, forward pass and the logits of a sentence's
+one-word-deleted variants, and `CONFIGS` finds the class
 by the kind a sidecar or `--classifier` names. Both train with Adam and
 dropout through the shared `training.fit` loop and stop early on validation
 accuracy.
@@ -13,6 +14,7 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -88,11 +90,72 @@ class CnnConfig:
             params["emb"], [params[f"conv{w}_w"] for w in widths],
             [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
         )  # (B, F·len(widths))
+        return self._head(params, x, rng)
+
+    def deletion_logits(
+        self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
+    ) -> np.ndarray:
+        """Eval-mode logits of `tokens` (row 0) and of each variant with the
+        token at positions[j] deleted (row 1 + j), equal bit for bit to
+        `logits` over the padded variants.
+
+        Deleting a token changes only the windows that span it, so for each
+        width one GEMM covers the original's windows plus the k - 1 windows
+        per deletion that bridge the gap, and each variant max-pools its
+        own windows out of that block.
+        """
+        _check_vocab(max(tokens), params["emb"].shape[0])
+        padded = np.array((*tokens, *(PAD_ID,) * self.min_len))
+        table = params["emb"].data
+        sentences = np.array((0, *(p + 1 for p in positions)))  # rows of each width's pool
+        pooled = []
+        for k in self.filter_widths:
+            gather, pool = _deletion_windows(len(tokens), k)
+            feat = table[padded[gather]].reshape(len(gather), -1) @ params[f"conv{k}_w"].data
+            feat += params[f"conv{k}_b"].data
+            pooled.append(np.maximum(feat, 0.0)[pool[sentences]].max(axis=1))
+        return self._head(params, Tensor(np.concatenate(pooled, axis=-1)), None).data
+
+    def _head(self, params: dict[str, Tensor], x: Tensor, rng) -> Tensor:
+        """The two-layer ReLU head over the pooled features."""
         train = rng is not None
         x = T.dropout(x, self.dropout, rng, train)
         x = T.relu(T.add(T.matmul(x, params["fc1_w"]), params["fc1_b"]))
         x = T.dropout(x, self.dropout, rng, train)
         return T.add(T.matmul(x, params["fc2_w"]), params["fc2_b"])
+
+
+@lru_cache(maxsize=1024)
+def _deletion_windows(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices for `CnnConfig.deletion_logits` at width k, for every
+    sentence of this length; read-only, because every caller shares them.
+
+    `gather` (R, k) indexes the sentence padded by at least k ids: first
+    the original's windows at starts 0..n, where n = max(length - k, 1) is
+    a variant's window count, then for each position p the k - 1 windows
+    at starts p - k + 1..p - 1 with p skipped (those starting before 0 or
+    at n or later are computed but never pooled). `pool` (1 + length, W)
+    lists each sentence's windows as rows of `gather`: row 0 the
+    original's, row 1 + p the variant without token p, whose window j is
+    the original's window j when it ends before p, the original's window
+    j + 1 when it starts at or past p, and otherwise the bridge over p. As
+    in `logits`, only the first max(length - k + 1, 1) windows count; a
+    variant's list is padded with its first row, which leaves the max
+    unchanged.
+    """
+    counted, n = max(length - k + 1, 1), max(length - k, 1)
+    pos = np.arange(length)[:, None]
+    starts = pos - (k - 1) + np.arange(k - 1)  # (length, k - 1)
+    bridges = starts[..., None] + np.arange(k)
+    bridges += bridges >= pos[..., None]  # step over the deleted token
+    gather = np.concatenate([np.arange(n + 1)[:, None] + np.arange(k), bridges.reshape(-1, k)])
+    j = np.arange(n)
+    bridge_rows = n + 1 + (k - 1) * pos + j - (pos - (k - 1))  # p's bridges, by start
+    variants = np.where(j + k <= pos, j, np.where(j >= pos, j + 1, bridge_rows))
+    variants = np.concatenate([variants, variants[:, :1].repeat(counted - n, axis=1)], axis=1)
+    pool = np.concatenate([np.arange(counted)[None, :], variants])
+    gather.flags.writeable = pool.flags.writeable = False
+    return gather, pool
 
 
 @dataclass(frozen=True)
@@ -132,6 +195,15 @@ class RnnConfig:
         h = T.dropout(h, self.dropout, rng, rng is not None)
         return T.add(T.matmul(h, params["out_w"]), params["out_b"])
 
+    def deletion_logits(
+        self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
+    ) -> np.ndarray:
+        """Eval-mode logits of `tokens` (row 0) and of each variant with the
+        token at positions[j] deleted (row 1 + j), in one padded batch."""
+        _check_vocab(max(tokens), params["emb"].shape[0])
+        variants = [tokens] + [tokens[:pos] + tokens[pos + 1 :] for pos in positions]
+        return self.logits(params, *_pad_batch(variants, self.min_len), None).data
+
 
 # each classifier config class by the kind it names, as sidecars and --classifier spell it
 CONFIGS = {cls.kind: cls for cls in (CnnConfig, RnnConfig)}
@@ -162,13 +234,10 @@ class Classifier:
 # ---------------------------------------------------------------------------
 
 
-def _pad_batch(
-    examples: Sequence[LabeledExample], min_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
-    token_ids = pad_rows([ex.tokens for ex in examples], PAD_ID, max(lengths.max(), min_len))
-    labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    return token_ids, lengths, labels
+def _pad_batch(rows: Sequence[Sequence[int]], min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Token rows right-padded to at least `min_len`, and their lengths."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    return pad_rows(rows, PAD_ID, max(lengths.max(), min_len)), lengths
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +245,14 @@ def _pad_batch(
 # ---------------------------------------------------------------------------
 
 
-def _check_vocab(clf: Classifier, examples: Sequence[LabeledExample]) -> None:
-    top = max(max(ex.tokens) for ex in examples)
-    if top >= clf.vocab_size:
-        raise ValueError(
-            f"vocabulary mismatch: example id {top} >= classifier vocab {clf.vocab_size}"
-        )
+def _check_vocab(top: int, vocab_size: int) -> None:
+    if top >= vocab_size:
+        raise ValueError(f"vocabulary mismatch: example id {top} >= classifier vocab {vocab_size}")
 
 
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
-    _check_vocab(clf, examples)
-    token_ids, lengths, _ = _pad_batch(examples, clf.config.min_len)
+    _check_vocab(max(max(ex.tokens) for ex in examples), clf.vocab_size)
+    token_ids, lengths = _pad_batch([ex.tokens for ex in examples], clf.config.min_len)
     return clf.config.logits(clf.params, token_ids, lengths, None).data
 
 
@@ -227,7 +293,8 @@ def train_classifier(
     val_reports: dict[int, EvalReport] = {}
 
     def chunk_loss(params, chunk, rng):
-        token_ids, lengths, labels = _pad_batch(chunk, cfg.min_len)
+        token_ids, lengths = _pad_batch([ex.tokens for ex in chunk], cfg.min_len)
+        labels = np.array([ex.label for ex in chunk], dtype=np.int64)
         logits = cfg.logits(params, token_ids, lengths, rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())

@@ -51,7 +51,7 @@ from .classify import (
     write_records,
 )
 from .encoder import EncoderConfig, load_encoder, save_encoder
-from .styletransfer import check_rewrite, transfer_style, write_style_pairs
+from .styletransfer import check_rewrite, transfer_styles, write_style_pairs
 from .text import (
     ParseError, build_vocab, load_tsv, load_vocab, read_tsv, save_vocab, tokenize, write_text,
 )
@@ -380,21 +380,13 @@ def cmd_style_transfer(args, out: Path) -> None:
     clf = _load_classifier(args.classifier_ckpt, vocab, dataset)
     if args.target_label is None and dataset.num_labels != 2:
         raise ValueError("--target-label is required for non-binary datasets")
-    pairs = []
-    skipped = 0
     examples = dataset.train if args.limit is None else dataset.train[: args.limit]
-    for example in examples:
-        target = (
-            args.target_label if args.target_label is not None else 1 - example.label
-        )
-        if target == example.label:
-            continue
-        try:
-            rewritten = transfer_style(params, config, clf, example, target, top_m=args.top_m)
-        except SkipExample:
-            skipped += 1
-            continue
-        pairs.append((example, rewritten))
+    if args.target_label is not None:
+        examples = [ex for ex in examples if ex.label != args.target_label]
+    targets = [1 - ex.label if args.target_label is None else args.target_label for ex in examples]
+    results = transfer_styles(params, config, clf, examples, targets, top_m=args.top_m)
+    pairs = [(ex, new) for ex, new in zip(examples, results) if not isinstance(new, SkipExample)]
+    skipped = len(results) - len(pairs)
     write_style_pairs(out / "pairs.tsv", pairs, vocab)
     note = f", {skipped} skipped" if skipped else ""
     print(f"wrote {out / 'pairs.tsv'} ({len(pairs)} pairs{note})")

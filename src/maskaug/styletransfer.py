@@ -2,10 +2,12 @@
 under the opposite label.
 
 Word relevance comes from a leave-one-out deletion score against a trained
-classifier: score(i) = p(true label | sentence) - p(true label | sentence
-without token i), with a sentence and all its deletion variants scored in
-one classifier call. The top-scoring tokens are masked and refilled
-greedily by the conditional encoder under the target label.
+classifier (Li et al., arXiv 1804.06437): score(i) = p(true label |
+sentence) - p(true label | sentence without token i), with the sentence and
+all its deletion variants scored by the classifier config's
+`deletion_logits` (the CNN reuses the original's convolution windows). The
+top-scoring tokens are masked and refilled greedily by the conditional
+encoder under the target label, one batched refill per chunk of sentences.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentationPolicy, _refill
-from .classify import Classifier, predict_logits
+from .augment import AugmentationPolicy, _fill_in_chunks, _refill
+from .classify import Classifier
 from .encoder import EncoderConfig
 from .tensor import Tensor
 from .text import LabeledExample, Vocabulary, decode, write_text
@@ -39,18 +41,15 @@ class AttributionScores:
 def attribute_words(clf: Classifier, example: LabeledExample) -> AttributionScores:
     """Leave-one-out contribution of each content token to the true label.
 
-    The sentence and its one-token-deleted variants are scored in one
-    classifier call.
+    The sentence and its one-token-deleted variants are scored by one
+    `deletion_logits` call of the classifier's config.
     """
-    positions = maskable_positions(example.tokens)
+    positions = tuple(maskable_positions(example.tokens))
     if not positions:
         raise SkipExample("no content tokens to attribute")
-    variants = [example] + [
-        LabeledExample(example.tokens[:pos] + example.tokens[pos + 1 :], example.label)
-        for pos in positions
-    ]
-    probs = T.softmax(predict_logits(clf, variants)).data[:, example.label]
-    return AttributionScores(tuple(positions), probs[0] - probs[1:])
+    logits = clf.config.deletion_logits(clf.params, example.tokens, positions)
+    probs = T.softmax(logits).data[:, example.label]
+    return AttributionScores(positions, probs[0] - probs[1:])
 
 
 def check_rewrite(config: EncoderConfig, target_label: "int | None", top_m: int) -> None:
@@ -64,6 +63,28 @@ def check_rewrite(config: EncoderConfig, target_label: "int | None", top_m: int)
         raise ValueError("top_m must be >= 1")
 
 
+def transfer_styles(
+    params: dict[str, Tensor],
+    config: EncoderConfig,
+    clf: Classifier,
+    examples: Sequence[LabeledExample],
+    targets: Sequence[int],
+    top_m: int = 1,
+) -> list[LabeledExample | SkipExample]:
+    """Rewrite each example under its target label, in order.
+
+    Masks each sentence's top_m highest-attribution tokens (ties broken
+    toward earlier positions) and refills them greedily from the
+    conditional cloze distribution under its target, with the original
+    words excluded: augmentation's refill, one encoder call per CHUNK_SIZE
+    sentences in dataset order. Each result is labeled with its target and
+    differs from its example only at the chosen positions; a sentence with
+    no content token, or no candidate for a slot, gets its SkipExample
+    instead.
+    """
+    return _transfer(params, config, clf, examples, targets, top_m)
+
+
 def transfer_style(
     params: dict[str, Tensor],
     config: EncoderConfig,
@@ -72,32 +93,51 @@ def transfer_style(
     target_label: int,
     top_m: int = 1,
 ) -> LabeledExample:
-    """Rewrite `example` under `target_label`.
+    """`transfer_styles` for one sentence; raises its SkipExample."""
+    [result] = _transfer(params, config, clf, [example], [target_label], top_m)
+    if isinstance(result, SkipExample):
+        raise result
+    return result
 
-    Masks the top_m highest-attribution tokens (ties broken toward earlier
-    positions), refills them greedily from the conditional cloze
-    distribution with the original words excluded (augmentation's refill,
-    on a one-sentence chunk under target_label), and returns the result
-    labeled target_label. Only the selected positions change.
-    """
-    if target_label == example.label:
-        raise ValueError("target label must differ from the example's label")
-    check_rewrite(config, target_label, top_m)
-    attribution = attribute_words(clf, example)
-    if top_m > len(attribution.positions):
-        warnings.warn(
-            f"top_m={top_m} exceeds the {len(attribution.positions)} maskable "
-            "tokens; masking all of them",
-            stacklevel=2,
-        )
-        top_m = len(attribution.positions)
-    order = np.argsort(-attribution.scores, kind="stable")[:top_m]
-    chosen = sorted(attribution.positions[i] for i in order)
-    pick = (example, None, (chosen, target_label, target_label))
-    [outcome] = _refill(params, config, _GREEDY, [pick])
-    if isinstance(outcome, SkipExample):
-        raise outcome
-    return outcome[0]
+
+def _transfer(
+    params: dict[str, Tensor],
+    config: EncoderConfig,
+    clf: Classifier,
+    examples: Sequence[LabeledExample],
+    targets: Sequence[int],
+    top_m: int,
+) -> list[LabeledExample | SkipExample]:
+    """The body of `transfer_styles` and `transfer_style`, one frame below
+    either, so the top_m warning names their caller's line."""
+    if len(targets) != len(examples):
+        raise ValueError(f"{len(targets)} targets for {len(examples)} examples")
+    for example, target in zip(examples, targets):
+        if target == example.label:
+            raise ValueError("target label must differ from the example's label")
+        check_rewrite(config, target, top_m)
+    results: list = []  # each sentence's SkipExample, or its pick until refilled
+    for example, target in zip(examples, targets):
+        try:
+            attribution = attribute_words(clf, example)
+        except SkipExample as skip:
+            results.append(skip)
+            continue
+        m = top_m
+        if m > len(attribution.positions):
+            warnings.warn(
+                f"top_m={m} exceeds the {len(attribution.positions)} maskable "
+                "tokens; masking all of them",
+                stacklevel=3,
+            )
+            m = len(attribution.positions)
+        order = np.argsort(-attribution.scores, kind="stable")[:m]
+        chosen = sorted(attribution.positions[i] for i in order)
+        results.append((example, None, (chosen, target, target)))
+    picks = [(i, pick) for i, pick in enumerate(results) if not isinstance(pick, SkipExample)]
+    for i, outcome in _fill_in_chunks(picks, lambda chunk: _refill(params, config, _GREEDY, chunk)):
+        results[i] = outcome if isinstance(outcome, SkipExample) else outcome[0]
+    return results
 
 
 def write_style_pairs(

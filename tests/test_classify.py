@@ -29,7 +29,7 @@ from maskaug.checkpoint import draw_params
 from maskaug.gradcheck import gradient_disagreement, numeric_gradient
 from maskaug.tensor import Tensor
 from maskaug import tensor as T
-from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample
+from maskaug.text import CLS_ID, NUM_SPECIALS, UNK_ID, Dataset, LabeledExample
 from maskaug.training import TrainingError
 from test_tensor import per_op_cnn
 
@@ -260,6 +260,48 @@ class TestCnn:
         l1 = cfg.logits(params, s1, lengths, None).data
         l2 = cfg.logits(params, s2, lengths, None).data
         assert np.array_equal(l1, l2)
+
+    @pytest.mark.parametrize("widths", [(1,), (3, 4, 5), (2, 7)], ids=str)
+    def test_deletion_logits_equal_the_explicit_variants_bit_for_bit(self, widths):
+        # every length from 2 to the widest filter + 2, so variants both
+        # shorter and longer than each filter, with content at position 0 and
+        # specials between words; biases drawn too, so no term is zero
+        cfg = CnnConfig(filter_widths=widths, num_filters=5, emb_dim=4, hidden_dim=6)
+        rng = np.random.default_rng(sum(widths))
+        params = draw_params(cfg.layout(VOCAB_SIZE, 3), rng)
+        for param in params.values():
+            param.data += rng.normal(0.0, 0.1, param.data.shape)
+        clf = classify.Classifier(params, cfg, VOCAB_SIZE, 3)
+        words = range(NUM_SPECIALS, VOCAB_SIZE)
+        for length in range(2, max(widths) + 3):
+            draw = [int(w) for w in rng.choice(words, length)]
+            specials = list(draw)
+            specials[1 : length - 1 : 2] = [1] * len(specials[1 : length - 1 : 2])
+            for tokens in ((CLS_ID, *draw[1:]), tuple(draw), (CLS_ID, *specials[1:])):
+                positions = [i for i, t in enumerate(tokens) if t >= NUM_SPECIALS]
+                variants = [tokens] + [tokens[:i] + tokens[i + 1 :] for i in positions]
+                want = predict_logits(clf, [LabeledExample(v, 0) for v in variants])
+                got = cfg.deletion_logits(params, tokens, positions)
+                assert np.array_equal(got, want), (tokens, positions)
+
+    def test_deletion_windows_are_cached_read_only_per_length(self):
+        # the cache key is the length and width alone: a sentence of the
+        # same length with unknown words elsewhere reuses the arrays
+        cfg = CnnConfig(filter_widths=(2, 3))
+        params = draw_params(cfg.layout(VOCAB_SIZE, 2), np.random.default_rng(1))
+        first = (CLS_ID, ALPHA, FILLERS[0], BETA, FILLERS[1])
+        cfg.deletion_logits(params, first, [1, 2, 3, 4])
+        hits = classify._deletion_windows.cache_info().hits
+        unknowns = (CLS_ID, UNK_ID, FILLERS[2], UNK_ID, ALPHA)
+        got = cfg.deletion_logits(params, unknowns, [2, 4])
+        assert classify._deletion_windows.cache_info().hits == hits + 2  # one per width
+        variants = [unknowns, unknowns[:2] + unknowns[3:], unknowns[:4]]
+        clf = classify.Classifier(params, cfg, VOCAB_SIZE, 2)
+        assert np.array_equal(got, predict_logits(clf, [LabeledExample(v, 0) for v in variants]))
+        for array in classify._deletion_windows(len(first), 3):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_training_error(self):

@@ -463,6 +463,54 @@ MODEL_FILE_FAULTS = [
 ]
 
 
+def _damaged_copy(which, fault):
+    """`fault`, as in MODEL_FILE_FAULTS, applied to a copy of the `which`
+    checkpoint and its sidecar."""
+    def apply(files, tmp_path):
+        copy = tmp_path / f"damaged-{files[which].name}"
+        shutil.copy(files[which], copy)
+        shutil.copy(f"{files[which]}.json", f"{copy}.json")
+        fault(copy)
+        return copy
+    return apply
+
+
+def _data_not_utf8(files, tmp_path):
+    bad = tmp_path / files["data"].name
+    raw = files["data"].read_bytes().split(b"\n")
+    raw[2] += b"\xff"
+    bad.write_bytes(b"\n".join(raw))
+    return bad
+
+
+# (flag, fault, exit code, the message's start) rows for style-transfer's
+# input files; a fault makes the bad file from the fixture files and a scratch
+# directory, and returns its path
+STYLE_TRANSFER_FILE_FAULTS = [
+    pytest.param(
+        "--classifier-ckpt", lambda files, tmp_path: tmp_path / "absent.ckpt", EXIT_CHECKPOINT,
+        "error[checkpoint]: checkpoint not found: ", id="classifier-missing",
+    ),
+    pytest.param(
+        "--classifier-ckpt", lambda files, tmp_path: tmp_path, EXIT_MISSING_FILE,
+        "error[missing-file]: ", id="classifier-directory",
+    ),
+    # MODEL_FILE_FAULTS cuts a classifier at 12 and 300 bytes
+    *[
+        pytest.param(
+            flag, _damaged_copy(which, _truncate(offset)), EXIT_CHECKPOINT,
+            "error[checkpoint]: truncated checkpoint: ", id=f"{which}-cut-at-{offset}",
+        )
+        for flag, which, offsets in (
+            ("--classifier-ckpt", "classifier", (0, 5, -1)),
+            ("--model", "encoder", (12, 300, -1)),
+        )
+        for offset in offsets
+    ],
+    pytest.param("--data", _data_not_utf8, EXIT_PARSE, "error[parse]: ", id="data-not-utf8"),
+]
+
+
 class TestErrorCategories:
     @pytest.mark.parametrize("model, fault, named", MODEL_FILE_FAULTS)
     def test_bad_model_file_is_one_line_checkpoint_error(
@@ -564,6 +612,26 @@ class TestErrorCategories:
         err = capsys.readouterr().err
         assert code == EXIT_PARSE, err
         assert err.startswith(f"error[parse]: {bad}:6: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flag, fault, code, start", STYLE_TRANSFER_FILE_FAULTS)
+    def test_style_transfer_file_fault_is_one_line_error(
+        self, flag, fault, code, start, workdir, vocab_file, finetuned, classifier_ckpt,
+        tmp_path, capsys,
+    ):
+        files = {"data": workdir / "test.tsv", "encoder": finetuned, "classifier": classifier_ckpt}
+        inputs = {"--data": files["data"], "--model": finetuned,
+                  "--classifier-ckpt": classifier_ckpt}
+        inputs[flag] = bad = fault(files, tmp_path)
+        out = tmp_path / "run"
+        got = main([
+            "style-transfer", "--vocab", str(vocab_file), "--out", str(out),
+            *[str(part) for item in inputs.items() for part in item],
+        ])
+        err = capsys.readouterr().err
+        assert got == code, err
+        assert err.startswith(start) and err.count("\n") == 1, err
+        assert str(bad) in err and "Traceback" not in err, err
+        assert not out.exists()
 
     def test_malformed_config_file(self, workdir, tmp_path):
         cfg = tmp_path / "broken.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from maskaug.classify import (
     train_cnn,
 )
 from maskaug.encoder import EncoderConfig, init_params, mlm_distribution
-from maskaug.styletransfer import attribute_words, transfer_style, write_style_pairs
+from maskaug import styletransfer
+from maskaug.augment import CHUNK_SIZE
+from maskaug.styletransfer import attribute_words, transfer_style, transfer_styles, write_style_pairs
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample, build_vocab
+from maskaug.training import SkipExample
 
 MARKER_POS = NUM_SPECIALS  # sole label-1 signal
 MARKER_NEG = NUM_SPECIALS + 1  # sole label-0 signal
@@ -151,6 +156,7 @@ def test_stacked_scores_keep_the_vocabulary_check(setup):
     with pytest.raises(ValueError, match="vocabulary mismatch"):
         attribute_words(classifier, LabeledExample((CLS_ID, MARKER_POS, VOCAB_SIZE), 1))
 
+
 class TestTransfer:
     def test_changes_exactly_top_m_positions(self, setup):
         dataset, classifier, params, config = setup
@@ -167,13 +173,22 @@ class TestTransfer:
         with pytest.raises(ValueError):
             transfer_style(params, config, classifier, example, example.label)
 
+    def test_batch_needs_one_target_per_example(self, setup):
+        dataset, classifier, params, config = setup
+        with pytest.raises(ValueError, match="1 targets for 2 examples"):
+            transfer_styles(params, config, classifier, dataset.train[:2], [0])
+
     def test_oversized_top_m_clamped_with_warning(self, setup):
         _, classifier, params, config = setup
         example = LabeledExample((CLS_ID, MARKER_POS, NEUTRAL[0]), 1)
-        with pytest.warns(UserWarning, match="maskable"):
+        with pytest.warns(UserWarning, match="maskable") as record:
             out = transfer_style(params, config, classifier, example, 0, top_m=9)
         diff = [i for i, (a, b) in enumerate(zip(example.tokens, out.tokens)) if a != b]
         assert len(diff) == 2
+        assert [w.filename for w in record] == [__file__]  # the caller's line
+        with pytest.warns(UserWarning, match="maskable") as record:
+            [batched] = transfer_styles(params, config, classifier, [example], [0], top_m=9)
+        assert batched == out and [w.filename for w in record] == [__file__]
 
     def test_deterministic(self, setup):
         dataset, classifier, params, config = setup
@@ -211,6 +226,47 @@ def test_transfer_matches_serial_reference(setup, kind, cfg, top_m):
         got = transfer_style(params, config, classifier, example, target, top_m)
         assert got == serial_transfer(params, config, classifier, example, target, top_m)
         assert got.tokens != example.tokens
+
+
+@pytest.mark.parametrize("top_m", [1, 2])
+@pytest.mark.parametrize("kind, cfg", [
+    ("cnn", CnnConfig(seed=2, max_epochs=2, filter_widths=(2, 5))),
+    ("rnn", RnnConfig(seed=2, max_epochs=2)),
+])
+def test_batched_transfer_matches_serial_reference(kind, cfg, top_m, monkeypatch):
+    # one chunk plus 3 refilled rows of mixed lengths, with a sentence that
+    # has no content token inside the first chunk, under a three-condition
+    # encoder so each label is sent to both other labels
+    classifier, _ = train_classifier(signal_dataset(n=40), cfg, vocab_size=VOCAB_SIZE)
+    config = EncoderConfig(
+        vocab_size=VOCAB_SIZE, layers=1, hidden=8, heads=2, ff=16, max_len=8,
+        num_conditions=3, dropout=0.0,
+    )
+    params = init_params(config, np.random.default_rng(6))
+    rows = signal_dataset(n=60, seed=3).train[: CHUNK_SIZE + 3]
+    examples = [LabeledExample(ex.tokens[: 2 + i % 4], ex.label) for i, ex in enumerate(rows)]
+    examples.insert(7, LabeledExample((CLS_ID, 1, 1), 0))
+    targets = [(ex.label + 1 + i % 2) % 3 for i, ex in enumerate(examples)]
+    chunks = []
+    real = styletransfer._refill
+
+    def refill(params, config, policy, picks):
+        chunks.append(len(picks))
+        return real(params, config, policy, picks)
+
+    monkeypatch.setattr(styletransfer, "_refill", refill)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # top_m=2 exceeds the one-word rows
+        got = transfer_styles(params, config, classifier, examples, targets, top_m)
+        assert chunks == [CHUNK_SIZE, 3]
+        for i, (example, target) in enumerate(zip(examples, targets)):
+            if i == 7:
+                assert isinstance(got[i], SkipExample)
+                with pytest.raises(SkipExample, match=str(got[i])):
+                    serial_transfer(params, config, classifier, example, target, top_m)
+                continue
+            want = serial_transfer(params, config, classifier, example, target, top_m)
+            assert got[i] == want, i
 
 
 def test_write_style_pairs(tmp_path):
