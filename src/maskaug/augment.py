@@ -11,14 +11,18 @@ same label on the output):
 * the synonym augmenter swaps words from a user-supplied table.
 
 Mask positions are drawn before any model is consulted, so two augmenters
-running under the same seed mask the same slots.
+running under the same seed mask the same slots. The model-based augmenters
+then sample every masked slot of a chunk in one vectorized pass: a top_k or
+temperature slot takes one uniform draw from its sentence's stream, in slot
+order, and a greedy slot takes none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +49,8 @@ CHUNK_SIZE = 32
 # the SkipExample that rejected it
 Pick = tuple[LabeledExample, "np.random.Generator | None", object]
 Outcome = tuple[LabeledExample, tuple[int, ...]] | SkipExample
+
+NO_CANDIDATE = "no candidate tokens outside the specials"
 
 
 @dataclass(frozen=True)
@@ -91,20 +97,119 @@ def _draw_k(policy: AugmentationPolicy, rng: np.random.Generator) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _keep_top_k(p: np.ndarray, k: int) -> np.ndarray:
-    """`p` with all but its k largest entries zeroed.
+def _top_k_ids(p: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k) ids of the k largest entries of each row of `p`, ascending,
+    for k below the row length.
 
     Ties at the k-th largest value keep the lowest ids, the keep-set of a
-    stable descending sort, found here by one O(V) partition.
+    stable descending sort, found by one O(V) partition per row; only the
+    rows whose k-th value is tied past the k places take the tie fix.
     """
-    if k >= p.size:
+    n = p.shape[1]
+    kth = np.partition(p, n - k, axis=1)[:, n - k, None]
+    keep = p >= kth
+    flat = np.flatnonzero(keep)
+    over = np.flatnonzero(np.bincount(flat // n, minlength=len(p)) > k)
+    if over.size:
+        sub, cut = p[over], kth[over]
+        tied = sub == cut
+        room = k - np.count_nonzero(sub > cut, axis=1, keepdims=True)
+        keep[over] = (sub > cut) | tied & (np.cumsum(tied, axis=1) <= room)
+        flat = np.flatnonzero(keep)
+    return (flat % n).reshape(len(p), k)
+
+
+def _keep_top_k(p: np.ndarray, k: int) -> np.ndarray:
+    """`p` with all but the k largest entries along its last axis zeroed,
+    ties kept toward the lowest ids: the top_k sampler's keep-set."""
+    if k >= p.shape[-1]:
         return p
-    kth = np.partition(p, p.size - k)[p.size - k]
-    above = p > kth
-    ties = np.flatnonzero(p == kth)[: k - np.count_nonzero(above)]
-    kept = np.where(above, p, 0.0)
-    kept[ties] = kth
-    return kept
+    rows = p.reshape(-1, p.shape[-1])
+    ids = _top_k_ids(rows, k)
+    at = np.arange(len(rows))[:, None]
+    kept = np.zeros_like(rows)
+    kept[at, ids] = rows[at, ids]
+    return kept.reshape(p.shape)
+
+
+def sample_replacements(
+    probs: np.ndarray,
+    originals: Sequence[int],
+    policy: AugmentationPolicy,
+    rngs: Sequence["np.random.Generator | None"],
+) -> np.ndarray:
+    """One replacement id per row of `probs`, a (slots, V) stack of cloze
+    distributions, each row with its original id and random stream.
+
+    Specials are never candidates; with exclude_original a row's original
+    id is dropped too, coming back only when nothing else has mass. A row
+    with no candidate reads -1, and so does every later row on its stream
+    (rng None excepted): a stream stops at its first skipped slot, as a
+    sentence does. Every other top_k or temperature row takes one
+    `rng.random()` from its stream, in row order, and looks it up in the
+    cumulative sum of its normalized row, which gives the id and the stream
+    state of `rng.choice(V, p=row)`; greedy draws nothing, so its rngs may
+    be None. A row holding NaN or inf raises ValueError.
+    """
+    p = np.array(probs, dtype=np.float64, ndmin=2)
+    slots = np.arange(len(p))
+    originals = np.asarray(originals, dtype=np.intp)
+    p[:, :NUM_SPECIALS] = 0.0
+    if policy.exclude_original:
+        own = p[slots, originals]
+        p[slots, originals] = 0.0
+    mass = p.sum(axis=1)
+    # the per-row checks run on Python floats: a chunk has few rows, and at that size a
+    # NumPy reduction costs more than the loop
+    masses = mass.tolist()
+    if policy.exclude_original and min(masses, default=1.0) <= 0.0:
+        # nothing but the original survives the exclusions: allow it back
+        back = slots[mass <= 0.0]
+        p[back, originals[back]] = mass[back] = own[back]
+        masses = mass.tolist()
+    if not math.isfinite(sum(masses)):  # the rows are non-negative, so only NaN or inf gets here
+        raise ValueError(f"cloze distribution row {np.flatnonzero(~np.isfinite(mass))[0]} "
+                         "holds NaN or inf")
+    skip = [m <= 0.0 for m in masses]
+    live = None
+    if any(skip):
+        stopped = set()
+        for i, rng in enumerate(rngs):
+            if rng is not None and (skip[i] or id(rng) in stopped):
+                skip[i] = True
+                stopped.add(id(rng))
+        live = [i for i, gone in enumerate(skip) if not gone]
+        p = p[live]
+    if policy.temperature != 1.0:
+        # (p / max p) ** (1/T) in log space: the largest stays 1, so a small T cannot zero all
+        pos = p > 0.0
+        log_p = np.full_like(p, -np.inf)
+        log_p[pos] = np.log(p[pos])
+        p[pos] = np.exp(((log_p - log_p.max(axis=1, keepdims=True)) / policy.temperature)[pos])
+    if policy.sampler == "greedy":
+        picked = p.argmax(axis=1)
+    else:
+        draws = np.array([rng.random() for rng, gone in zip(rngs, skip) if not gone])
+        if policy.sampler == "top_k" and policy.top_k < p.shape[1]:
+            cols = _top_k_ids(p, policy.top_k)
+            rows = np.arange(len(p))[:, None]
+            # dropped entries add exact zeros to the cumulative sum, so the kept ones give its
+            # steps; the normalizing sum runs over the full-width row, as choice's input did
+            steps = p[rows, cols]
+            kept = np.zeros_like(p)
+            kept[rows, cols] = steps
+        else:
+            cols, kept, steps = None, p, p
+        cdf = np.cumsum(steps / kept.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        picked = np.count_nonzero(cdf <= draws[:, None], axis=1)  # searchsorted(side="right")
+        if cols is not None:
+            picked = cols[rows[:, 0], picked]
+    if live is None:
+        return picked
+    ids = np.full(len(skip), -1)
+    ids[live] = picked
+    return ids
 
 
 def sample_replacement(
@@ -113,33 +218,13 @@ def sample_replacement(
     policy: AugmentationPolicy,
     rng: "np.random.Generator | None",
 ) -> int:
-    """Draw one replacement id from a cloze distribution row.
-
-    Specials are never candidates; with exclude_original the original id is
-    dropped too, returning only when nothing else has mass. rng may be None
-    for the greedy sampler.
-    """
-    p = probs.astype(np.float64)
-    p[:NUM_SPECIALS] = 0.0
-    if policy.exclude_original:
-        p[original] = 0.0
-    if p.sum() <= 0.0:
-        # nothing but the original survives the exclusions: allow it back
-        p = probs.astype(np.float64)
-        p[:NUM_SPECIALS] = 0.0
-    if p.sum() <= 0.0:
-        raise SkipExample("no candidate tokens outside the specials")
-    if policy.temperature != 1.0:
-        # (p / max p) ** (1/T) in log space: the largest stays 1, so a small T cannot zero all
-        live = p > 0.0
-        log_p = np.log(p[live])
-        p[live] = np.exp((log_p - log_p.max()) / policy.temperature)
-    if policy.sampler == "greedy":
-        return int(np.argmax(p))
-    if policy.sampler == "top_k":
-        p = _keep_top_k(p, policy.top_k)
-    p = p / p.sum()
-    return int(rng.choice(p.size, p=p))
+    """Draw one replacement id from a cloze distribution row: the one-row
+    call of `sample_replacements`, raising SkipExample when nothing outside
+    the specials has mass."""
+    [chosen] = sample_replacements(probs, [original], policy, [rng])
+    if chosen < 0:
+        raise SkipExample(NO_CANDIDATE)
+    return int(chosen)
 
 
 def _refill(
@@ -149,19 +234,23 @@ def _refill(
     picks: list[Pick],
 ) -> list[Outcome]:
     """One batched encoder forward for a chunk of masked sentences, each
-    under its pick's condition id, then each sentence's slots sampled from
-    that sentence's own stream; the result carries the pick's label."""
+    under its pick's condition id, then one `sample_replacements` over all
+    their slots, each sentence's drawn from its own stream; the result
+    carries the pick's label."""
     queries = [(ex.tokens, positions, cond) for ex, _, (positions, cond, _) in picks]
     dists = mlm_distributions(params, config, queries)
+    slots = [(ex.tokens[pos], rng) for ex, rng, (positions, _, _) in picks for pos in positions]
+    originals, rngs = zip(*slots)
+    ids = iter(sample_replacements(np.concatenate(dists), originals, policy, rngs).tolist())
     outcomes: list[Outcome] = []
-    for (example, rng, (positions, _, label)), probs in zip(picks, dists):
-        tokens = list(example.tokens)
-        try:
-            for row, pos in enumerate(positions):
-                tokens[pos] = sample_replacement(probs[row], example.tokens[pos], policy, rng)
-        except SkipExample as skip:
-            outcomes.append(skip)
+    for example, _, (positions, _, label) in picks:
+        chosen = list(islice(ids, len(positions)))
+        if min(chosen) < 0:
+            outcomes.append(SkipExample(NO_CANDIDATE))
             continue
+        tokens = list(example.tokens)
+        for pos, new in zip(positions, chosen):
+            tokens[pos] = new
         outcomes.append((LabeledExample(tuple(tokens), label), tuple(positions)))
     return outcomes
 
@@ -321,7 +410,7 @@ def augment_dataset(
     """Grow the train split: originals first, then `multiplier` passes of
     generated variants in sentence order. Deterministic for a fixed seed;
     too-short sentences are skipped and tallied, never errors. The encoder
-    runs once per chunk of CHUNK_SIZE sentences.
+    and `sample_replacements` run once per chunk of CHUNK_SIZE sentences.
     """
     seed = policy.seed if seed is None else seed
     name = "bert" if unconditional else "cbert"

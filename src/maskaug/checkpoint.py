@@ -174,8 +174,8 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
 
     The sidecar must be a JSON object tagged `fmt`; `build(meta)` returns the
     description and the Layout whose names and shapes the stored arrays must
-    match. A path that is a directory raises IsADirectoryError; every other
-    failure raises CheckpointError.
+    match, and every stored value must be finite. A path that is a directory
+    raises IsADirectoryError; every other failure raises CheckpointError.
     """
     arrays = load_arrays(path)  # first, so the error names the path the caller gave
     sidecar = Path(str(path) + ".json")
@@ -204,4 +204,6 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
             raise CheckpointError(
                 f"parameter '{name}' in {path} has shape {arrays[name].shape}, expected {shape}"
             )
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"parameter '{name}' in {path} holds NaN or inf")
     return model, {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}

@@ -229,6 +229,8 @@ def cmd_finetune(args, out: Path) -> None:
 
 def _augment_policy(args: argparse.Namespace) -> AugmentationPolicy:
     """The sampler flags, checked before any file is read."""
+    if args.sampler != "top_k" and args.top_k != AugmentationPolicy.top_k:  # the flag's default
+        raise ValueError("--top-k applies only to --sampler top_k")
     return AugmentationPolicy(
         k=_parse_k(args.k),
         sampler=args.sampler,
@@ -424,7 +426,7 @@ def _add_train_flags(sp: argparse.ArgumentParser) -> None:
 def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--k", default="1,2", help="masked words per sentence: 'K' or 'LO,HI'")
     sp.add_argument("--sampler", choices=("greedy", "top_k", "temperature"), default="top_k")
-    sp.add_argument("--top-k", type=int, default=10)
+    sp.add_argument("--top-k", type=int, default=AugmentationPolicy.top_k)
     sp.add_argument("--temperature", type=float, default=1.0)
     sp.add_argument("--multiplier", type=int, default=1)
 

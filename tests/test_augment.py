@@ -12,6 +12,7 @@ from maskaug.augment import (
     augment_dataset,
     augment_sentence,
     sample_replacement,
+    sample_replacements,
     synonym_augment,
     synonym_augment_dataset,
     write_augmented_tsv,
@@ -27,7 +28,9 @@ from maskaug.text import (
     read_tsv,
     build_vocab,
 )
-from maskaug.training import IGNORE_ID, MaskPolicy, SkipExample, mask_tokens, maskable_positions
+from maskaug.training import (
+    IGNORE_ID, MaskPolicy, SkipExample, choose_positions, mask_tokens, maskable_positions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,191 @@ class TestSampleReplacement:
             k = above + int(rng.integers(1, tied))  # the k-th value is the tied one
             assert np.array_equal(_keep_top_k(p, k), self._stable_sort_top_k(p, k))
 
+    def test_top_k_works_along_the_last_axis(self):
+        rng = np.random.default_rng(6)
+        for v in (1, 2, 7, 40):
+            p = np.round(rng.random((30, v)) * 3) / 3  # many ties, some rows all zero
+            for k in (1, 2, 5, v, v + 1):
+                want = np.stack([self._stable_sort_top_k(row, k) for row in p])
+                assert np.array_equal(_keep_top_k(p, k), want)
+
+
+def serial_row(probs, original, policy):
+    """The per-row sampler's weights before normalizing: exclusions, the
+    fallback to the original, temperature and, for top_k, a stable-sort
+    keep-set; None when nothing has mass."""
+    p = probs.astype(np.float64)
+    p[:NUM_SPECIALS] = 0.0
+    if policy.exclude_original:
+        p[original] = 0.0
+    if p.sum() <= 0.0:
+        p = probs.astype(np.float64)
+        p[:NUM_SPECIALS] = 0.0
+    if p.sum() <= 0.0:
+        return None
+    if policy.temperature != 1.0:
+        live = p > 0.0
+        log_p = np.log(p[live])
+        p[live] = np.exp((log_p - log_p.max()) / policy.temperature)
+    if policy.sampler == "top_k":
+        p = TestSampleReplacement._stable_sort_top_k(p, policy.top_k)
+    return p
+
+
+def serial_sample(probs, original, policy, rng):
+    """The per-row sampler `sample_replacements` stands in for: the argmax
+    of `serial_row` for greedy, else `rng.choice` over it normalized; None
+    when nothing has mass."""
+    p = serial_row(probs, original, policy)
+    if p is None:
+        return None
+    if policy.sampler == "greedy":
+        return int(np.argmax(p))
+    p = p / p.sum()
+    return int(rng.choice(p.size, p=p))
+
+
+class Scripted(np.random.Generator):
+    """A stream whose `random()` returns the given draws in turn;
+    `Generator.choice` takes its uniform draw through that method."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.draws.pop(0)
+
+
+def serial_slots(probs, originals, policy, rngs):
+    """`serial_sample` slot by slot; a stream stops at its first skip."""
+    ids, stopped = [], set()
+    for row, original, rng in zip(probs, originals, rngs):
+        got = None if id(rng) in stopped else serial_sample(row, original, policy, rng)
+        if got is None and rng is not None:
+            stopped.add(id(rng))
+        ids.append(-1 if got is None else got)
+    return ids
+
+
+def cloze_rows(rng, n, v, top_k):
+    """`n` (v,)-rows of the shapes that stress the sampler, with originals:
+    smooth rows, values tied at the k-th place, rows with fewer than top_k
+    positive entries, mass on the original alone, mass on the specials
+    alone, and an all-zero row."""
+    rows = rng.random((n, v)) ** 4
+    originals = rng.integers(NUM_SPECIALS, v, n)
+    for i, kind in enumerate(rng.integers(0, 6, n)):
+        if kind == 1:
+            rows[i] = np.round(rows[i] * 4) / 4
+        elif kind == 2:
+            rows[i, rng.random(v) < 1 - min(top_k, v) / (2 * v)] = 0.0
+        elif kind == 3:
+            rows[i, NUM_SPECIALS:] = 0.0
+            rows[i, originals[i]] = rng.random()
+        elif kind == 4:
+            rows[i, NUM_SPECIALS:] = 0.0
+        elif kind == 5:
+            rows[i] = 0.0
+    return rows / np.maximum(rows.sum(axis=1, keepdims=True), 1e-300), originals
+
+
+class TestSampleReplacements:
+    """The vectorized sampler against `serial_slots`: equal ids, equal
+    skips, and every stream left in the same state."""
+
+    @staticmethod
+    def streams(seed, n):
+        # slots come in sentences of one to three, each sentence on one stream
+        layout = np.random.default_rng(seed).integers(1, 4, n)
+        rngs = [np.random.default_rng([seed, s]) for s in range(n)]
+        return [rngs[s] for s, size in enumerate(layout) for _ in range(size)][:n]
+
+    def check(self, probs, originals, policy, seed):
+        mine, theirs = self.streams(seed, len(probs)), self.streams(seed, len(probs))
+        before = probs.copy()
+        got = sample_replacements(probs, originals, policy, mine)
+        assert np.array_equal(probs, before)  # the input is not mutated
+        assert got.tolist() == serial_slots(probs, originals, policy, theirs)
+        assert [r.random() for r in mine] == [r.random() for r in theirs]
+        return got
+
+    @pytest.mark.parametrize("v", [5, 6, 9, 21, 64, 300, 5000])
+    @pytest.mark.parametrize("sampler, top_k, temperature", [
+        ("top_k", 1, 1.0), ("top_k", 3, 1.0), ("top_k", 10, 1.0), ("top_k", 10, 0.7),
+        ("top_k", 4, 1e-4), ("top_k", 5000, 1.0), ("temperature", 10, 1.0),
+        ("temperature", 10, 0.7), ("temperature", 10, 1e-4), ("temperature", 10, 3.0),
+        ("greedy", 10, 1.0), ("greedy", 10, 0.5),
+    ])
+    @pytest.mark.parametrize("exclude_original", [True, False])
+    def test_matches_the_serial_sampler(self, v, sampler, top_k, temperature, exclude_original):
+        policy = AugmentationPolicy(k=1, sampler=sampler, top_k=top_k,
+                                    temperature=temperature, exclude_original=exclude_original)
+        seed = v * 1000 + top_k
+        n = 40 if v == 5000 else 150
+        probs, originals = cloze_rows(np.random.default_rng(seed), n, v, top_k)
+        got = self.check(probs, originals, policy, seed)
+        assert (got == -1).any() and (got >= NUM_SPECIALS).any()
+
+    def test_many_draws_match_choice(self):
+        # one draw per row on smooth rows: the id and the stream after it equal rng.choice's
+        rng = np.random.default_rng(8)
+        for v, top_k in [(5, 2), (21, 10), (300, 10), (300, 300)]:
+            for sampler in ("top_k", "temperature"):
+                policy = AugmentationPolicy(k=1, sampler=sampler, top_k=top_k)
+                probs = rng.random((2000, v)) ** 3
+                self.check(probs, rng.integers(NUM_SPECIALS, v, 2000), policy, v)
+
+    @pytest.mark.parametrize("v, sampler, top_k, temperature", [
+        (9, "top_k", 3, 1.0), (40, "temperature", 10, 1.0), (300, "top_k", 10, 1.0),
+        (300, "top_k", 10, 0.7), (300, "temperature", 10, 0.7), (5000, "top_k", 10, 1.0),
+    ])
+    def test_draws_on_the_cumulative_steps_pick_as_choice_does(self, v, sampler, top_k,
+                                                                temperature):
+        # a draw equal to a step of choice's cumulative sum, or one ulp either side of it,
+        # tells apart sums that differ in the last bit and a left from a right search
+        policy = AugmentationPolicy(k=1, sampler=sampler, top_k=top_k, temperature=temperature)
+        rng = np.random.default_rng(v)
+        rows, originals, draws = [], [], []
+        for row, original in zip(rng.random((10, v)) ** 3, rng.integers(NUM_SPECIALS, v, 10)):
+            p = serial_row(row, original, policy)
+            cdf = np.cumsum(p / p.sum())
+            cdf /= cdf[-1]
+            for step in rng.choice(np.flatnonzero(p)[:-1], 3):
+                for u in (np.nextafter(cdf[step], 0.0), cdf[step], np.nextafter(cdf[step], 1.0)):
+                    rows.append(row), originals.append(original), draws.append(u)
+        got = sample_replacements(np.array(rows), originals, policy, [Scripted([u]) for u in draws])
+        want = serial_slots(rows, originals, policy, [Scripted([u]) for u in draws])
+        assert got.tolist() == want
+        assert len(set(want)) >= 3
+
+    def test_a_skipped_slot_stops_only_its_stream(self):
+        policy = AugmentationPolicy(k=1, sampler="top_k", top_k=3)
+        probs = np.tile(np.arange(1.0, 9.0), (4, 1))
+        probs[1, NUM_SPECIALS:] = 0.0  # no candidate
+        shared, other = np.random.default_rng(0), np.random.default_rng(1)
+        ids = sample_replacements(probs, [5, 5, 5, 5], policy, [shared, shared, shared, other])
+        assert ids[1:3].tolist() == [-1, -1] and ids[0] >= NUM_SPECIALS and ids[3] >= NUM_SPECIALS
+        reference = np.random.default_rng(0)
+        reference.random()  # slot 0 drew, slot 2 did not
+        assert shared.random() == reference.random()
+
+    def test_greedy_takes_no_stream(self):
+        policy = AugmentationPolicy(k=1, sampler="greedy", exclude_original=True)
+        probs = np.array([[0.0, 0.0, 0.0, 0.0, 0.5, 0.2, 0.3], [0.1, 0.1, 0.2, 0.1, 0.5, 0.0, 0.0]])
+        assert sample_replacements(probs, [4, 4], policy, [None, None]).tolist() == [6, 4]
+
+    @pytest.mark.parametrize("sampler", ["greedy", "top_k", "temperature"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_row_raises(self, sampler, bad):
+        policy = AugmentationPolicy(k=1, sampler=sampler, temperature=0.5)
+        probs = np.full((3, 9), 1 / 9)
+        probs[1, 6] = bad
+        with pytest.raises(ValueError, match="row 1 holds NaN or inf"):
+            sample_replacements(probs, [5, 5, 5], policy, [np.random.default_rng(0)] * 3)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            sample_replacement(probs[1], 5, policy, np.random.default_rng(0))
+
 
 class TestAugmentSentence:
     def test_greedy_k1_changes_exactly_one_position(self, model):
@@ -209,6 +397,27 @@ class TestAugmentSentence:
             out = augment_sentence(params, config, source, policy, np.random.default_rng(seed))
             changed = [i for i, (a, b) in enumerate(zip(source.tokens, out.tokens)) if a != b]
             assert changed == [i for i, t in enumerate(targets) if t != IGNORE_ID]
+
+
+def test_a_skipped_slot_leaves_the_stream_as_the_serial_sampler_did(model, monkeypatch):
+    params, config = model
+    policy = AugmentationPolicy(k=3, sampler="top_k", top_k=5)
+    source = example(6)
+
+    def cloze(params, config, queries):
+        [(_, positions, _)] = queries
+        probs = np.full((len(positions), config.vocab_size), 1.0 / config.vocab_size)
+        probs[1, NUM_SPECIALS:] = 0.0  # the second slot has no candidate
+        return [probs]
+
+    monkeypatch.setattr("maskaug.augment.mlm_distributions", cloze)
+    rng = np.random.default_rng(5)
+    with pytest.raises(SkipExample, match="no candidate tokens outside the specials"):
+        augment_sentence(params, config, source, policy, rng)
+    reference = np.random.default_rng(5)
+    choose_positions(source.tokens, 3, reference)
+    reference.random()  # the first slot's draw; the skipped second stops the third
+    assert rng.random() == reference.random()
 
 
 def test_refill_bert_pick_keeps_the_label_under_condition_0(model):
@@ -342,14 +551,13 @@ class TestChunkedPass:
             if dataset.train[idx].tokens[pos] == refused_word
         }
         assert 0 < len(hit) < full.generated
-        sample = sample_replacement
+        sample = sample_replacements
 
-        def refuse(probs, original, policy, rng):
-            if original == refused_word:
-                raise SkipExample("refused")
-            return sample(probs, original, policy, rng)
+        def refuse(probs, originals, policy, rngs):
+            ids = sample(probs, originals, policy, rngs)
+            return np.where(np.asarray(originals) == refused_word, -1, ids)
 
-        monkeypatch.setattr("maskaug.augment.sample_replacement", refuse)
+        monkeypatch.setattr("maskaug.augment.sample_replacements", refuse)
         _, report = augment_dataset(params, config, dataset, policy)
         assert report.skipped == full.skipped + len(hit)
         assert report.provenance == [entry for entry in full.provenance if entry[0] not in hit]

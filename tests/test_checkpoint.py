@@ -167,6 +167,16 @@ def test_load_model_checks_names_and_shapes_against_the_layout(tmp_path, arrays,
         load_model(path, "test v1", lambda meta: (meta, layout))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_model_rejects_a_non_finite_value_naming_its_parameter(tmp_path, arrays, value):
+    path = tmp_path / "model.ckpt"
+    arrays["cube"][1, 2, 3] = value
+    save_model(arrays, {"format": "test v1"}, path)
+    with pytest.raises(CheckpointError, match=f"^parameter 'cube' in {path} holds NaN or inf$"):
+        load_model(path, "test v1", lambda meta: (meta, _layout_of(arrays)))
+    assert np.array_equal(load_arrays(path)["cube"], arrays["cube"], equal_nan=True)
+
+
 def test_load_model_reads_shapes_without_drawing(tmp_path, arrays, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_model(arrays, {"format": "test v1"}, path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maskaug import classify, cli
-from maskaug.checkpoint import MAGIC
+from maskaug.checkpoint import MAGIC, load_arrays, save_arrays
 from maskaug.cli import (
     EXIT_CHECKPOINT,
     EXIT_MISSING_FILE,
@@ -367,6 +367,15 @@ def _truncate(n_bytes):
     return apply
 
 
+def _poison(name, value):
+    """Set the first entry of parameter `name` to `value` (NaN or inf)."""
+    def apply(ckpt):
+        arrays = load_arrays(ckpt)
+        arrays[name].flat[0] = value
+        save_arrays(arrays, ckpt)
+    return apply
+
+
 # (model file, fault, a word the message must name) triples; encoders load
 # through `finetune --init`, classifiers through `eval`
 MODEL_FILE_FAULTS = [
@@ -460,6 +469,10 @@ MODEL_FILE_FAULTS = [
     pytest.param("encoder", _name_byte(0xFF), "not UTF-8", id="encoder-name-not-utf8"),
     pytest.param("classifier", _truncate(12), "truncated", id="classifier-truncated-header"),
     pytest.param("classifier", _truncate(300), "truncated", id="classifier-truncated-payload"),
+    pytest.param("encoder", _poison("layer0.wq", np.nan), "parameter 'layer0.wq' in ",
+                 id="encoder-nan-weight"),
+    pytest.param("classifier", _poison("fc1_w", np.inf), "parameter 'fc1_w' in ",
+                 id="classifier-inf-weight"),
 ]
 
 
@@ -508,6 +521,21 @@ STYLE_TRANSFER_FILE_FAULTS = [
         for offset in offsets
     ],
     pytest.param("--data", _data_not_utf8, EXIT_PARSE, "error[parse]: ", id="data-not-utf8"),
+]
+
+
+# (subcommand, its flags, the flag whose model is damaged, which model, the
+# damaged parameter, its value) rows: a non-finite weight is refused at load,
+# where a NaN once ran a greedy refill to exit 0 and an inf surfaced from the
+# sampler as a config error
+NON_FINITE_WEIGHT_RUNS = [
+    pytest.param("augment", ["--sampler", "greedy"], "--model", "encoder", "token_emb", np.nan,
+                 id="augment-greedy-nan"),
+    pytest.param("augment", [], "--model", "encoder", "mlm_w", np.inf, id="augment-top-k-inf"),
+    pytest.param("style-transfer", [], "--model", "encoder", "layer0.ffn_w1", np.inf,
+                 id="style-transfer-encoder-inf"),
+    pytest.param("style-transfer", [], "--classifier-ckpt", "classifier", "emb", np.nan,
+                 id="style-transfer-classifier-nan"),
 ]
 
 
@@ -631,6 +659,26 @@ class TestErrorCategories:
         assert got == code, err
         assert err.startswith(start) and err.count("\n") == 1, err
         assert str(bad) in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, flags, flag, which, name, value", NON_FINITE_WEIGHT_RUNS)
+    def test_non_finite_weight_is_one_line_checkpoint_error(
+        self, subcommand, flags, flag, which, name, value, workdir, vocab_file, finetuned,
+        classifier_ckpt, tmp_path, capsys,
+    ):
+        files = {"encoder": finetuned, "classifier": classifier_ckpt}
+        inputs = {"--model": finetuned}
+        if subcommand == "style-transfer":
+            inputs["--classifier-ckpt"] = classifier_ckpt
+        inputs[flag] = bad = _damaged_copy(which, _poison(name, value))(files, tmp_path)
+        out = tmp_path / "run"
+        code = main([
+            subcommand, "--data", str(workdir / "test.tsv"), "--vocab", str(vocab_file),
+            "--out", str(out), *flags, *[str(part) for item in inputs.items() for part in item],
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECKPOINT, err
+        assert err == f"error[checkpoint]: parameter '{name}' in {bad} holds NaN or inf\n"
         assert not out.exists()
 
     def test_malformed_config_file(self, workdir, tmp_path):
@@ -826,15 +874,26 @@ class TestErrorCategories:
                          ["--classifier", "rnn", "--num-filters", "-5", "--arms", "none"],
                          "--num-filters applies only to --classifier cnn",
                          id="ab-rnn-num-filters"),
+            pytest.param("augment", ["--sampler", "greedy", "--top-k", "3"],
+                         "--top-k applies only to --sampler top_k", id="greedy-top-k"),
+            pytest.param("augment", ["--sampler", "temperature", "--top-k", "1"],
+                         "--top-k applies only to --sampler top_k", id="temperature-top-k"),
+            pytest.param("ab-experiment",
+                         ["--sampler", "greedy", "--top-k", "3", "--arms", "none"],
+                         "--top-k applies only to --sampler top_k", id="ab-greedy-top-k"),
         ],
     )
     def test_bad_value_is_one_line_config_error(
         self, subcommand, flags, message, workdir, vocab_file, tmp_path, capsys
     ):
         out = tmp_path / "run"
+        # augment takes neither a test split nor epochs
+        training = [] if subcommand == "augment" else [
+            "--test", str(workdir / "test.tsv"), "--epochs", "1",
+        ]
         code = main([
-            subcommand, "--data", str(workdir / "train.tsv"), "--test", str(workdir / "test.tsv"),
-            "--vocab", str(vocab_file), "--epochs", "1", "--out", str(out), *flags,
+            subcommand, "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--out", str(out), *training, *flags,
         ])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error[config]: {message}\n"
@@ -1105,6 +1164,25 @@ class TestConfigFile:
         assert code == EXIT_USAGE, err
         assert err.startswith("error[config]: ") and err.count("\n") == 1, err
         assert repr(field) in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, flags", [
+        pytest.param({"sampler": "greedy", "top_k": 3}, [], id="both-in-file"),
+        pytest.param({"top_k": 3}, ["--sampler", "greedy"], id="top-k-in-file"),
+        pytest.param({"sampler": "temperature"}, ["--top-k", "3"], id="sampler-in-file"),
+    ])
+    def test_top_k_from_the_file_needs_the_top_k_sampler(self, settings, flags, tmp_path, capsys):
+        # rejected before any file is read: the data, vocab and model do not exist
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "aug"
+        absent = str(tmp_path / "absent")
+        code = main([
+            "augment", "--config", str(cfg), "--data", absent, "--vocab", absent,
+            "--model", absent, "--out", str(out), *flags,
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error[config]: --top-k applies only to --sampler top_k\n"
         assert not out.exists()
 
     def test_config_supplies_a_required_flag(self, workdir, vocab_file, tmp_path):
