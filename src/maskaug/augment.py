@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,16 +37,15 @@ from .training import SkipExample, choose_positions, maskable_positions
 
 AUGMENTED_TSV_FORMAT = "# maskaug-augmented-tsv v1"
 
-# sentences per batched encoder forward in a dataset pass; chunks are cut
-# from the non-skipped sentences in dataset order, so their make-up never
-# depends on timing
+# picks per batched encoder forward in a refill; chunks are cut from the
+# picks in order, so their make-up never depends on timing
 CHUNK_SIZE = 32
 
 # a sentence ready for its model call: the example, its random stream (None
 # for a greedy refill), and what was drawn so far -- `(mask positions,
-# condition id, label of the result)` for a refill, the finished variant for
-# a synonym pass; its outcome is the new example plus the changed slots, or
-# the SkipExample that rejected it
+# condition id)` for a refill, the finished variant for a synonym pass; its
+# outcome is the new example, under the sentence's own label, plus the
+# changed slots, or the SkipExample that rejected it
 Pick = tuple[LabeledExample, "np.random.Generator | None", object]
 Outcome = tuple[LabeledExample, tuple[int, ...]] | SkipExample
 
@@ -117,19 +116,6 @@ def _top_k_ids(p: np.ndarray, k: int) -> np.ndarray:
         keep[over] = (sub > cut) | tied & (np.cumsum(tied, axis=1) <= room)
         flat = np.flatnonzero(keep)
     return (flat % n).reshape(len(p), k)
-
-
-def _keep_top_k(p: np.ndarray, k: int) -> np.ndarray:
-    """`p` with all but the k largest entries along its last axis zeroed,
-    ties kept toward the lowest ids: the top_k sampler's keep-set."""
-    if k >= p.shape[-1]:
-        return p
-    rows = p.reshape(-1, p.shape[-1])
-    ids = _top_k_ids(rows, k)
-    at = np.arange(len(rows))[:, None]
-    kept = np.zeros_like(rows)
-    kept[at, ids] = rows[at, ids]
-    return kept.reshape(p.shape)
 
 
 def sample_replacements(
@@ -231,27 +217,30 @@ def _refill(
     params: dict[str, Tensor],
     config: EncoderConfig,
     policy: AugmentationPolicy,
-    picks: list[Pick],
+    picks: Sequence[Pick],
 ) -> list[Outcome]:
-    """One batched encoder forward for a chunk of masked sentences, each
-    under its pick's condition id, then one `sample_replacements` over all
-    their slots, each sentence's drawn from its own stream; the result
-    carries the pick's label."""
-    queries = [(ex.tokens, positions, cond) for ex, _, (positions, cond, _) in picks]
-    dists = mlm_distributions(params, config, queries)
-    slots = [(ex.tokens[pos], rng) for ex, rng, (positions, _, _) in picks for pos in positions]
-    originals, rngs = zip(*slots)
-    ids = iter(sample_replacements(np.concatenate(dists), originals, policy, rngs).tolist())
+    """Each pick's masked slots refilled under its condition id, CHUNK_SIZE
+    picks at a time: one batched encoder forward per chunk, then one
+    `sample_replacements` over the chunk's stacked cloze rows, each
+    sentence's drawn from its own stream. A result keeps its sentence's
+    label; no picks make no call."""
     outcomes: list[Outcome] = []
-    for example, _, (positions, _, label) in picks:
-        chosen = list(islice(ids, len(positions)))
-        if min(chosen) < 0:
-            outcomes.append(SkipExample(NO_CANDIDATE))
-            continue
-        tokens = list(example.tokens)
-        for pos, new in zip(positions, chosen):
-            tokens[pos] = new
-        outcomes.append((LabeledExample(tuple(tokens), label), tuple(positions)))
+    for start in range(0, len(picks), CHUNK_SIZE):
+        chunk = picks[start:start + CHUNK_SIZE]
+        queries = [(ex.tokens, positions, cond) for ex, _, (positions, cond) in chunk]
+        slots = [(ex.tokens[pos], rng) for ex, rng, (positions, _) in chunk for pos in positions]
+        originals, rngs = zip(*slots)
+        probs = mlm_distributions(params, config, queries)
+        ids = iter(sample_replacements(probs, originals, policy, rngs).tolist())
+        for example, _, (positions, _) in chunk:
+            chosen = list(islice(ids, len(positions)))
+            if min(chosen) < 0:
+                outcomes.append(SkipExample(NO_CANDIDATE))
+                continue
+            tokens = list(example.tokens)
+            for pos, new in zip(positions, chosen):
+                tokens[pos] = new
+            outcomes.append((LabeledExample(tuple(tokens), example.label), tuple(positions)))
     return outcomes
 
 
@@ -265,7 +254,7 @@ def augment_sentence(
     """One label-conditional variant of `example` (condition = its label),
     made as a one-sentence chunk of a dataset pass."""
     positions = choose_positions(example.tokens, _draw_k(policy, rng), rng)
-    pick = (example, rng, (positions, example.label, example.label))
+    pick = (example, rng, (positions, example.label))
     [outcome] = _refill(params, config, policy, [pick])
     if isinstance(outcome, SkipExample):
         raise outcome
@@ -284,9 +273,7 @@ class SynonymTable:
         self._entries = {w: tuple(s for s in syns if s != w) for w, syns in entries.items()}
         for word, alternatives in self._entries.items():
             if not alternatives:
-                raise ValueError(
-                    f"synonym entry for {word!r} offers no alternative to itself"
-                )
+                raise ValueError(f"synonym entry for {word!r} offers no alternative to itself")
 
     def alternatives(self, word: str) -> tuple[str, ...]:
         return self._entries.get(word, ())
@@ -301,7 +288,12 @@ class SynonymTable:
             if len(fields) != 2 or not fields[1].strip():
                 raise ParseError(f"{path}:{lineno}: expected 'word<TAB>syn1,syn2,...'")
             word = fields[0].strip()
-            syns = tuple(s.strip() for s in fields[1].split(",") if s.strip())
+            if word in entries:
+                raise ParseError(f"{path}:{lineno}: {word!r} is listed twice")
+            syns = tuple(s for s in map(str.strip, fields[1].split(",")) if s and s != word)
+            if not syns:
+                raise ParseError(f"{path}:{lineno}: synonym entry for {word!r} offers no "
+                                 "alternative to itself")
             entries[word] = syns
         if not entries:
             raise ParseError(f"{path}: no synonym entries")
@@ -344,16 +336,6 @@ def synonym_augment(
 # ---------------------------------------------------------------------------
 
 
-def _fill_in_chunks(
-    picked: Iterable[tuple[int, Pick]], fill: Callable[[list[Pick]], list[Outcome]]
-) -> Iterator[tuple[int, Outcome]]:
-    """Each `(index, pick)`'s index and outcome, in order, with `fill` run on
-    CHUNK_SIZE picks at a time."""
-    queue = iter(picked)
-    while chunk := list(islice(queue, CHUNK_SIZE)):
-        yield from zip([idx for idx, _ in chunk], fill([pick for _, pick in chunk]))
-
-
 def _dataset_pass(
     dataset: Dataset,
     multiplier: int,
@@ -365,12 +347,12 @@ def _dataset_pass(
 ) -> tuple[Dataset, AugmentReport]:
     """`multiplier` rounds over the train split. Each round walks the split
     in order, derives each sentence's stream and runs `pick` on it (a
-    SkipExample tallies a skip); the picked sentences go to `fill` in
-    chunks of CHUNK_SIZE, and results keep dataset order."""
+    SkipExample tallies a skip); the round's picks go to one `fill` call,
+    and results keep dataset order."""
     report = AugmentReport()
     generated: list[LabeledExample] = []
-
-    def picked(round_no: int) -> Iterator[tuple[int, Pick]]:
+    for round_no in range(1, multiplier + 1):
+        indices, picks = [], []
         for idx, example in enumerate(dataset.train):
             rng = derive_rng(seed, "augment", stream_tag, round_no, idx)
             try:
@@ -378,24 +360,17 @@ def _dataset_pass(
             except SkipExample:
                 report.skipped += 1
                 continue
-            yield idx, (example, rng, drawn)
-
-    for round_no in range(1, multiplier + 1):
-        for idx, outcome in _fill_in_chunks(picked(round_no), fill):
+            indices.append(idx)
+            picks.append((example, rng, drawn))
+        for idx, outcome in zip(indices, fill(picks)):
             if isinstance(outcome, SkipExample):
                 report.skipped += 1
                 continue
-            new, positions = outcome
-            generated.append(new)
-            report.generated += 1
-            report.provenance.append((idx, name, positions))
-    augmented = Dataset(
-        train=list(dataset.train) + generated,
-        val=list(dataset.val),
-        test=list(dataset.test),
-        num_labels=dataset.num_labels,
-    )
-    return augmented, report
+            generated.append(outcome[0])
+            report.provenance.append((idx, name, outcome[1]))
+    report.generated = len(generated)
+    return Dataset(train=list(dataset.train) + generated, val=list(dataset.val),
+                   test=list(dataset.test), num_labels=dataset.num_labels), report
 
 
 def augment_dataset(
@@ -420,7 +395,7 @@ def augment_dataset(
     return _dataset_pass(
         dataset, policy.multiplier, seed, name, "mlm",
         lambda ex, rng: (choose_positions(ex.tokens, _draw_k(policy, rng), rng),
-                         0 if unconditional else ex.label, ex.label),
+                         0 if unconditional else ex.label),
         lambda picks: _refill(params, config, policy, picks),
     )
 

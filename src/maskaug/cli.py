@@ -266,6 +266,11 @@ def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: s
 
 def cmd_augment(args, out: Path) -> None:
     policy = _augment_policy(args)
+    if args.augmenter == "synonym":  # a model sampler's flags, each against its default
+        for flag, field in (("sampler", "sampler"), ("top-k", "top_k"),
+                            ("temperature", "temperature"), ("keep-original", "exclude_original")):
+            if getattr(policy, field) != getattr(AugmentationPolicy, field):
+                raise ValueError(f"--{flag} applies only to --augmenter cbert or bert")
     vocab = load_vocab(args.vocab)
     augment, encoder = _augmenter(args, vocab, policy, args.augmenter, "model")
     dataset = _load_dataset(args, vocab, encoder, val_fraction=0.0)

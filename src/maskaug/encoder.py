@@ -191,9 +191,10 @@ def mlm_distributions(
     params: dict[str, Tensor],
     config: EncoderConfig,
     queries: Sequence[tuple[Sequence[int], Sequence[int], int]],
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Cloze distributions for a batch of `(tokens, masked_positions,
-    cond_id)` queries, one (n_masked, V) array per query, in query order.
+    cond_id)` queries as one (total masked, V) array: the queries' rows in
+    query order, each query's in the order of its masked positions.
 
     Each query's tokens at its masked positions are replaced by the mask
     id; the corrupted sentences are right-padded into one batch and one
@@ -225,8 +226,7 @@ def mlm_distributions(
     t = batch.token_ids.shape[1]
     rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
     logits = forward(params, config, batch, rows=rows)
-    probs = T.softmax(logits, axis=-1).data
-    return np.split(probs, np.cumsum([len(positions) for positions in masked])[:-1])
+    return T.softmax(logits, axis=-1).data
 
 
 def mlm_distribution(
@@ -238,7 +238,7 @@ def mlm_distribution(
 ) -> np.ndarray:
     """Cloze distributions p(.|condition, sentence without the masked words)
     as an (n_masked, V) array: `mlm_distributions` on one query."""
-    return mlm_distributions(params, config, [(tokens, masked_positions, cond_id)])[0]
+    return mlm_distributions(params, config, [(tokens, masked_positions, cond_id)])
 
 
 def swap_condition_table(

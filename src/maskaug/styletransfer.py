@@ -7,7 +7,7 @@ sentence) - p(true label | sentence without token i), with the sentence and
 all its deletion variants scored by the classifier config's
 `deletion_logits` (the CNN reuses the original's convolution windows). The
 top-scoring tokens are masked and refilled greedily by the conditional
-encoder under the target label, one batched refill per chunk of sentences.
+encoder under the target label, in one refill over all the sentences.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentationPolicy, _fill_in_chunks, _refill
+from .augment import AugmentationPolicy, _refill
 from .classify import Classifier
 from .encoder import EncoderConfig
 from .tensor import Tensor
@@ -133,10 +133,12 @@ def _transfer(
             m = len(attribution.positions)
         order = np.argsort(-attribution.scores, kind="stable")[:m]
         chosen = sorted(attribution.positions[i] for i in order)
-        results.append((example, None, (chosen, target, target)))
-    picks = [(i, pick) for i, pick in enumerate(results) if not isinstance(pick, SkipExample)]
-    for i, outcome in _fill_in_chunks(picks, lambda chunk: _refill(params, config, _GREEDY, chunk)):
-        results[i] = outcome if isinstance(outcome, SkipExample) else outcome[0]
+        results.append((example, None, (chosen, target)))
+    picked = [i for i, result in enumerate(results) if not isinstance(result, SkipExample)]
+    for i, outcome in zip(picked, _refill(params, config, _GREEDY, [results[i] for i in picked])):
+        if not isinstance(outcome, SkipExample):  # the refill keeps the source label
+            outcome = LabeledExample(outcome[0].tokens, targets[i])
+        results[i] = outcome
     return results
 
 

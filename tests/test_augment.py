@@ -6,8 +6,8 @@ import pytest
 from maskaug.augment import (
     CHUNK_SIZE,
     AugmentationPolicy,
-    _keep_top_k,
     _refill,
+    _top_k_ids,
     SynonymTable,
     augment_dataset,
     augment_sentence,
@@ -121,8 +121,13 @@ class TestSampleReplacement:
 
 
     @staticmethod
+    def _stable_sort_ids(p, k):
+        """The ids of a stable descending sort's first k entries, ascending."""
+        return np.sort(np.argsort(-p, kind="stable")[:k])
+
+    @staticmethod
     def _stable_sort_top_k(p, k):
-        keep = np.argsort(-p, kind="stable")[:k]
+        keep = TestSampleReplacement._stable_sort_ids(p, k)
         kept = np.zeros_like(p)
         kept[keep] = p[keep]
         return kept
@@ -130,10 +135,10 @@ class TestSampleReplacement:
     def test_top_k_matches_stable_sort_on_random_rows(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            p = rng.random(int(rng.integers(1, 80)))
+            p = rng.random(int(rng.integers(2, 80)))
             p[rng.random(p.size) < 0.2] = 0.0
-            k = int(rng.integers(1, p.size + 3))
-            assert np.array_equal(_keep_top_k(p, k), self._stable_sort_top_k(p, k))
+            k = int(rng.integers(1, p.size))  # the sampler keeps a whole row when k >= V
+            assert np.array_equal(_top_k_ids(p[None], k), self._stable_sort_ids(p, k)[None])
 
     def test_top_k_matches_stable_sort_with_ties_at_the_boundary(self):
         rng = np.random.default_rng(5)
@@ -144,15 +149,15 @@ class TestSampleReplacement:
                                 rng.uniform(0.0, 0.4, int(rng.integers(0, 20)))])
             )
             k = above + int(rng.integers(1, tied))  # the k-th value is the tied one
-            assert np.array_equal(_keep_top_k(p, k), self._stable_sort_top_k(p, k))
+            assert np.array_equal(_top_k_ids(p[None], k), self._stable_sort_ids(p, k)[None])
 
     def test_top_k_works_along_the_last_axis(self):
         rng = np.random.default_rng(6)
-        for v in (1, 2, 7, 40):
+        for v in (2, 7, 40):
             p = np.round(rng.random((30, v)) * 3) / 3  # many ties, some rows all zero
-            for k in (1, 2, 5, v, v + 1):
-                want = np.stack([self._stable_sort_top_k(row, k) for row in p])
-                assert np.array_equal(_keep_top_k(p, k), want)
+            for k in {1, 2, 5, v - 1} & set(range(1, v)):  # k below the row length
+                want = np.stack([self._stable_sort_ids(row, k) for row in p])
+                assert np.array_equal(_top_k_ids(p, k), want)
 
 
 def serial_row(probs, original, policy):
@@ -408,7 +413,7 @@ def test_a_skipped_slot_leaves_the_stream_as_the_serial_sampler_did(model, monke
         [(_, positions, _)] = queries
         probs = np.full((len(positions), config.vocab_size), 1.0 / config.vocab_size)
         probs[1, NUM_SPECIALS:] = 0.0  # the second slot has no candidate
-        return [probs]
+        return probs
 
     monkeypatch.setattr("maskaug.augment.mlm_distributions", cloze)
     rng = np.random.default_rng(5)
@@ -426,7 +431,7 @@ def test_refill_bert_pick_keeps_the_label_under_condition_0(model):
     ex = example(5, label=1)
     positions = [2, 4]
     [(out, slots)] = _refill(
-        params, config, policy, [(ex, np.random.default_rng(4), (positions, 0, ex.label))]
+        params, config, policy, [(ex, np.random.default_rng(4), (positions, 0))]
     )
     probs = mlm_distribution(params, config, ex.tokens, positions, cond_id=0)
     rng = np.random.default_rng(4)
@@ -470,6 +475,18 @@ class TestDatasetPass:
         out, report = augment_dataset(params, config, dataset, policy)
         assert report.skipped == 1 and report.generated == 2
         assert len(out.train) == 5
+
+    def test_a_pass_with_nothing_to_refill_makes_no_encoder_call(self, model, monkeypatch):
+        params, config = model
+        calls = []
+        monkeypatch.setattr("maskaug.augment.mlm_distributions", lambda *args: calls.append(args))
+        dataset = self.make_dataset(n=4, words=1)
+        policy = AugmentationPolicy(k=2, sampler="greedy", multiplier=2, seed=0)
+        out, report = augment_dataset(params, config, dataset, policy)
+        assert report.skipped == 8 and report.generated == 0 and report.provenance == []
+        assert out.train == dataset.train
+        assert _refill(params, config, policy, []) == []
+        assert calls == []
 
     def test_generated_length_matches_source(self, model):
         params, config = model
@@ -625,6 +642,22 @@ class TestSynonyms:
     def test_self_only_entry_rejected(self):
         with pytest.raises(ValueError):
             SynonymTable({"good": ("good",)})
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("good\tgreat\nbad\tbad\n", 2, "synonym entry for 'bad' offers no alternative to itself"),
+        ("good\tgreat\n\ngood\tfine\n", 3, "'good' is listed twice"),
+    ], ids=["self-only", "listed-twice"])
+    def test_load_names_the_line_of_a_bad_entry(self, tmp_path, text, line, message):
+        path = tmp_path / "syn.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            SynonymTable.load(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_load_drops_the_word_from_its_own_row(self, tmp_path):
+        path = tmp_path / "syn.tsv"
+        path.write_text("good\tgood,great\n")
+        assert SynonymTable.load(path).alternatives("good") == ("great",)
 
     def test_load_and_parse_errors(self, tmp_path, vocab):
         path = tmp_path / "syn.tsv"

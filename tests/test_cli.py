@@ -142,6 +142,19 @@ class TestArtifacts:
         for text, src in generated:  # a refill of <pad> would drop a word from the text
             assert len(text.split()) == len(originals[src].split()), (text, originals[src])
 
+    def test_synonym_augment_accepts_model_flags_at_their_defaults(self, workdir, vocab_file,
+                                                                   tmp_path):
+        # --model is never opened, and a sampler flag at its default is no request
+        out = tmp_path / "aug-synonym"
+        code = main([
+            "augment", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--augmenter", "synonym", "--synonyms", str(workdir / "syn.tsv"),
+            "--model", str(tmp_path / "absent.ckpt"), "--sampler", "top_k", "--top-k", "10",
+            "--temperature", "1.0", "--out", str(out), "--seed", "3",
+        ])
+        assert code == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["generated"] > 0
+
     def test_rnn_classifier_trains_and_evaluates(self, workdir, vocab_file, tmp_path):
         clf_out, eval_out = tmp_path / "clf-rnn", tmp_path / "eval-rnn"
         assert main([
@@ -641,6 +654,28 @@ class TestErrorCategories:
         assert code == EXIT_PARSE, err
         assert err.startswith(f"error[parse]: {bad}:6: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("good\tgreat\nbad\tbad\n",
+                     "2: synonym entry for 'bad' offers no alternative to itself", id="self-only"),
+        pytest.param("good\tgreat\nbad\tawful\ngood\tfine\n", "3: 'good' is listed twice",
+                     id="listed-twice"),
+        pytest.param("good great\n", "1: expected 'word<TAB>syn1,syn2,...'", id="no-tab"),
+    ])
+    def test_bad_synonym_row_is_one_line_parse_error(
+        self, text, message, workdir, vocab_file, tmp_path, capsys
+    ):
+        table = tmp_path / "syn.tsv"
+        table.write_text(text)
+        out = tmp_path / "run"
+        code = main([
+            "augment", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--augmenter", "synonym", "--synonyms", str(table), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE, err
+        assert err == f"error[parse]: {table}:{message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, fault, code, start", STYLE_TRANSFER_FILE_FAULTS)
     def test_style_transfer_file_fault_is_one_line_error(
         self, flag, fault, code, start, workdir, vocab_file, finetuned, classifier_ckpt,
@@ -881,6 +916,15 @@ class TestErrorCategories:
             pytest.param("ab-experiment",
                          ["--sampler", "greedy", "--top-k", "3", "--arms", "none"],
                          "--top-k applies only to --sampler top_k", id="ab-greedy-top-k"),
+            # every input path is absent, so the flag is refused before any file is read
+            *[
+                pytest.param("augment", ["--augmenter", "synonym", *flags, "--data", "absent.tsv",
+                                         "--vocab", "absent.txt", "--synonyms", "absent.tsv"],
+                             f"{flags[0]} applies only to --augmenter cbert or bert",
+                             id=f"synonym{'-'.join(flags)}")
+                for flags in (["--sampler", "temperature"], ["--sampler", "greedy"],
+                              ["--temperature", "0.5"], ["--top-k", "3"], ["--keep-original"])
+            ],
         ],
     )
     def test_bad_value_is_one_line_config_error(

@@ -330,8 +330,9 @@ class TestBatchedDistributions:
             ([CLS_ID, 7, 7, 7, 7], [4, 2], 0),
         ]
         got = mlm_distributions(params, config, queries)
-        assert len(got) == len(queries)
-        for (tokens, positions, cond), probs in zip(queries, got):
+        sizes = [len(positions) for _, positions, _ in queries]
+        assert got.shape == (sum(sizes), config.vocab_size)
+        for (tokens, positions, cond), probs in zip(queries, np.split(got, np.cumsum(sizes)[:-1])):
             corrupted = [MASK_ID if i in positions else tok for i, tok in enumerate(tokens)]
             logits = forward(params, config, batch_from_examples([corrupted], [cond]))
             want = T.softmax(logits, axis=-1).data[0][positions]

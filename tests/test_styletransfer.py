@@ -12,8 +12,7 @@ from maskaug.classify import (
     train_classifier,
     train_cnn,
 )
-from maskaug.encoder import EncoderConfig, init_params, mlm_distribution
-from maskaug import styletransfer
+from maskaug.encoder import EncoderConfig, init_params, mlm_distribution, mlm_distributions
 from maskaug.augment import CHUNK_SIZE
 from maskaug.styletransfer import attribute_words, transfer_style, transfer_styles, write_style_pairs
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample, build_vocab
@@ -248,13 +247,12 @@ def test_batched_transfer_matches_serial_reference(kind, cfg, top_m, monkeypatch
     examples.insert(7, LabeledExample((CLS_ID, 1, 1), 0))
     targets = [(ex.label + 1 + i % 2) % 3 for i, ex in enumerate(examples)]
     chunks = []
-    real = styletransfer._refill
 
-    def refill(params, config, policy, picks):
-        chunks.append(len(picks))
-        return real(params, config, policy, picks)
+    def cloze(params, config, queries):
+        chunks.append(len(queries))
+        return mlm_distributions(params, config, queries)
 
-    monkeypatch.setattr(styletransfer, "_refill", refill)
+    monkeypatch.setattr("maskaug.augment.mlm_distributions", cloze)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # top_m=2 exceeds the one-word rows
         got = transfer_styles(params, config, classifier, examples, targets, top_m)
@@ -267,6 +265,20 @@ def test_batched_transfer_matches_serial_reference(kind, cfg, top_m, monkeypatch
                 continue
             want = serial_transfer(params, config, classifier, example, target, top_m)
             assert got[i] == want, i
+
+
+@pytest.mark.parametrize("examples", [
+    [LabeledExample((CLS_ID, 1, 1), 0), LabeledExample((CLS_ID, 1), 1)], [],
+], ids=["no-content-word", "no-sentence"])
+def test_nothing_to_refill_makes_no_encoder_call(setup, examples, monkeypatch):
+    _, classifier, params, config = setup
+    calls = []
+    monkeypatch.setattr("maskaug.augment.mlm_distributions", lambda *args: calls.append(args))
+    targets = [1 - ex.label for ex in examples]
+    got = transfer_styles(params, config, classifier, examples, targets)
+    assert calls == []
+    assert len(got) == len(examples)
+    assert all(isinstance(result, SkipExample) for result in got)
 
 
 def test_write_style_pairs(tmp_path):
