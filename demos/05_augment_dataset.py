@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory() as tmp:
     conditional, report = augment_dataset(tuned, tuned_config, dataset, policy)
     unconditional, _ = augment_dataset(pretrained, config, dataset, policy, unconditional=True)
     table = SynonymTable({"good": ("great", "fine"), "bad": ("awful", "poor")})
-    synonyms, syn_report = synonym_augment_dataset(dataset, table, vocab, k=1, seed=7)
+    synonyms, syn_report = synonym_augment_dataset(dataset, table, vocab, policy)
 
     n = len(dataset.train)
     print(f"{n} originals; conditional pass added {report.generated}, skipped {report.skipped}")

@@ -40,10 +40,11 @@ tuned, tuned_config, _ = finetune_cmlm(
 print("language model ready; running the arms\n")
 
 policy = AugmentationPolicy(k=(1, 2), sampler="top_k", top_k=10, multiplier=1)
+one_word = AugmentationPolicy(k=1)  # the synonym arm swaps one word per sentence
 table = SynonymTable({"good": ("great", "fine"), "bad": ("awful", "poor")})
 arms = {
     "none": None,
-    "synonym": lambda d, s: synonym_augment_dataset(d, table, vocab, k=1, seed=s)[0],
+    "synonym": lambda d, s: synonym_augment_dataset(d, table, vocab, one_word, seed=s)[0],
     "bert": lambda d, s: augment_dataset(pretrained, config, d, policy, unconditional=True, seed=s)[0],
     "cbert": lambda d, s: augment_dataset(tuned, tuned_config, d, policy, seed=s)[0],
 }

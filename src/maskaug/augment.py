@@ -272,6 +272,8 @@ class SynonymTable:
     def __init__(self, entries: dict[str, tuple[str, ...]]):
         self._entries = {w: tuple(s for s in syns if s != w) for w, syns in entries.items()}
         for word, alternatives in self._entries.items():
+            if not word:
+                raise ValueError("a synonym entry has an empty word")
             if not alternatives:
                 raise ValueError(f"synonym entry for {word!r} offers no alternative to itself")
 
@@ -285,7 +287,7 @@ class SynonymTable:
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 2 or not fields[1].strip():
+            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
                 raise ParseError(f"{path}:{lineno}: expected 'word<TAB>syn1,syn2,...'")
             word = fields[0].strip()
             if word in entries:
@@ -404,17 +406,21 @@ def synonym_augment_dataset(
     dataset: Dataset,
     table: SynonymTable,
     vocab: Vocabulary,
-    k: int = 1,
-    multiplier: int = 1,
-    seed: int = 0,
+    policy: AugmentationPolicy,
+    *,
+    seed: int | None = None,
 ) -> tuple[Dataset, AugmentReport]:
+    """`augment_dataset` with `synonym_augment` for the model: each sentence
+    draws its k as there; the sampler fields do not apply."""
+    seed = policy.seed if seed is None else seed
+
     def changed(example, new):
         return tuple(i for i, (a, b) in enumerate(zip(example.tokens, new.tokens)) if a != b)
 
     # the variant is finished when picked: there is no model to batch
     return _dataset_pass(
-        dataset, multiplier, seed, "synonym", "synonym",
-        lambda example, rng: synonym_augment(example, table, k, rng, vocab),
+        dataset, policy.multiplier, seed, "synonym", "synonym",
+        lambda example, rng: synonym_augment(example, table, _draw_k(policy, rng), rng, vocab),
         lambda picks: [(new, changed(example, new)) for example, _, new in picks],
     )
 

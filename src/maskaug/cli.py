@@ -227,11 +227,12 @@ def cmd_finetune(args, out: Path) -> None:
     )
 
 
-def _augment_policy(args: argparse.Namespace) -> AugmentationPolicy:
-    """The sampler flags, checked before any file is read."""
+def _augment_policy(args: argparse.Namespace, arms) -> AugmentationPolicy:
+    """The policy of the `arms` augmenters, checked before any file is read.
+    The sampler flags apply only when some arm is a model (cbert or bert)."""
     if args.sampler != "top_k" and args.top_k != AugmentationPolicy.top_k:  # the flag's default
         raise ValueError("--top-k applies only to --sampler top_k")
-    return AugmentationPolicy(
+    policy = AugmentationPolicy(
         k=_parse_k(args.k),
         sampler=args.sampler,
         top_k=args.top_k,
@@ -240,6 +241,12 @@ def _augment_policy(args: argparse.Namespace) -> AugmentationPolicy:
         multiplier=args.multiplier,
         seed=args.seed,
     )
+    if not {"cbert", "bert"} & set(arms):  # each sampler flag against its default
+        for flag, field in (("sampler", "sampler"), ("top-k", "top_k"),
+                            ("temperature", "temperature"), ("keep-original", "exclude_original")):
+            if getattr(policy, field) != getattr(AugmentationPolicy, field):
+                raise ValueError(f"--{flag} applies only to the cbert and bert augmenters")
+    return policy
 
 
 def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: str):
@@ -259,18 +266,12 @@ def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: s
     if name == "synonym":
         _require(args, "synonyms")
         table = SynonymTable.load(args.synonyms)
-        k = policy.k[1] if isinstance(policy.k, tuple) else policy.k
-        return (lambda d, s: synonym_augment_dataset(d, table, vocab, k, args.multiplier, s)), None
+        return (lambda d, s: synonym_augment_dataset(d, table, vocab, policy, seed=s)), None
     raise ValueError(f"unknown augmenter {name!r}")
 
 
 def cmd_augment(args, out: Path) -> None:
-    policy = _augment_policy(args)
-    if args.augmenter == "synonym":  # a model sampler's flags, each against its default
-        for flag, field in (("sampler", "sampler"), ("top-k", "top_k"),
-                            ("temperature", "temperature"), ("keep-original", "exclude_original")):
-            if getattr(policy, field) != getattr(AugmentationPolicy, field):
-                raise ValueError(f"--{flag} applies only to --augmenter cbert or bert")
+    policy = _augment_policy(args, [args.augmenter])
     vocab = load_vocab(args.vocab)
     augment, encoder = _augmenter(args, vocab, policy, args.augmenter, "model")
     dataset = _load_dataset(args, vocab, encoder, val_fraction=0.0)
@@ -354,7 +355,7 @@ def cmd_ab_experiment(args, out: Path) -> None:
     if not arms:
         raise ValueError(f"--arms {args.arms!r} names no arm")
     seeds = _parse_list("seeds", args.seeds, int)
-    policy = _augment_policy(args)
+    policy = _augment_policy(args, arms)
     vocab = load_vocab(args.vocab)
     augmenters: dict[str, object] = {}
     encoders = {}
@@ -430,10 +431,11 @@ def _add_train_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--k", default="1,2", help="masked words per sentence: 'K' or 'LO,HI'")
-    sp.add_argument("--sampler", choices=("greedy", "top_k", "temperature"), default="top_k")
+    sp.add_argument("--sampler", choices=("greedy", "top_k", "temperature"),
+                    default=AugmentationPolicy.sampler)
     sp.add_argument("--top-k", type=int, default=AugmentationPolicy.top_k)
-    sp.add_argument("--temperature", type=float, default=1.0)
-    sp.add_argument("--multiplier", type=int, default=1)
+    sp.add_argument("--temperature", type=float, default=AugmentationPolicy.temperature)
+    sp.add_argument("--multiplier", type=int, default=AugmentationPolicy.multiplier)
 
 
 def _add_classifier_flags(sp: argparse.ArgumentParser) -> None:

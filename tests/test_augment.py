@@ -643,10 +643,15 @@ class TestSynonyms:
         with pytest.raises(ValueError):
             SynonymTable({"good": ("good",)})
 
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="empty word"):
+            SynonymTable({"good": ("great",), "": ("fine",)})
+
     @pytest.mark.parametrize("text, line, message", [
         ("good\tgreat\nbad\tbad\n", 2, "synonym entry for 'bad' offers no alternative to itself"),
         ("good\tgreat\n\ngood\tfine\n", 3, "'good' is listed twice"),
-    ], ids=["self-only", "listed-twice"])
+        ("good\tgreat\n \tfine\n", 2, "expected 'word<TAB>syn1,syn2,...'"),
+    ], ids=["self-only", "listed-twice", "empty-word"])
     def test_load_names_the_line_of_a_bad_entry(self, tmp_path, text, line, message):
         path = tmp_path / "syn.tsv"
         path.write_text(text)
@@ -677,9 +682,44 @@ class TestSynonyms:
             LabeledExample((CLS_ID, vocab.id_of("story")), 0),
         ]
         dataset = Dataset(train=train, val=[], test=[], num_labels=2)
-        out, report = synonym_augment_dataset(dataset, table, vocab, k=1, seed=0)
+        out, report = synonym_augment_dataset(dataset, table, vocab, AugmentationPolicy(k=1))
         assert report.generated == 1 and report.skipped == 1
         assert len(out.train) == 3
+
+    TABLE = {"good": ("great", "fine"), "film": ("story",), "bad": ("fine",)}
+
+    def sentences(self, vocab, n):
+        """n shuffles of three table-covered words and one uncovered word."""
+        rng = np.random.default_rng(0)
+        words = ("good", "film", "bad", "story")
+        return [LabeledExample((CLS_ID, *map(vocab.id_of, rng.permutation(words))), i % 2)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_int_k_pass_is_synonym_augment_on_each_stream(self, vocab, override):
+        train = self.sentences(vocab, 12)
+        dataset = Dataset(train=train, val=[], test=[], num_labels=2)
+        policy = AugmentationPolicy(k=2, multiplier=2, seed=0 if override else 5)
+        out, report = synonym_augment_dataset(dataset, self.table(self.TABLE), vocab, policy,
+                                              seed=5 if override else None)
+        expected = [synonym_augment(ex, self.table(self.TABLE), 2,
+                                    derive_rng(5, "augment", "synonym", round_no, idx), vocab)
+                    for round_no in (1, 2) for idx, ex in enumerate(train)]
+        assert report.skipped == 0
+        assert out.train == train + expected
+        assert [src for src, _, _ in report.provenance] == list(range(12)) * 2
+
+    def test_k_range_is_drawn_per_sentence(self, vocab):
+        train = self.sentences(vocab, 40)
+        dataset = Dataset(train=train, val=[], test=[], num_labels=2)
+        policy = AugmentationPolicy(k=(1, 2), multiplier=2, seed=3)
+        out, report = synonym_augment_dataset(dataset, self.table(self.TABLE), vocab, policy)
+        assert report.generated == 80 and report.skipped == 0
+        widths = [len(positions) for _, _, positions in report.provenance]
+        assert set(widths) == {1, 2}
+        for ex, (src, _, positions) in zip(out.train[40:], report.provenance):
+            changed = [i for i, (a, b) in enumerate(zip(train[src].tokens, ex.tokens)) if a != b]
+            assert changed == list(positions)
 
 
 def test_augmented_tsv_round_trip(tmp_path, model):

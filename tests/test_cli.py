@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maskaug import classify, cli
+from maskaug.augment import AugmentationPolicy
 from maskaug.checkpoint import MAGIC, load_arrays, save_arrays
 from maskaug.cli import (
     EXIT_CHECKPOINT,
@@ -552,6 +553,10 @@ NON_FINITE_WEIGHT_RUNS = [
 ]
 
 
+# input flags naming files that do not exist
+ABSENT_INPUTS = ["--data", "absent.tsv", "--vocab", "absent.txt", "--synonyms", "absent.tsv"]
+
+
 class TestErrorCategories:
     @pytest.mark.parametrize("model, fault, named", MODEL_FILE_FAULTS)
     def test_bad_model_file_is_one_line_checkpoint_error(
@@ -660,6 +665,8 @@ class TestErrorCategories:
         pytest.param("good\tgreat\nbad\tawful\ngood\tfine\n", "3: 'good' is listed twice",
                      id="listed-twice"),
         pytest.param("good great\n", "1: expected 'word<TAB>syn1,syn2,...'", id="no-tab"),
+        pytest.param("good\tgreat\n\tfine\n", "2: expected 'word<TAB>syn1,syn2,...'",
+                     id="empty-word"),
     ])
     def test_bad_synonym_row_is_one_line_parse_error(
         self, text, message, workdir, vocab_file, tmp_path, capsys
@@ -918,12 +925,18 @@ class TestErrorCategories:
                          "--top-k applies only to --sampler top_k", id="ab-greedy-top-k"),
             # every input path is absent, so the flag is refused before any file is read
             *[
-                pytest.param("augment", ["--augmenter", "synonym", *flags, "--data", "absent.tsv",
-                                         "--vocab", "absent.txt", "--synonyms", "absent.tsv"],
-                             f"{flags[0]} applies only to --augmenter cbert or bert",
+                pytest.param("augment", ["--augmenter", "synonym", *flags, *ABSENT_INPUTS],
+                             f"{flags[0]} applies only to the cbert and bert augmenters",
                              id=f"synonym{'-'.join(flags)}")
                 for flags in (["--sampler", "temperature"], ["--sampler", "greedy"],
                               ["--temperature", "0.5"], ["--top-k", "3"], ["--keep-original"])
+            ],
+            *[
+                pytest.param("ab-experiment", ["--arms", "none,synonym", *flags, *ABSENT_INPUTS,
+                                               "--test", "absent.tsv"],
+                             f"{flags[0]} applies only to the cbert and bert augmenters",
+                             id=f"ab-synonym{'-'.join(flags)}")
+                for flags in (["--sampler", "greedy"], ["--top-k", "3"], ["--temperature", "0.5"])
             ],
         ],
     )
@@ -1165,6 +1178,16 @@ class TestArgumentErrors:
         assert err.startswith("error[config]: ") and err.count("\n") == 1, err
         assert named in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["augment", "ab-experiment"])
+def test_default_sampler_flags_build_the_default_policy(subcommand):
+    # a flag default that drifted from its field would reject every synonym run
+    test = ["--test", "absent.tsv"] if subcommand == "ab-experiment" else []
+    args = cli.build_parser().parse_args(
+        [subcommand, *ABSENT_INPUTS, *test, "--out", "absent", "--seed", "5"]
+    )
+    assert cli._augment_policy(args, ["synonym"]) == AugmentationPolicy(seed=5)
 
 
 class TestConfigFile:
