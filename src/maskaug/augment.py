@@ -38,7 +38,8 @@ from .training import SkipExample, choose_positions, maskable_positions
 AUGMENTED_TSV_FORMAT = "# maskaug-augmented-tsv v1"
 
 # picks per batched encoder forward in a refill; chunks are cut from the
-# picks in order, so their make-up never depends on timing
+# picks in length order (stable), so their make-up depends only on the picks,
+# never on timing
 CHUNK_SIZE = 32
 
 # a sentence ready for its model call: the example, its random stream (None
@@ -220,27 +221,32 @@ def _refill(
     picks: Sequence[Pick],
 ) -> list[Outcome]:
     """Each pick's masked slots refilled under its condition id, CHUNK_SIZE
-    picks at a time: one batched encoder forward per chunk, then one
-    `sample_replacements` over the chunk's stacked cloze rows, each
-    sentence's drawn from its own stream. A result keeps its sentence's
-    label; no picks make no call."""
-    outcomes: list[Outcome] = []
-    for start in range(0, len(picks), CHUNK_SIZE):
-        chunk = picks[start:start + CHUNK_SIZE]
+    picks at a time, with outcomes in pick order: one batched encoder
+    forward per chunk, then one `sample_replacements` over the chunk's
+    stacked cloze rows. Chunks are cut from the picks in length order
+    (stable), so a chunk pads to few extra positions. Each pick's slots draw
+    from its own stream, in slot order, so every pick must own its stream or
+    be greedy (None). A result keeps its sentence's label; no picks make no
+    call."""
+    outcomes: list = [None] * len(picks)
+    order = sorted(range(len(picks)), key=lambda i: len(picks[i][0].tokens))
+    for start in range(0, len(order), CHUNK_SIZE):
+        indices = order[start:start + CHUNK_SIZE]
+        chunk = [picks[i] for i in indices]
         queries = [(ex.tokens, positions, cond) for ex, _, (positions, cond) in chunk]
         slots = [(ex.tokens[pos], rng) for ex, rng, (positions, _) in chunk for pos in positions]
         originals, rngs = zip(*slots)
         probs = mlm_distributions(params, config, queries)
         ids = iter(sample_replacements(probs, originals, policy, rngs).tolist())
-        for example, _, (positions, _) in chunk:
+        for i, (example, _, (positions, _)) in zip(indices, chunk):
             chosen = list(islice(ids, len(positions)))
             if min(chosen) < 0:
-                outcomes.append(SkipExample(NO_CANDIDATE))
+                outcomes[i] = SkipExample(NO_CANDIDATE)
                 continue
             tokens = list(example.tokens)
             for pos, new in zip(positions, chosen):
                 tokens[pos] = new
-            outcomes.append((LabeledExample(tuple(tokens), example.label), tuple(positions)))
+            outcomes[i] = (LabeledExample(tuple(tokens), example.label), tuple(positions))
     return outcomes
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 import struct
@@ -66,7 +67,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 
     def take(n: int) -> memoryview:
         nonlocal pos
-        if pos + n > len(view):
+        if n < 0 or pos + n > len(view):
             raise CheckpointError(f"truncated checkpoint: {path}")
         piece = view[pos : pos + n]
         pos += n
@@ -84,7 +85,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"parameter name is not UTF-8 in checkpoint: {path}") from None
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
+        n_bytes = 8 * math.prod(shape)  # Python ints: extents past int64 cannot wrap around
         out[name] = np.frombuffer(take(n_bytes), dtype="<f8").reshape(shape).copy()
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after checkpoint payload: {path}")

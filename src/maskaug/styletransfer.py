@@ -77,10 +77,10 @@ def transfer_styles(
     toward earlier positions) and refills them greedily from the
     conditional cloze distribution under its target, with the original
     words excluded: augmentation's refill, one encoder call per CHUNK_SIZE
-    sentences in dataset order. Each result is labeled with its target and
-    differs from its example only at the chosen positions; a sentence with
-    no content token, or no candidate for a slot, gets its SkipExample
-    instead.
+    sentences cut in length order (stable). Each result is labeled with its
+    target and differs from its example only at the chosen positions; a
+    sentence with no content token, or no candidate for a slot, gets its
+    SkipExample instead.
     """
     return _transfer(params, config, clf, examples, targets, top_m)
 

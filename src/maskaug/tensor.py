@@ -452,10 +452,10 @@ def cross_entropy(logits, targets, ignore_index: int | None = None) -> tuple[Ten
     out_data = np.asarray(nll.sum() / scored)
 
     def _bwd(g):
-        glogits = np.zeros_like(logits.data)
-        p = np.exp(log_p[rows])
-        p[np.arange(rows.size), targets[rows]] -= 1.0
-        glogits[rows] = p * (float(g) / scored)
+        glogits = np.exp(log_p)
+        glogits[rows, targets[rows]] -= 1.0
+        glogits *= float(g) / scored
+        glogits[~scored_mask] = 0.0  # after the scaling, so these zeros stay positive
         _accumulate(logits, glogits)
 
     return _node(out_data, (logits,), _bwd), scored

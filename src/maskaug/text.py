@@ -7,6 +7,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -201,10 +202,14 @@ def read_tsv(path) -> list[tuple[int, str]]:
 def _check_labels(labels: Iterable[int], origin: str) -> int:
     present = set(labels)
     num_labels = max(present) + 1
-    unused = sorted(set(range(num_labels)) - present)
+    unused = num_labels - len(present)  # labels are non-negative, so all lie below num_labels
     if unused:
+        # name the first few without building the whole label range
+        first = list(islice((i for i in range(num_labels) if i not in present), 5))
+        shown = ", ".join(map(str, first))
+        named = f"[{shown}]" if unused == len(first) else f"[{shown}, ...] ({unused} in all)"
         warnings.warn(
-            f"{origin}: labels {unused} never occur but lie below the maximum "
+            f"{origin}: labels {named} never occur but lie below the maximum "
             f"label {num_labels - 1}; the label set is taken as 0..{num_labels - 1}",
             stacklevel=3,
         )

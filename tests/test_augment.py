@@ -17,7 +17,7 @@ from maskaug.augment import (
     synonym_augment_dataset,
     write_augmented_tsv,
 )
-from maskaug.encoder import EncoderConfig, init_params, mlm_distribution
+from maskaug.encoder import EncoderConfig, init_params, mlm_distribution, mlm_distributions
 from maskaug.seeding import derive_rng
 from maskaug.text import (
     CLS_ID,
@@ -532,6 +532,18 @@ def serial_augment(params, config, dataset, policy, unconditional):
     return generated, provenance, skipped
 
 
+def recording_cloze(monkeypatch):
+    """Patch the refill's encoder call to record each chunk's queries."""
+    chunks = []
+
+    def cloze(params, config, queries):
+        chunks.append(list(queries))
+        return mlm_distributions(params, config, queries)
+
+    monkeypatch.setattr("maskaug.augment.mlm_distributions", cloze)
+    return chunks
+
+
 class TestChunkedPass:
     @staticmethod
     def dataset():
@@ -542,20 +554,63 @@ class TestChunkedPass:
         train = [example(n, label=(i // 2) % 2) for i, n in enumerate(words)]
         return Dataset(train=train, val=[], test=[], num_labels=2)
 
+    @staticmethod
+    def descending():
+        # three chunks of rows whose lengths fall from 9 words to 1: length
+        # order reverses the rows, so every chunk holds other sentences than
+        # a cut in dataset order would
+        n = 2 * CHUNK_SIZE + 6
+        train = [example(9 - 9 * i // n, label=(i // 3) % 2) for i in range(n)]
+        return Dataset(train=train, val=[], test=[], num_labels=2)
+
+    @pytest.mark.parametrize("rows", ["mixed", "descending"])
     @pytest.mark.parametrize("unconditional", [False, True], ids=["cbert", "bert"])
     @pytest.mark.parametrize("sampler", ["greedy", "top_k"])
-    def test_matches_serial_reference(self, model, sampler, unconditional):
+    def test_matches_serial_reference(self, model, sampler, unconditional, rows, monkeypatch):
         params, config = model
-        dataset = self.dataset()
+        dataset = self.dataset() if rows == "mixed" else self.descending()
         policy = AugmentationPolicy(k=(1, 2), sampler=sampler, top_k=5, multiplier=2, seed=13)
-        out, report = augment_dataset(params, config, dataset, policy, unconditional=unconditional)
         generated, provenance, skipped = serial_augment(
             params, config, dataset, policy, unconditional
         )
+        chunks = recording_cloze(monkeypatch)
+        out, report = augment_dataset(params, config, dataset, policy, unconditional=unconditional)
         assert report.provenance == provenance
         assert out.train[len(dataset.train):] == generated
         assert report.skipped == skipped >= 2
         assert report.generated == len(generated)
+        # each round's chunks run shortest first
+        per_round = len(chunks) // 2
+        for start in (0, per_round):
+            lengths = [len(q[0]) for chunk in chunks[start:start + per_round] for q in chunk]
+            assert lengths == sorted(lengths)
+
+    def test_chunks_hold_the_shortest_remaining_picks_and_outcomes_keep_pick_order(
+        self, model, monkeypatch
+    ):
+        params, config = model
+        dataset = self.descending()
+        policy = AugmentationPolicy(k=1, sampler="top_k", top_k=5)
+        # shuffled, so rows of equal length must keep pick order, not dataset order
+        order = np.random.default_rng(0).permutation(len(dataset.train)).tolist()
+
+        def picks():  # one pick per row, in `order`, each on a fresh stream of its own
+            fresh = []
+            for idx in order:
+                ex, rng = dataset.train[idx], derive_rng(4, "test", idx)
+                fresh.append((ex, rng, (choose_positions(ex.tokens, 1, rng), ex.label)))
+            return fresh
+
+        alone = [_refill(params, config, policy, [pick]) for pick in picks()]
+        chunks = recording_cloze(monkeypatch)
+        chunked = picks()
+        outcomes = _refill(params, config, policy, chunked)
+        by_length = sorted(chunked, key=lambda pick: len(pick[0].tokens))
+        want = [(ex.tokens, positions, cond) for ex, _, (positions, cond) in by_length]
+        assert [len(chunk) for chunk in chunks] == [CHUNK_SIZE, CHUNK_SIZE, 6]
+        assert [query for chunk in chunks for query in chunk] == want
+        assert chunks[0] != [(ex.tokens, *drawn) for ex, _, drawn in chunked[:CHUNK_SIZE]]
+        assert outcomes == [outcome for [outcome] in alone]
 
     def test_sampler_skip_drops_only_its_sentence(self, model, monkeypatch):
         params, config = model
@@ -578,6 +633,7 @@ class TestChunkedPass:
         _, report = augment_dataset(params, config, dataset, policy)
         assert report.skipped == full.skipped + len(hit)
         assert report.provenance == [entry for entry in full.provenance if entry[0] not in hit]
+
 
 class TestSynonyms:
     @pytest.fixture

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ def test_name_that_is_not_utf8_is_a_checkpoint_error_naming_the_path(tmp_path, a
     with pytest.raises(CheckpointError, match="not UTF-8") as info:
         load_arrays(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "extents", [(2**16,) * 4, (2**31, 2**31, 3)], ids=["wraps-to-zero", "past-int64"]
+)
+def test_extents_past_int64_are_a_checkpoint_error(tmp_path, extents):
+    # an int64 product of these extents wraps around, once to 0 bytes
+    path = tmp_path / "huge.ckpt"
+    header = struct.pack(f"<IH1sB{len(extents)}I", 1, 1, b"w", len(extents), *extents)
+    path.write_bytes(MAGIC + header + bytes(64))
+    with pytest.raises(CheckpointError, match="truncated checkpoint"):
+        load_arrays(path)
 
 
 def test_missing_file(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,17 @@ def _truncate(n_bytes):
     return apply
 
 
+def _extents(shape):
+    """Give the first parameter the extents `shape`, keeping the rest of the file."""
+    def apply(ckpt):
+        blob = ckpt.read_bytes()
+        (name_len,) = struct.unpack_from("<H", blob, len(MAGIC) + 4)
+        head = len(MAGIC) + 4 + 2 + name_len  # the first parameter's ndim byte
+        extents = struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        ckpt.write_bytes(blob[:head] + extents + blob[head + 1 + 4 * blob[head]:])
+    return apply
+
+
 def _poison(name, value):
     """Set the first entry of parameter `name` to `value` (NaN or inf)."""
     def apply(ckpt):
@@ -483,6 +495,11 @@ MODEL_FILE_FAULTS = [
     pytest.param("encoder", _name_byte(0xFF), "not UTF-8", id="encoder-name-not-utf8"),
     pytest.param("classifier", _truncate(12), "truncated", id="classifier-truncated-header"),
     pytest.param("classifier", _truncate(300), "truncated", id="classifier-truncated-payload"),
+    # extents whose int64 product wraps around, once to 0 bytes
+    pytest.param("classifier", _extents((2**16,) * 4), "truncated",
+                 id="classifier-extents-wrap-to-zero"),
+    pytest.param("classifier", _extents((2**31, 2**31, 3)), "truncated",
+                 id="classifier-extents-past-int64"),
     pytest.param("encoder", _poison("layer0.wq", np.nan), "parameter 'layer0.wq' in ",
                  id="encoder-nan-weight"),
     pytest.param("classifier", _poison("fc1_w", np.inf), "parameter 'fc1_w' in ",

@@ -354,6 +354,21 @@ class TestBatchedDistributions:
         with pytest.raises(error):
             mlm_distributions(params, config, [([CLS_ID, 5, 6], [1], 0), bad])
 
+    def test_rows_are_the_bits_of_the_graph_softmax_over_the_scored_rows(self, tiny):
+        # the in-place softmax runs T.softmax's operations in its order
+        params, config = tiny
+        queries = [([CLS_ID, 5, 6, 7, 8, 9], [2, 5], 1), ([CLS_ID, 12, 4], [1], 0)]
+        got = mlm_distributions(params, config, queries)
+        corrupted = [
+            [MASK_ID if i in positions else tok for i, tok in enumerate(tokens)]
+            for tokens, positions, _ in queries
+        ]
+        batch = batch_from_examples(corrupted, [cond for _, _, cond in queries])
+        t = batch.token_ids.shape[1]
+        rows = [b * t + pos for b, (_, positions, _) in enumerate(queries) for pos in positions]
+        want = T.softmax(forward(params, config, batch, rows=rows), axis=-1).data
+        assert got.tobytes() == want.tobytes()
+
     def test_no_queries_rejected(self, tiny):
         params, config = tiny
         with pytest.raises(ValueError):

@@ -267,6 +267,39 @@ def test_batched_transfer_matches_serial_reference(kind, cfg, top_m, monkeypatch
             assert got[i] == want, i
 
 
+@pytest.mark.parametrize("kind, cfg", [
+    ("cnn", CnnConfig(seed=2, max_epochs=2, filter_widths=(2, 5))),
+    ("rnn", RnnConfig(seed=2, max_epochs=2)),
+])
+def test_length_ordered_transfer_matches_serial_reference(setup, kind, cfg, monkeypatch):
+    # three chunks of rows whose lengths fall from 7 words to 1: length order
+    # reverses the rows, so every chunk holds other sentences than a cut in
+    # dataset order would
+    _, _, params, config = setup
+    classifier, _ = train_classifier(signal_dataset(n=40), cfg, vocab_size=VOCAB_SIZE)
+    n = 2 * CHUNK_SIZE + 6
+    rows = signal_dataset(n=80, seed=4).train[:n]
+    examples = [
+        LabeledExample((CLS_ID, *(ex.tokens[1:] + NEUTRAL)[: 7 - 7 * i // n]), ex.label)
+        for i, ex in enumerate(rows)
+    ]
+    targets = [1 - ex.label for ex in examples]
+    chunks = []
+
+    def cloze(params, config, queries):
+        chunks.append([tokens for tokens, _, _ in queries])
+        return mlm_distributions(params, config, queries)
+
+    monkeypatch.setattr("maskaug.augment.mlm_distributions", cloze)
+    got = transfer_styles(params, config, classifier, examples, targets)
+    by_length = sorted(examples, key=lambda ex: len(ex.tokens))
+    assert chunks == [[ex.tokens for ex in by_length[start:start + CHUNK_SIZE]]
+                      for start in range(0, n, CHUNK_SIZE)]
+    assert chunks[0] != [ex.tokens for ex in examples[:CHUNK_SIZE]]
+    for example, target, result in zip(examples, targets, got):
+        assert result == serial_transfer(params, config, classifier, example, target, 1)
+
+
 @pytest.mark.parametrize("examples", [
     [LabeledExample((CLS_ID, 1, 1), 0), LabeledExample((CLS_ID, 1), 1)], [],
 ], ids=["no-content-word", "no-sentence"])

@@ -143,6 +143,31 @@ class TestCrossEntropy:
         assert np.array_equal(a.grad[targets != -1], b.grad[targets != -1])
         assert np.all(a.grad[targets == -1] == 0.0)
 
+    @pytest.mark.parametrize("shape", [(86, 5000), (40, 21), (7, 30)])
+    @pytest.mark.parametrize("ignore", [False, True], ids=["all-scored", "ignore-index"])
+    @pytest.mark.parametrize("g_in", [1.0, -0.75])
+    def test_gradient_bits_match_the_gather_scatter_formula(self, shape, ignore, g_in):
+        # the formula the backward replaced: zeros, then the scored rows' softmax minus
+        # one at the target, scaled, scattered back
+        rng = np.random.default_rng(shape[0])
+        logits = rng.normal(scale=3.0, size=shape)
+        targets = rng.integers(0, shape[1], size=shape[0])
+        if ignore:
+            targets[rng.random(shape[0]) < 0.4] = -1
+        x = Tensor(logits, requires_grad=True)
+        loss, scored = T.cross_entropy(x, targets, ignore_index=-1 if ignore else None)
+        T.scale(loss, g_in).backward()
+
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        rows = np.nonzero(targets != -1)[0]
+        want = np.zeros_like(logits)
+        p = np.exp(log_p[rows])
+        p[np.arange(rows.size), targets[rows]] -= 1.0
+        want[rows] = p * (g_in / scored)
+        assert 0 < scored < shape[0] if ignore else scored == shape[0]
+        assert x.grad.tobytes() == want.tobytes()  # bit for bit, the sign of each zero too
+
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from maskaug import text
@@ -189,6 +191,25 @@ class TestLoadTsv:
         with pytest.warns(UserWarning, match=r"\[1\]"):
             dataset = load_tsv(path, vocab, val_fraction=0.0)
         assert dataset.num_labels == 3
+
+    def test_a_far_label_warns_without_building_the_label_range(self, tmp_path, vocab):
+        # the old check built set(range(10**9 + 1)), gigabytes for one label
+        path = tmp_path / "d.tsv"
+        path.write_text(f"1\tgood\n3\tbad\n{10**9}\tfine\n")
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning) as caught:
+                dataset = load_tsv(path, vocab, val_fraction=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert dataset.num_labels == 10**9 + 1
+        [warning] = caught
+        assert str(warning.message) == (
+            f"{path}: labels [0, 2, 4, 5, 6, ...] ({10**9 - 2} in all) never occur but lie "
+            f"below the maximum label {10**9}; the label set is taken as 0..{10**9}"
+        )
 
     @staticmethod
     def _distinct_rows(n):
