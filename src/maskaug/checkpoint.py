@@ -67,7 +67,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 
     def take(n: int) -> memoryview:
         nonlocal pos
-        if n < 0 or pos + n > len(view):
+        if pos + n > len(view):
             raise CheckpointError(f"truncated checkpoint: {path}")
         piece = view[pos : pos + n]
         pos += n
@@ -86,7 +86,11 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n_bytes = 8 * math.prod(shape)  # Python ints: extents past int64 cannot wrap around
-        out[name] = np.frombuffer(take(n_bytes), dtype="<f8").reshape(shape).copy()
+        payload = np.frombuffer(take(n_bytes), dtype="<f8")
+        try:
+            out[name] = payload.reshape(shape).copy()
+        except ValueError:  # a zero extent beside ones whose product NumPy cannot index
+            raise CheckpointError(f"array extents too large in checkpoint: {path}") from None
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after checkpoint payload: {path}")
     return out

@@ -225,12 +225,8 @@ def mlm_distributions(
     batch = batch_from_examples(sequences, conds)
     t = batch.token_ids.shape[1]
     rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
-    logits = forward(params, config, batch, rows=rows).data
-    # T.softmax's operations in its order, with no graph node and one (rows, V) array
-    probs = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
+    logits = forward(params, config, batch, rows=rows)
+    return T.softmax(logits, axis=-1).data
 
 
 def mlm_distribution(

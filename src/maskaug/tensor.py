@@ -392,9 +392,10 @@ def sigmoid(x) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    # exp and divide in place on the one new array the subtraction makes
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def _bwd(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)

@@ -574,15 +574,19 @@ class TestChunkedPass:
             params, config, dataset, policy, unconditional
         )
         chunks = recording_cloze(monkeypatch)
+        starts = []  # each round's first chunk: rounds may cut different numbers of chunks
+        monkeypatch.setattr(
+            "maskaug.augment._refill", lambda *args: starts.append(len(chunks)) or _refill(*args)
+        )
         out, report = augment_dataset(params, config, dataset, policy, unconditional=unconditional)
         assert report.provenance == provenance
         assert out.train[len(dataset.train):] == generated
         assert report.skipped == skipped >= 2
         assert report.generated == len(generated)
         # each round's chunks run shortest first
-        per_round = len(chunks) // 2
-        for start in (0, per_round):
-            lengths = [len(q[0]) for chunk in chunks[start:start + per_round] for q in chunk]
+        assert len(starts) == policy.multiplier
+        for start, stop in zip(starts, starts[1:] + [len(chunks)]):
+            lengths = [len(q[0]) for chunk in chunks[start:stop] for q in chunk]
             assert lengths == sorted(lengths)
 
     def test_chunks_hold_the_shortest_remaining_picks_and_outcomes_keep_pick_order(

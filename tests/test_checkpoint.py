@@ -98,15 +98,23 @@ def test_name_that_is_not_utf8_is_a_checkpoint_error_naming_the_path(tmp_path, a
 
 
 @pytest.mark.parametrize(
-    "extents", [(2**16,) * 4, (2**31, 2**31, 3)], ids=["wraps-to-zero", "past-int64"]
+    "extents, message",
+    [
+        ((2**16,) * 4, "truncated checkpoint"),
+        ((2**31, 2**31, 3), "truncated checkpoint"),
+        ((0, 2**32 - 1, 2**32 - 1, 2**32 - 1), "array extents too large"),
+    ],
+    ids=["wraps-to-zero", "past-int64", "zero-beside-huge"],
 )
-def test_extents_past_int64_are_a_checkpoint_error(tmp_path, extents):
-    # an int64 product of these extents wraps around, once to 0 bytes
+def test_extents_past_int64_are_a_checkpoint_error(tmp_path, extents, message):
+    # an int64 product of the first two wraps around, once to 0 bytes; the
+    # third holds 0 bytes, but NumPy cannot index an array of its extents
     path = tmp_path / "huge.ckpt"
     header = struct.pack(f"<IH1sB{len(extents)}I", 1, 1, b"w", len(extents), *extents)
     path.write_bytes(MAGIC + header + bytes(64))
-    with pytest.raises(CheckpointError, match="truncated checkpoint"):
+    with pytest.raises(CheckpointError, match=message) as info:
         load_arrays(path)
+    assert str(path) in str(info.value)
 
 
 def test_missing_file(tmp_path):

@@ -500,6 +500,8 @@ MODEL_FILE_FAULTS = [
                  id="classifier-extents-wrap-to-zero"),
     pytest.param("classifier", _extents((2**31, 2**31, 3)), "truncated",
                  id="classifier-extents-past-int64"),
+    pytest.param("classifier", _extents((0, 2**32 - 1, 2**32 - 1, 2**32 - 1)),
+                 "array extents too large", id="classifier-extents-zero-beside-huge"),
     pytest.param("encoder", _poison("layer0.wq", np.nan), "parameter 'layer0.wq' in ",
                  id="encoder-nan-weight"),
     pytest.param("classifier", _poison("fc1_w", np.inf), "parameter 'fc1_w' in ",

@@ -355,7 +355,6 @@ class TestBatchedDistributions:
             mlm_distributions(params, config, [([CLS_ID, 5, 6], [1], 0), bad])
 
     def test_rows_are_the_bits_of_the_graph_softmax_over_the_scored_rows(self, tiny):
-        # the in-place softmax runs T.softmax's operations in its order
         params, config = tiny
         queries = [([CLS_ID, 5, 6, 7, 8, 9], [2, 5], 1), ([CLS_ID, 12, 4], [1], 0)]
         got = mlm_distributions(params, config, queries)

@@ -100,6 +100,16 @@ class TestSoftmax:
         err = check_gradients(lambda xs: weighted_sum(T.softmax(xs[0]), w), [x])
         assert err < GRAD_TOL
 
+    @pytest.mark.parametrize("shape, axis", [((48, 500), -1), ((7, 30), 0), ((2, 3, 9), 1)])
+    def test_bits_match_the_out_of_place_formula(self, shape, axis):
+        # the formula the in-place forward replaced; the input stays as it was
+        x = np.random.default_rng(shape[0]).normal(scale=4.0, size=shape)
+        before = x.copy()
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        want = e / e.sum(axis=axis, keepdims=True)
+        assert T.softmax(Tensor(x), axis=axis).data.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
