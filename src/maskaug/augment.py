@@ -51,6 +51,7 @@ Pick = tuple[LabeledExample, "np.random.Generator | None", object]
 Outcome = tuple[LabeledExample, tuple[int, ...]] | SkipExample
 
 NO_CANDIDATE = "no candidate tokens outside the specials"
+SAMPLERS = ("greedy", "top_k", "temperature")
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class AugmentationPolicy:
     """
 
     k: "int | tuple[int, int]" = (1, 2)
-    sampler: str = "top_k"  # greedy | top_k | temperature
+    sampler: str = "top_k"  # one of SAMPLERS
     top_k: int = 10
     temperature: float = 1.0
     exclude_original: bool = True
@@ -75,7 +76,7 @@ class AugmentationPolicy:
         if not (is_int(k) and k >= 1 or pair):
             raise ValueError(f"k must be an int >= 1 or a (lo, hi) pair of ints with "
                              f"1 <= lo <= hi, got {k!r}")
-        if self.sampler not in ("greedy", "top_k", "temperature"):
+        if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if not self.temperature > 0.0:  # NaN too
             raise ValueError(f"temperature must be > 0, got {self.temperature}")

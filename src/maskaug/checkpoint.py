@@ -177,10 +177,11 @@ def save_model(params: Mapping[str, "Tensor | np.ndarray"], meta: Mapping, path)
 def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tensor]]:
     """(description, params) of a model file written by `save_model`.
 
-    The sidecar must be a JSON object tagged `fmt`; `build(meta)` returns the
-    description and the Layout whose names and shapes the stored arrays must
-    match, and every stored value must be finite. A path that is a directory
-    raises IsADirectoryError; every other failure raises CheckpointError.
+    The sidecar must be a JSON object tagged `fmt`; `build(meta, stored)`,
+    given the number of stored arrays, returns the description and the Layout
+    whose names and shapes the stored arrays must match, and every stored
+    value must be finite. A path that is a directory raises
+    IsADirectoryError; every other failure raises CheckpointError.
     """
     arrays = load_arrays(path)  # first, so the error names the path the caller gave
     sidecar = Path(str(path) + ".json")
@@ -193,7 +194,7 @@ def load_model(path, fmt: str, build: Callable) -> tuple[object, dict[str, Tenso
     if not isinstance(meta, dict) or meta.get("format") != fmt:
         raise CheckpointError(f"sidecar {sidecar} is not tagged {fmt!r}")
     try:
-        model, layout = build(meta)
+        model, layout = build(meta, len(arrays))
     except KeyError as exc:
         raise CheckpointError(f"sidecar {sidecar} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:

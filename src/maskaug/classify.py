@@ -408,7 +408,7 @@ def save_classifier(clf: Classifier, path) -> None:
 
 
 def load_classifier(path) -> Classifier:
-    def build(meta):
+    def build(meta, _):
         if meta["kind"] not in CONFIGS:
             raise ValueError(f"unknown classifier kind {meta['kind']!r}")
         clf = Classifier(

@@ -22,12 +22,14 @@ library raises is printed as one `warning: <message>` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
 from pathlib import Path
 
 from .augment import (
+    SAMPLERS,
     AugmentationPolicy,
     SynonymTable,
     augment_dataset,
@@ -73,6 +75,48 @@ EXIT_MISSING_FILE = 3
 EXIT_PARSE = 4
 EXIT_CHECKPOINT = 5
 EXIT_TRAINING = 6
+
+# Each config flag once, by dest: the field it sets in each config class it
+# feeds. A subcommand declares the flags of the classes it builds, each typed
+# and defaulted by its fields there; where those fields disagree
+# (--dropout-rate: CNN 0.5, LSTM 0.3) the default is None, the built class's own.
+CONFIG_FLAGS = {
+    **{d: {EncoderConfig: d}
+       for d in ("layers", "hidden", "heads", "ff", "max_len", "num_conditions")},
+    "dropout_rate": {EncoderConfig: "dropout", CnnConfig: "dropout", RnnConfig: "dropout"},
+    "epochs": {TrainConfig: "epochs", CnnConfig: "max_epochs", RnnConfig: "max_epochs"},
+    **{d: {TrainConfig: d, CnnConfig: d, RnnConfig: d} for d in ("batch_size", "lr", "patience")},
+    "clip_norm": {TrainConfig: "clip_norm"},
+    "mask_ratio": {MaskPolicy: "ratio"},
+    "num_filters": {CnnConfig: "num_filters"},
+    "emb_dim": {CnnConfig: "emb_dim", RnnConfig: "emb_dim"},
+    "hidden_dim": {CnnConfig: "hidden_dim", RnnConfig: "state_dim"},
+    **{d: {AugmentationPolicy: d} for d in ("k", "sampler", "top_k", "temperature", "multiplier")},
+}
+
+# argparse options beyond the type and default a config flag takes from its field
+_FLAG_OPTIONS = {"k": {"help": "masked words per sentence: 'K' or 'LO,HI'"},
+                 "sampler": {"choices": SAMPLERS}}
+
+
+def _default(dest: str, *classes):
+    """The default `dest`'s fields share (in `classes`, if given); None where they disagree."""
+    values = {getattr(cls, CONFIG_FLAGS[dest][cls]) for cls in classes or CONFIG_FLAGS[dest]}
+    return values.pop() if len(values) == 1 else None
+
+
+def _config(cls, args: argparse.Namespace, **given):
+    """A `cls` whose fields take `given` values, else their flags' in `args`.
+    A flag at None leaves a field that takes no None at its default, which is
+    written back to `args`, so config.json records the value the run used."""
+    nullable = {field.name for field in dataclasses.fields(cls) if "None" in str(field.type)}
+    for dest, fields in CONFIG_FLAGS.items():
+        field = fields.get(cls)
+        if field is not None and field not in given:
+            if getattr(args, dest) is None and field not in nullable:
+                setattr(args, dest, getattr(cls, field))
+            given[field] = getattr(args, dest)
+    return cls(**given)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,12 +228,7 @@ def cmd_build_vocab(args, out: Path) -> None:
 
 def _mask_and_fit(args) -> tuple[MaskPolicy, TrainConfig]:
     """The masking policy and fit settings of pretrain and finetune."""
-    policy = MaskPolicy(mode="ratio", ratio=args.mask_ratio)
-    cfg = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        patience=args.patience, seed=args.seed, clip_norm=args.clip_norm,
-    )
-    return policy, cfg
+    return _config(MaskPolicy, args), _config(TrainConfig, args, seed=args.seed)
 
 
 def _save_encoder_run(path: Path, params, config, history) -> None:
@@ -204,16 +243,7 @@ def _save_encoder_run(path: Path, params, config, history) -> None:
 def cmd_pretrain(args, out: Path) -> None:
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(args, vocab)
-    config = EncoderConfig(
-        vocab_size=len(vocab),
-        layers=args.layers,
-        hidden=args.hidden,
-        heads=args.heads,
-        ff=args.ff,
-        max_len=args.max_len,
-        num_conditions=args.num_conditions,
-        dropout=args.dropout_rate,
-    )
+    config = _config(EncoderConfig, args, vocab_size=len(vocab))
     params, history = pretrain_mlm(dataset, config, *_mask_and_fit(args))
     _save_encoder_run(out / "encoder.ckpt", params, config, history)
 
@@ -230,23 +260,17 @@ def cmd_finetune(args, out: Path) -> None:
 def _augment_policy(args: argparse.Namespace, arms) -> AugmentationPolicy:
     """The policy of the `arms` augmenters, checked before any file is read.
     The sampler flags apply only when some arm is a model (cbert or bert)."""
-    if args.sampler != "top_k" and args.top_k != AugmentationPolicy.top_k:  # the flag's default
+    if args.sampler != "top_k" and args.top_k != _default("top_k"):
         raise ValueError("--top-k applies only to --sampler top_k")
-    policy = AugmentationPolicy(
-        k=_parse_k(args.k),
-        sampler=args.sampler,
-        top_k=args.top_k,
-        temperature=args.temperature,
-        exclude_original=not getattr(args, "keep_original", False),
-        multiplier=args.multiplier,
-        seed=args.seed,
-    )
+    keep = getattr(args, "keep_original", False)  # augment's switch, off by default
     if not {"cbert", "bert"} & set(arms):  # each sampler flag against its default
-        for flag, field in (("sampler", "sampler"), ("top-k", "top_k"),
-                            ("temperature", "temperature"), ("keep-original", "exclude_original")):
-            if getattr(policy, field) != getattr(AugmentationPolicy, field):
-                raise ValueError(f"--{flag} applies only to the cbert and bert augmenters")
-    return policy
+        moved = [d for d in ("sampler", "top_k", "temperature") if getattr(args, d) != _default(d)]
+        if moved or keep:
+            flag = (moved or ["keep_original"])[0].replace("_", "-")
+            raise ValueError(f"--{flag} applies only to the cbert and bert augmenters")
+    return _config(
+        AugmentationPolicy, args, k=_parse_k(args.k), exclude_original=not keep, seed=args.seed
+    )
 
 
 def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: str):
@@ -288,20 +312,10 @@ def cmd_augment(args, out: Path) -> None:
 
 
 def _classifier_config(args) -> "CnnConfig | RnnConfig":
-    shared = dict(
-        emb_dim=args.emb_dim,
-        dropout=args.dropout_rate,
-        lr=args.lr,
-        seed=args.seed,
-        max_epochs=args.epochs,
-        batch_size=args.batch_size,
-        patience=args.patience,
-    )
-    if args.classifier == "cnn":
-        return CnnConfig(num_filters=args.num_filters, hidden_dim=args.hidden_dim, **shared)
-    if args.num_filters != CnnConfig.num_filters:  # the flag's default
+    cls = CONFIGS[args.classifier]
+    if cls is not CnnConfig and args.num_filters != _default("num_filters"):
         raise ValueError("--num-filters applies only to --classifier cnn")
-    return RnnConfig(state_dim=args.hidden_dim, **shared)  # --classifier's choices: cnn, rnn
+    return _config(cls, args, seed=args.seed)
 
 
 def cmd_train_classifier(args, out: Path) -> None:
@@ -405,7 +419,7 @@ def cmd_style_transfer(args, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CAPPED_MAX_LEN_HELP = "truncate sentences to this many ids, capped at the encoder's max_len"
+_CAPPED_HELP = "truncate sentences to this many ids, capped at the encoder's max_len"
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -415,36 +429,28 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
 
 
-def _add_fit_flags(sp: argparse.ArgumentParser, epochs: int, patience: int) -> None:
-    sp.add_argument("--epochs", type=int, default=epochs)
-    sp.add_argument("--batch-size", type=int, default=32)
-    sp.add_argument("--lr", type=float, default=1e-3)
-    sp.add_argument("--patience", type=int, default=patience)
+def _add_config_flags(sp: argparse.ArgumentParser, *classes) -> None:
+    """The CONFIG_FLAGS that feed `classes`, each typed and defaulted by its fields."""
+    for dest, fields in CONFIG_FLAGS.items():
+        served = [cls for cls in classes if cls in fields]
+        if served:
+            default = _default(dest, *served)
+            kind = type(getattr(served[0], fields[served[0]]))
+            if kind is tuple:  # a range, given as its 'LO,HI' text
+                kind, default = str, ",".join(map(str, default))
+            sp.add_argument("--" + dest.replace("_", "-"), type=kind, default=default,
+                            **_FLAG_OPTIONS.get(dest, {}))
+
+
+def _add_fit_flags(sp: argparse.ArgumentParser, *classes) -> None:
+    """The flags of the configs `classes` that a training run builds, and its split."""
+    _add_config_flags(sp, *classes)
     sp.add_argument("--val-fraction", type=float, default=0.1)
 
 
-def _add_train_flags(sp: argparse.ArgumentParser) -> None:
-    _add_fit_flags(sp, epochs=10, patience=3)
-    sp.add_argument("--clip-norm", type=float, default=1.0)
-    sp.add_argument("--mask-ratio", type=float, default=0.15)
-
-
-def _add_sampler_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--k", default="1,2", help="masked words per sentence: 'K' or 'LO,HI'")
-    sp.add_argument("--sampler", choices=("greedy", "top_k", "temperature"),
-                    default=AugmentationPolicy.sampler)
-    sp.add_argument("--top-k", type=int, default=AugmentationPolicy.top_k)
-    sp.add_argument("--temperature", type=float, default=AugmentationPolicy.temperature)
-    sp.add_argument("--multiplier", type=int, default=AugmentationPolicy.multiplier)
-
-
-def _add_classifier_flags(sp: argparse.ArgumentParser) -> None:
+def _add_classifier_flags(sp: argparse.ArgumentParser, *classes) -> None:
     sp.add_argument("--classifier", choices=tuple(CONFIGS), default="cnn")
-    sp.add_argument("--num-filters", type=int, default=CnnConfig.num_filters)
-    sp.add_argument("--emb-dim", type=int, default=32)
-    sp.add_argument("--hidden-dim", type=int, default=64)
-    sp.add_argument("--dropout-rate", type=float, default=0.5)
-    _add_fit_flags(sp, epochs=30, patience=5)
+    _add_fit_flags(sp, *classes, *CONFIGS.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,21 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pretrain", help="masked-LM pretraining (neutral condition)")
     _add_common(sp)
     sp.add_argument("--vocab", required=True)
-    sp.add_argument("--layers", type=int, default=2)
-    sp.add_argument("--hidden", type=int, default=64)
-    sp.add_argument("--heads", type=int, default=2)
-    sp.add_argument("--ff", type=int, default=256)
-    sp.add_argument("--max-len", type=int, default=64)
-    sp.add_argument("--num-conditions", type=int, default=2)
-    sp.add_argument("--dropout-rate", type=float, default=0.1)
-    _add_train_flags(sp)
+    _add_fit_flags(sp, EncoderConfig, TrainConfig, MaskPolicy)
     sp.set_defaults(func=cmd_pretrain)
 
     sp = sub.add_parser("finetune", help="label-conditional fine-tuning")
     _add_common(sp)
     sp.add_argument("--vocab", required=True)
     sp.add_argument("--init", required=True, help="pretrained encoder checkpoint")
-    _add_train_flags(sp)
+    _add_fit_flags(sp, TrainConfig, MaskPolicy)
     sp.set_defaults(func=cmd_finetune)
 
     sp = sub.add_parser("augment", help="write an augmented copy of a dataset")
@@ -485,15 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--augmenter", choices=("cbert", "bert", "synonym"), default="cbert")
     sp.add_argument("--keep-original", action="store_true",
                     help="allow a masked slot to re-sample its original word")
-    sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
-    _add_sampler_flags(sp)
+    sp.add_argument("--max-len", type=int, default=EncoderConfig.max_len, help=_CAPPED_HELP)
+    _add_config_flags(sp, AugmentationPolicy)
     sp.set_defaults(func=cmd_augment)
 
     sp = sub.add_parser("train-classifier", help="train a CNN or LSTM classifier")
     _add_common(sp)
     sp.add_argument("--test", default=None)
     sp.add_argument("--vocab", required=True)
-    sp.add_argument("--max-len", type=int, default=64)
+    sp.add_argument("--max-len", type=int, default=EncoderConfig.max_len)
     sp.add_argument("--grid", action="store_true",
                     help="search a small lr/dropout grid on validation accuracy first")
     sp.add_argument("--cv", type=int, default=None,
@@ -505,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--vocab", required=True)
     sp.add_argument("--classifier-ckpt", required=True)
-    sp.add_argument("--max-len", type=int, default=64)
+    sp.add_argument("--max-len", type=int, default=EncoderConfig.max_len)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("ab-experiment", help="compare augmentation arms on one classifier")
@@ -517,9 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--synonyms", help="synonym table (synonym arm)")
     sp.add_argument("--arms", default="none,synonym,bert,cbert")
     sp.add_argument("--seeds", default="1,2,3")
-    sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
-    _add_sampler_flags(sp)
-    _add_classifier_flags(sp)
+    sp.add_argument("--max-len", type=int, default=EncoderConfig.max_len, help=_CAPPED_HELP)
+    _add_classifier_flags(sp, AugmentationPolicy)
     sp.set_defaults(func=cmd_ab_experiment)
 
     sp = sub.add_parser("style-transfer", help="rewrite sentences under the opposite label")
@@ -530,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target-label", type=int, default=None)
     sp.add_argument("--top-m", type=int, default=1)
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--max-len", type=int, default=64, help=_CAPPED_MAX_LEN_HELP)
+    sp.add_argument("--max-len", type=int, default=EncoderConfig.max_len, help=_CAPPED_HELP)
     sp.set_defaults(func=cmd_style_transfer)
 
     return parser

@@ -282,8 +282,12 @@ def load_encoder(
     num_conditions gets a message pointing at swap_condition_table.
     """
 
-    def build(meta):
+    def build(meta, stored):
         config = EncoderConfig(**{k: v for k, v in meta.items() if k != "format"})
+        if config.layers > stored:  # cannot match: refused before 16 layout entries per layer
+            raise CheckpointError(
+                f"sidecar of {path} claims {config.layers} layers, but it holds {stored} arrays"
+            )
         if expected is not None:
             if config.num_conditions != expected.num_conditions:
                 raise CheckpointError(

@@ -185,15 +185,11 @@ def read_tsv(path) -> list[tuple[int, str]]:
         fields = line.split("\t")
         if len(fields) < 2:
             raise ParseError(f"{path}:{lineno}: expected 'label<TAB>text'")
-        try:
-            label = int(fields[0])
-        except ValueError:
+        if not (fields[0].isascii() and fields[0].isdigit()):  # int() also takes '+1', ' 0', '1_0'
             raise ParseError(
                 f"{path}:{lineno}: label must be a non-negative integer, got {fields[0]!r}"
-            ) from None
-        if label < 0:
-            raise ParseError(f"{path}:{lineno}: label must be non-negative, got {label}")
-        rows.append((label, fields[1]))
+            )
+        rows.append((int(fields[0]), fields[1]))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return rows

@@ -149,7 +149,7 @@ def test_failed_model_write_keeps_the_previous_pair(tmp_path, arrays, monkeypatc
         save_model(newer, {"format": "test v1", "step": 2}, path)
 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    meta, loaded = load_model(path, "test v1", lambda meta: (meta, _layout_of(arrays)))
+    meta, loaded = load_model(path, "test v1", lambda meta, stored: (meta, _layout_of(arrays)))
     assert meta["step"] == 1
     for name, original in arrays.items():
         assert loaded[name].data.tobytes() == original.tobytes()
@@ -186,7 +186,7 @@ def test_load_model_checks_names_and_shapes_against_the_layout(tmp_path, arrays,
     layout = _layout_of(arrays)
     edit(layout)
     with pytest.raises(CheckpointError, match=message):
-        load_model(path, "test v1", lambda meta: (meta, layout))
+        load_model(path, "test v1", lambda meta, stored: (meta, layout))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -195,7 +195,7 @@ def test_load_model_rejects_a_non_finite_value_naming_its_parameter(tmp_path, ar
     arrays["cube"][1, 2, 3] = value
     save_model(arrays, {"format": "test v1"}, path)
     with pytest.raises(CheckpointError, match=f"^parameter 'cube' in {path} holds NaN or inf$"):
-        load_model(path, "test v1", lambda meta: (meta, _layout_of(arrays)))
+        load_model(path, "test v1", lambda meta, stored: (meta, _layout_of(arrays)))
     assert np.array_equal(load_arrays(path)["cube"], arrays["cube"], equal_nan=True)
 
 
@@ -211,9 +211,9 @@ def test_load_model_reads_shapes_without_drawing(tmp_path, arrays, monkeypatch):
     layout["token_emb"] = ((2**50, 4), refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(CheckpointError, match=r"expected \(1125899906842624, 4\)"):
-        load_model(path, "test v1", lambda meta: (meta, layout))
+        load_model(path, "test v1", lambda meta, stored: (meta, layout))
     layout["token_emb"] = ((11, 4), refuse)
-    _, loaded = load_model(path, "test v1", lambda meta: (meta, layout))
+    _, loaded = load_model(path, "test v1", lambda meta, stored: (meta, layout))
     assert all(loaded[name].data.tobytes() == arrays[name].tobytes() for name in arrays)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import struct
@@ -6,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskaug import classify, cli
+from maskaug import classify, cli, encoder
 from maskaug.augment import AugmentationPolicy
 from maskaug.checkpoint import MAGIC, load_arrays, save_arrays
+from maskaug.classify import CnnConfig, RnnConfig
 from maskaug.cli import (
     EXIT_CHECKPOINT,
     EXIT_MISSING_FILE,
@@ -18,8 +20,10 @@ from maskaug.cli import (
     EXIT_USAGE,
     main,
 )
+from maskaug.encoder import EncoderConfig
 from maskaug.synthetic import sentiment_rows, write_rows_tsv
-from maskaug.text import load_vocab
+from maskaug.text import load_tsv, load_vocab
+from maskaug.training import MaskPolicy, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +433,11 @@ MODEL_FILE_FAULTS = [
         "encoder", _edit_sidecar(lambda m: m.update(hidden=2 * m["hidden"])), "shape",
         id="encoder-other-hidden",
     ),
+    # more layers than stored arrays: refused before a layout of 16 entries per layer is built
+    pytest.param(
+        "encoder", _edit_sidecar(lambda m: m.update(layers=10_000_000)),
+        "claims 10000000 layers, but it holds 26 arrays", id="encoder-huge-layers",
+    ),
     # 2**50 rows of anything exceed the address space: the check must not allocate them
     pytest.param(
         "encoder", _edit_sidecar(lambda m: m.update(vocab_size=2**50)), "shape",
@@ -579,8 +588,15 @@ ABSENT_INPUTS = ["--data", "absent.tsv", "--vocab", "absent.txt", "--synonyms", 
 class TestErrorCategories:
     @pytest.mark.parametrize("model, fault, named", MODEL_FILE_FAULTS)
     def test_bad_model_file_is_one_line_checkpoint_error(
-        self, model, fault, named, workdir, vocab_file, pretrained, classifier_ckpt, tmp_path, capsys
+        self, model, fault, named, workdir, vocab_file, pretrained, classifier_ckpt, tmp_path, capsys,
+        monkeypatch,
     ):
+        def param_layout(config, build=encoder.param_layout):
+            # a sidecar's layer count must be checked before its layout is built
+            assert config.layers <= 2, f"param_layout built {config.layers} layers"
+            return build(config)
+
+        monkeypatch.setattr(encoder, "param_layout", param_layout)
         source = pretrained if model == "encoder" else classifier_ckpt
         ckpt = tmp_path / "model.ckpt"
         shutil.copy(source, ckpt)
@@ -1199,14 +1215,100 @@ class TestArgumentErrors:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["augment", "ab-experiment"])
-def test_default_sampler_flags_build_the_default_policy(subcommand):
-    # a flag default that drifted from its field would reject every synonym run
-    test = ["--test", "absent.tsv"] if subcommand == "ab-experiment" else []
-    args = cli.build_parser().parse_args(
-        [subcommand, *ABSENT_INPUTS, *test, "--out", "absent", "--seed", "5"]
+# (subcommand, a config class its flags build) for every class of cli.CONFIG_FLAGS
+# that each subcommand builds, a classifier class once per --classifier kind
+FLAG_CONFIGS = [
+    ("pretrain", EncoderConfig), ("pretrain", TrainConfig), ("pretrain", MaskPolicy),
+    ("finetune", TrainConfig), ("finetune", MaskPolicy), ("augment", AugmentationPolicy),
+    ("train-classifier", CnnConfig), ("train-classifier", RnnConfig),
+    ("ab-experiment", AugmentationPolicy), ("ab-experiment", CnnConfig),
+    ("ab-experiment", RnnConfig),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, cls", FLAG_CONFIGS, ids=[f"{sub}-{cls.__name__}" for sub, cls in FLAG_CONFIGS]
+)
+def test_default_flags_build_the_default_config(subcommand, cls):
+    # a flag default that drifted from its field would train another model than
+    # the library's defaults, or reject every synonym run
+    kind = ["--classifier", cls.kind] if cls in classify.CONFIGS.values() else []
+    args = cli.build_parser().parse_args([
+        subcommand, *[part for flag in REQUIRED_FLAGS[subcommand] for part in (flag, "absent")],
+        *kind, "--out", "absent", "--seed", "5",
+    ])
+    names = {field.name for field in dataclasses.fields(cls)}
+    given = {name: value for name, value in (("seed", 5), ("vocab_size", 9)) if name in names}
+    if cls is AugmentationPolicy:  # the sampler flags at their defaults also pass its check
+        built = cli._augment_policy(args, ["synonym"])
+    elif kind:
+        built = cli._classifier_config(args)
+    else:
+        built = cli._config(cls, args, **given)
+    assert built == cls(**given)
+
+
+def test_flag_configs_name_every_class_the_table_feeds():
+    assert {cls for fields in cli.CONFIG_FLAGS.values() for cls in fields} == {
+        cls for _, cls in FLAG_CONFIGS
+    }
+
+
+# each subcommand's option strings, as the hand-written flags declared them
+SUBCOMMAND_OPTIONS = {
+    "build-vocab": "--config --data --help --max-size --min-freq --out --seed -h",
+    "pretrain": "--batch-size --clip-norm --config --data --dropout-rate --epochs --ff --heads "
+                "--help --hidden --layers --lr --mask-ratio --max-len --num-conditions --out "
+                "--patience --seed --val-fraction --vocab -h",
+    "finetune": "--batch-size --clip-norm --config --data --epochs --help --init --lr "
+                "--mask-ratio --out --patience --seed --val-fraction --vocab -h",
+    "augment": "--augmenter --config --data --help --k --keep-original --max-len --model "
+               "--multiplier --out --sampler --seed --synonyms --temperature --top-k --vocab -h",
+    "train-classifier": "--batch-size --classifier --config --cv --data --dropout-rate "
+                        "--emb-dim --epochs --grid --help --hidden-dim --lr --max-len "
+                        "--num-filters --out --patience --seed --test --val-fraction --vocab -h",
+    "eval": "--classifier-ckpt --config --data --help --max-len --out --seed --vocab -h",
+    "ab-experiment": "--arms --batch-size --classifier --config --data --dropout-rate --emb-dim "
+                     "--epochs --help --hidden-dim --k --lr --max-len --model --multiplier "
+                     "--num-filters --out --patience --pretrained --sampler --seed --seeds "
+                     "--synonyms --temperature --test --top-k --val-fraction --vocab -h",
+    "style-transfer": "--classifier-ckpt --config --data --help --limit --max-len --model --out "
+                      "--seed --target-label --top-m --vocab -h",
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert {
+        name: {option for action in sp._actions for option in action.option_strings}
+        for name, sp in subparsers.items()
+    } == {name: set(options.split()) for name, options in SUBCOMMAND_OPTIONS.items()}
+
+
+def test_cli_lstm_trains_the_library_lstm(workdir, vocab_file, tmp_path):
+    # with no --dropout-rate, --classifier rnn builds RnnConfig's own defaults
+    out = tmp_path / "rnn"
+    code = main([
+        "train-classifier", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+        "--classifier", "rnn", "--epochs", "2", "--out", str(out), "--seed", "3",
+    ])
+    assert code == EXIT_OK
+    vocab = load_vocab(vocab_file)
+    clf, _ = classify.train_classifier(
+        load_tsv(workdir / "train.tsv", vocab, seed=3), RnnConfig(seed=3, max_epochs=2), len(vocab)
     )
-    assert cli._augment_policy(args, ["synonym"]) == AugmentationPolicy(seed=5)
+    stored = load_arrays(out / "classifier.ckpt")
+    assert stored.keys() == clf.params.keys()
+    for name, param in clf.params.items():
+        assert stored[name].tobytes() == param.data.tobytes(), name
+    # config.json records the dropout the run used, and it replays, as does a null
+    archived = json.loads((out / "config.json").read_text())
+    assert archived["dropout_rate"] == RnnConfig.dropout
+    (tmp_path / "null.json").write_text(json.dumps({**archived, "dropout_rate": None}))
+    for config in (out / "config.json", tmp_path / "null.json"):
+        replay = tmp_path / f"replay-{config.stem}"
+        assert main(["train-classifier", "--config", str(config), "--out", str(replay)]) == EXIT_OK
+        assert (replay / "classifier.ckpt").read_bytes() == (out / "classifier.ckpt").read_bytes()
 
 
 class TestConfigFile:

@@ -134,12 +134,14 @@ class TestReadTsv:
         path.write_text("# some-format v1\n0\tgood film\t3\tcbert\t4\n")
         assert read_tsv(path) == [(0, "good film")]
 
-    def test_non_integer_label(self, tmp_path):
+    # int() reads the last four as 10, 1, 0 and 3
+    @pytest.mark.parametrize("label", ["x", "1_0", "+1", " 0", "\u0663"])
+    def test_non_integer_label(self, tmp_path, label):
         path = tmp_path / "d.tsv"
-        path.write_text("0\tfine\nx\tbad\n")
+        path.write_text(f"0\tfine\n{label}\tbad\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             read_tsv(path)
-        assert ":2:" in str(exc.value)
+        assert str(exc.value) == f"{path}:2: label must be a non-negative integer, got {label!r}"
 
     def test_missing_tab(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -150,7 +152,7 @@ class TestReadTsv:
     def test_negative_label(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("-1\toops\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="label must be a non-negative integer, got '-1'"):
             read_tsv(path)
 
     def test_empty_file(self, tmp_path):
