@@ -24,7 +24,7 @@ from .checkpoint import Layout, check_field_types, draw_params, load_model, save
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import Dataset, LabeledExample, PAD_ID, pad_rows, write_text
-from .training import fit
+from .training import _check_label_count, fit
 
 RECORDS_FORMAT = "# maskaug-ab-records v1"
 CLF_CONFIG_FORMAT = "maskaug-classifier-config v1"
@@ -287,6 +287,7 @@ def train_classifier(
         raise ValueError("training split is empty")
     if not dataset.val:
         raise ValueError("a validation split is required for early stopping")
+    _check_label_count(dataset)
     layout = cfg.layout(vocab_size, dataset.num_labels)
     params = draw_params(layout, derive_rng(cfg.seed, cfg.kind, "init"))
     clf = Classifier(params, cfg, vocab_size, dataset.num_labels)

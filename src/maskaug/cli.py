@@ -22,7 +22,6 @@ library raises is printed as one `warning: <message>` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
@@ -105,15 +104,19 @@ def _default(dest: str, *classes):
     return values.pop() if len(values) == 1 else None
 
 
+def _takes_none(cls, field: str) -> bool:
+    """Whether the dataclass `cls`'s `field` takes None as a value."""
+    return "None" in str(cls.__dataclass_fields__[field].type)
+
+
 def _config(cls, args: argparse.Namespace, **given):
     """A `cls` whose fields take `given` values, else their flags' in `args`.
     A flag at None leaves a field that takes no None at its default, which is
     written back to `args`, so config.json records the value the run used."""
-    nullable = {field.name for field in dataclasses.fields(cls) if "None" in str(field.type)}
     for dest, fields in CONFIG_FLAGS.items():
         field = fields.get(cls)
         if field is not None and field not in given:
-            if getattr(args, dest) is None and field not in nullable:
+            if getattr(args, dest) is None and not _takes_none(cls, field):
                 setattr(args, dest, getattr(cls, field))
             given[field] = getattr(args, dest)
     return cls(**given)
@@ -536,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_value(action: argparse.Action, value, path: Path):
     """`value` parsed as its flag's text, within its choices; a switch takes only true or false."""
-    if value is None or (action.nargs == 0 and isinstance(value, bool)):
+    if action.nargs == 0 and isinstance(value, bool):
         return value
     if action.nargs != 0 and not isinstance(value, (list, dict)):
         try:
@@ -552,8 +555,9 @@ def _config_value(action: argparse.Action, value, path: Path):
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Make the JSON object of the --config file (`--config path` or
     `--config=path`) the subcommands' defaults; a flag it supplies is no
-    longer required. Every key must be a flag dest of some subcommand or one
-    of the keys config.json adds."""
+    longer required. A null leaves a flag at its own default, except where a
+    config field the flag sets takes None (clip_norm: no clipping). Every key
+    must be a flag dest of some subcommand or one of the keys config.json adds."""
     pre = _Parser(prog="maskaug", add_help=False)
     pre.add_argument("--config")
     name = pre.parse_known_args(argv)[0].config
@@ -572,9 +576,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     for sp in parser._subparsers._group_actions[0].choices.values():
         for action in sp._actions:
             declared.add(action.dest)
-            if action.dest in payload:
-                action.default = _config_value(action, payload[action.dest], path)
-                action.required = action.required and action.default is None
+            value = payload.get(action.dest)
+            if value is not None:
+                action.default, action.required = _config_value(action, value, path), False
+            elif action.dest in payload and any(
+                _takes_none(*item) for item in CONFIG_FLAGS.get(action.dest, {}).items()
+            ):
+                action.default = None
     unknown = sorted(set(payload) - declared)
     if unknown:
         raise ValueError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}")

@@ -276,18 +276,25 @@ def unfold_windows(x, width: int) -> Tensor:
     b, t, e = x.data.shape
     if width < 1 or width > t:
         raise ValueError(f"window width {width} invalid for T={t}")
-    n = t - width + 1
-    out_data = np.empty((b, n, width * e), dtype=np.float64)
-    for j in range(width):
-        out_data[:, :, j * e : (j + 1) * e] = x.data[:, j : j + n, :]
+    # window i is the width·E values of rows i..i+width-1, contiguous in C order,
+    # so one copy of a strided view gathers them all; the strides are spelled
+    # out, since numpy lets a C-ordered array's unit-extent axis have any stride
+    data, step = np.ascontiguousarray(x.data), x.data.itemsize
+    windows = as_strided(data, (b, t - width + 1, width * e), (data.strides[0], e * step, step))
 
     def _bwd(g):
-        gx = np.zeros_like(x.data)
-        for j in range(width):
-            gx[:, j : j + n, :] += g[:, :, j * e : (j + 1) * e]
-        _accumulate(x, gx)
+        _accumulate(x, _fold_windows(g, x.data.shape))
 
-    return _node(out_data, (x,), _bwd)
+    return _node(windows.copy(), (x,), _bwd)
+
+
+def _fold_windows(g: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """unfold_windows' backward: the windows' `g` summed onto the (B, T, E) `shape` they cover."""
+    gx = np.zeros(shape)
+    n, e = g.shape[1], shape[2]
+    for j in range(shape[1] - n + 1):
+        gx[:, j : j + n, :] += g[:, :, j * e : (j + 1) * e]
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +405,14 @@ def softmax(x, axis: int = -1) -> Tensor:
     out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def _bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - dot))
+        _accumulate(x, _softmax_grad(out_data, g, axis))
 
     return _node(out_data, (x,), _bwd)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of softmax's input, given its output `out` and that output's `g`."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -445,9 +456,7 @@ def cross_entropy(logits, targets, ignore_index: int | None = None) -> tuple[Ten
     if scored == 0:
         return Tensor(0.0), 0
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
+    log_p = log_softmax(logits.data, axis=1).data
     rows = np.nonzero(scored_mask)[0]
     nll = -log_p[rows, targets[rows]]
     out_data = np.asarray(nll.sum() / scored)
@@ -675,8 +684,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias: np.ndarray, heads: 
 
     q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * s + score_bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = softmax(scores).data
     keep = dropout_mask(attn.shape, p, rng) if rng is not None and p > 0.0 else None
     dropped = attn if keep is None else attn * keep
     ctx = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(b * t, h)
@@ -689,7 +697,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias: np.ndarray, heads: 
         gctx = (g2 @ wo.data.T).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
         gdropped = np.matmul(gctx, np.swapaxes(v, -1, -2))
         gattn = gdropped if keep is None else gdropped * keep
-        gscores = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * s
+        gscores = _softmax_grad(attn, gattn, -1) * s
         gq = np.matmul(gscores, k)
         gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gscores), -1, -2)
         gv = np.matmul(np.swapaxes(dropped, -1, -2), gctx)
@@ -749,10 +757,7 @@ def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
     pooled, saved = [], []
     for k, weight, bias in zip(widths, weights, biases):
         n = t - k + 1
-        # window i is the k·E values of rows i..i+k-1, contiguous in emb: a
-        # read-only strided view that reshape copies into one (B·n, k·E) block
-        windows = as_strided(emb, (b, n, k * e), emb.strides, writeable=False)
-        win2 = windows.reshape(-1, k * e)
+        win2 = unfold_windows(emb, k).data.reshape(-1, k * e)
         pre = (win2 @ weight.data).reshape(b, n, f)
         pre += bias.data
         n_valid = np.maximum(lengths - k + 1, 1)
@@ -777,14 +782,8 @@ def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
             if weight.requires_grad:
                 _accumulate(weight, win2.T @ g2)
             if table.requires_grad:
-                gwin = (g2 @ weight.data.T).reshape(b, n, k * e)
-                gx = np.zeros((b, t, e))
-                for j in range(k):
-                    gx[:, j : j + n, :] += gwin[:, :, j * e : (j + 1) * e]
-                if gemb is None:
-                    gemb = gx
-                else:
-                    gemb += gx
+                gx = _fold_windows((g2 @ weight.data.T).reshape(b, n, k * e), (b, t, e))
+                gemb = gx if gemb is None else gemb + gx
         if table.requires_grad:
             _accumulate(table, _scatter_rows(ids, gemb, table.data.shape[0]))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskaug import classify, cli, encoder
+from maskaug import classify, cli, encoder, training
 from maskaug.augment import AugmentationPolicy
 from maskaug.checkpoint import MAGIC, load_arrays, save_arrays
 from maskaug.classify import CnnConfig, RnnConfig
@@ -876,6 +876,28 @@ class TestErrorCategories:
         assert err == "error[checkpoint]: data has 3 labels, conditional encoder has 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["finetune", "train-classifier"])
+    def test_more_labels_than_rows_are_refused_before_a_table_is_sized(
+        self, subcommand, workdir, vocab_file, pretrained, tmp_path, capsys, monkeypatch
+    ):
+        # the label count is the largest label + 1: here a (10**9 + 1)-row table
+        def sized(*args):
+            raise AssertionError("a table was sized by the label count")
+
+        monkeypatch.setattr(classify, "draw_params", sized)
+        monkeypatch.setattr(training, "swap_condition_table", sized)
+        data = tmp_path / "far.tsv"
+        data.write_text("0\tthe movie was bad\n1000000000\tthe movie was good\n")
+        extra = ["--init", str(pretrained)] if subcommand == "finetune" else []
+        out = tmp_path / "run"
+        code = main([subcommand, "--data", str(data), "--vocab", str(vocab_file),
+                     *extra, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_USAGE, err
+        assert len(err) == 2 and err[0].startswith("warning: "), err
+        assert err[1] == "error[config]: data has 1000000001 labels but only 2 training rows"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_classifier_divergence_is_training_error(self, workdir, vocab_file, tmp_path, capsys):
         code = main([
@@ -1392,6 +1414,54 @@ class TestConfigFile:
             "error[config]: maskaug build-vocab: the following arguments are required: --data\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, key", [
+        ("build-vocab", "min_freq"), ("pretrain", "val_fraction"), ("pretrain", "seed"),
+        ("augment", "k"), ("augment", "augmenter"), ("style-transfer", "top_m"),
+        ("train-classifier", "classifier"), ("train-classifier", "max_len"), ("eval", "max_len"),
+        ("ab-experiment", "arms"), ("ab-experiment", "seeds"),
+    ])
+    def test_null_config_value_runs_as_if_the_key_were_absent(
+        self, subcommand, key, workdir, vocab_file, pretrained, finetuned, classifier_ckpt,
+        tmp_path,
+    ):
+        train, test = str(workdir / "train.tsv"), str(workdir / "test.tsv")
+        vocab = ["--vocab", str(vocab_file)]
+        argv = {
+            "build-vocab": ["--data", train],
+            "pretrain": ["--data", train, *vocab, "--epochs", "1", "--hidden", "16", "--ff", "32",
+                         "--layers", "1"],
+            "augment": ["--data", train, *vocab, "--model", str(finetuned)],
+            "style-transfer": ["--data", test, *vocab, "--model", str(finetuned),
+                               "--classifier-ckpt", str(classifier_ckpt), "--limit", "2"],
+            "train-classifier": ["--data", train, *vocab, "--epochs", "1"],
+            "eval": ["--data", test, *vocab, "--classifier-ckpt", str(classifier_ckpt)],
+            "ab-experiment": ["--data", train, "--test", test, *vocab, "--model", str(finetuned),
+                              "--pretrained", str(pretrained), "--synonyms",
+                              str(workdir / "syn.tsv"), "--epochs", "1",
+                              *(["--seeds", "1"] if key == "arms" else ["--arms", "none"])],
+        }[subcommand]
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "run"  # one --out for both runs, which config.json records
+        artifacts = []
+        for config in ([], ["--config", str(cfg)]):
+            assert main([subcommand, *argv, *config, "--out", str(out)]) == EXIT_OK
+            artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
+            shutil.rmtree(out)
+        assert artifacts[1] == artifacts[0]
+
+    def test_null_clip_norm_turns_clipping_off(self, workdir, vocab_file, tmp_path):
+        # its field takes None, so there a null is a value, not the default
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"clip_norm": None}))
+        out = tmp_path / "pre"
+        assert main([
+            "pretrain", "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            "--epochs", "1", "--hidden", "16", "--ff", "32", "--layers", "1",
+            "--config", str(cfg), "--out", str(out),
+        ]) == EXIT_OK
+        assert json.loads((out / "config.json").read_text())["clip_norm"] is None
 
     def test_unknown_config_key_is_one_line_config_error(
         self, workdir, vocab_file, tmp_path, capsys

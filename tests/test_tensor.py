@@ -322,6 +322,33 @@ class TestShapeOps:
         assert out.data.shape == (1, 3, 6)
         assert np.array_equal(out.data[0, 0], np.concatenate([x[0, 0], x[0, 1]]))
 
+    @pytest.mark.parametrize("layout", ["c-order", "transposed", "unit-extent-view"])
+    def test_unfold_windows_bits_match_the_slice_loop(self, layout):
+        # the formula the strided gather replaced: one slice copy per window
+        # offset forward, one slice sum per offset back, at every width 1..T
+        rng = np.random.default_rng(12)
+        make = {
+            "c-order": lambda a: Tensor(a, requires_grad=True),
+            "transposed": lambda a: T.transpose(Tensor(a, requires_grad=True), (0, 2, 1)),
+            # a C-ordered (B, T, 1) view whose unit axis has stride 0
+            "unit-extent-view": lambda a: Tensor(a[:, :, 0].copy()[:, :, None], requires_grad=True),
+        }[layout]
+        array = rng.normal(size=(3, 6, 4))
+        b, t, e = make(array).shape
+        for width in range(1, t + 1):
+            n = t - width + 1
+            g = rng.normal(size=(b, n, width * e))
+            x = make(array)
+            out = T.unfold_windows(x, width)
+            weighted_sum(out, g).backward()  # seeds out's gradient with exactly g
+            want, want_grad = np.empty((b, n, width * e)), np.zeros((b, t, e))
+            for j in range(width):
+                want[:, :, j * e : (j + 1) * e] = x.data[:, j : j + n, :]
+                want_grad[:, j : j + n, :] += g[:, :, j * e : (j + 1) * e]
+            assert x.data.flags.c_contiguous == (layout != "transposed")
+            assert out.data.tobytes() == want.tobytes(), width
+            assert x.grad.tobytes() == want_grad.tobytes(), width
+
     @pytest.mark.parametrize(
         "build,shapes",
         [
