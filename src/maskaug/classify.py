@@ -90,7 +90,7 @@ class CnnConfig:
             params["emb"], [params[f"conv{w}_w"] for w in widths],
             [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
         )  # (B, F·len(widths))
-        return self._head(params, x, rng)
+        return self._head(T, params, x, rng)
 
     def deletion_logits(
         self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
@@ -105,24 +105,25 @@ class CnnConfig:
         own windows out of that block.
         """
         _check_vocab(max(tokens), params["emb"].shape[0])
+        arrays = {name: param.data for name, param in params.items()}
         padded = np.array((*tokens, *(PAD_ID,) * self.min_len))
-        table = params["emb"].data
         sentences = np.array((0, *(p + 1 for p in positions)))  # rows of each width's pool
         pooled = []
         for k in self.filter_widths:
             gather, pool = _deletion_windows(len(tokens), k)
-            feat = table[padded[gather]].reshape(len(gather), -1) @ params[f"conv{k}_w"].data
-            feat += params[f"conv{k}_b"].data
+            feat = arrays["emb"][padded[gather]].reshape(len(gather), -1) @ arrays[f"conv{k}_w"]
+            feat += arrays[f"conv{k}_b"]
             pooled.append(np.maximum(feat, 0.0)[pool[sentences]].max(axis=1))
-        return self._head(params, Tensor(np.concatenate(pooled, axis=-1)), None).data
+        return self._head(T.ArrayOps, arrays, np.concatenate(pooled, axis=-1), None)
 
-    def _head(self, params: dict[str, Tensor], x: Tensor, rng) -> Tensor:
-        """The two-layer ReLU head over the pooled features."""
+    def _head(self, ops, params: Mapping, x, rng):
+        """The two-layer ReLU head over the pooled features, on either op
+        set: `maskaug.tensor` with Tensor parameters, `tensor.ArrayOps` with arrays."""
         train = rng is not None
-        x = T.dropout(x, self.dropout, rng, train)
-        x = T.relu(T.add(T.matmul(x, params["fc1_w"]), params["fc1_b"]))
-        x = T.dropout(x, self.dropout, rng, train)
-        return T.add(T.matmul(x, params["fc2_w"]), params["fc2_b"])
+        x = ops.dropout(x, self.dropout, rng, train)
+        x = ops.relu(ops.add(ops.matmul(x, params["fc1_w"]), params["fc1_b"]))
+        x = ops.dropout(x, self.dropout, rng, train)
+        return ops.add(ops.matmul(x, params["fc2_w"]), params["fc2_b"])
 
 
 @lru_cache(maxsize=1024)
@@ -287,7 +288,7 @@ def train_classifier(
         raise ValueError("training split is empty")
     if not dataset.val:
         raise ValueError("a validation split is required for early stopping")
-    _check_label_count(dataset)
+    _check_label_count(dataset.num_labels, len(dataset.train) + len(dataset.val))
     layout = cfg.layout(vocab_size, dataset.num_labels)
     params = draw_params(layout, derive_rng(cfg.seed, cfg.kind, "init"))
     clf = Classifier(params, cfg, vocab_size, dataset.num_labels)
@@ -326,10 +327,11 @@ def train_rnn(dataset: Dataset, cfg: RnnConfig, vocab_size: int) -> tuple[Classi
     return train_classifier(dataset, cfg, vocab_size)
 
 
-def check_folds(n_examples: int, folds: int) -> None:
+def check_folds(n_examples: int, folds: int, num_labels: int) -> None:
     """Raise ValueError unless `n_examples` can fill `folds` >= 2 folds and
     every fold leaves at least 2 examples to split into training and
-    validation."""
+    validation, and no fewer than `num_labels` (`train_classifier`'s label
+    rule), so a bad fold count is refused before anything is trained."""
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
     if n_examples < folds:
@@ -340,6 +342,7 @@ def check_folds(n_examples: int, folds: int) -> None:
             f"{n_examples} examples in {folds} folds leave {rest} outside the largest fold; "
             "training and validation need 2"
         )
+    _check_label_count(num_labels, rest)
 
 
 def cross_validate(
@@ -353,7 +356,7 @@ def cross_validate(
     without a standard test split. Fold assignment is deterministic in the
     config seed. Returns (mean accuracy, per-fold accuracies).
     """
-    check_folds(len(examples), folds)
+    check_folds(len(examples), folds, num_labels)
     order = derive_rng(cfg.seed, "cv-folds").permutation(len(examples)).tolist()
     assignment = [order[i::folds] for i in range(folds)]
     scores: list[float] = []

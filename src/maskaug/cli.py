@@ -327,7 +327,7 @@ def cmd_train_classifier(args, out: Path) -> None:
     cfg = _classifier_config(args)
     examples = dataset.train + dataset.val + dataset.test
     if args.cv is not None:  # reject the fold count before anything is trained or written
-        check_folds(len(examples), args.cv)
+        check_folds(len(examples), args.cv, dataset.num_labels)
     trials = None
     if args.grid:
         clf, report, trials = grid_search(dataset, cfg, len(vocab))

@@ -130,61 +130,68 @@ def forward(
     Padding is excluded from attention by an additive score mask large
     enough that pad keys receive exactly zero weight.
     """
+    return _layers(T, params, config, batch, rng, rows)
+
+
+def _layers(ops, params, config: EncoderConfig, batch: InputBatch, rng, rows):
+    """The encoder's layer sequence, once for both op sets: `maskaug.tensor`
+    on Tensor parameters builds the graph `forward` returns, and
+    `tensor.ArrayOps` on their arrays computes the same values without one."""
     b, t = batch.token_ids.shape
     if rows is not None and np.ndim(rows) != 1:
         raise ValueError(f"rows must be a 1-d index sequence, got shape {np.shape(rows)}")
     if t > config.max_len:
         raise ValueError(f"sequence length {t} exceeds max_len {config.max_len}")
-    if batch.cond_ids.max(initial=0) >= config.num_conditions:
-        raise IndexError(
-            f"condition id {int(batch.cond_ids.max())} out of range "
-            f"[0, {config.num_conditions})"
-        )
+    low, high = batch.cond_ids.min(initial=0), batch.cond_ids.max(initial=0)
+    if low < 0 or high >= config.num_conditions:
+        bad = low if low < 0 else high
+        raise IndexError(f"condition id {int(bad)} out of range [0, {config.num_conditions})")
     p, train, h = config.dropout, rng is not None, config.hidden
 
-    x = T.add(
-        T.add(
-            T.embedding_lookup(params["token_emb"], batch.token_ids),
-            T.embedding_lookup(params["pos_emb"], np.arange(t)),
+    x = ops.add(
+        ops.add(
+            ops.embedding_lookup(params["token_emb"], batch.token_ids),
+            ops.embedding_lookup(params["pos_emb"], np.arange(t)),
         ),
-        T.embedding_lookup(params["cond_emb"], batch.cond_ids),
+        ops.embedding_lookup(params["cond_emb"], batch.cond_ids),
     )
-    x = T.dropout(x, p, rng, train)
+    x = ops.dropout(x, p, rng, train)
     score_bias = T.attention_mask_bias(batch.pad_mask)
     attention_names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
     def scored_rows(x):  # the gather's scatter-add backward routes gradients to `rows` only
-        return T.embedding_lookup(T.reshape(x, (b * t, h)), rows)
+        return ops.embedding_lookup(ops.reshape(x, (b * t, h)), rows)
 
     if rows is not None and config.layers == 0:  # with no attention every step is row-wise
         x = scored_rows(x)
     last = config.layers - 1
     for i in range(config.layers):
-        pre = T.layer_norm(x, params[f"layer{i}.ln1_gain"], params[f"layer{i}.ln1_bias"])
+        pre = ops.layer_norm(x, params[f"layer{i}.ln1_gain"], params[f"layer{i}.ln1_bias"])
         attention_params = (params[f"layer{i}.{n}"] for n in attention_names)
-        out = T.attention(pre, *attention_params, score_bias, config.heads, p, rng)
-        x = T.add(x, T.dropout(out, p, rng, train))
+        out = ops.attention(pre, *attention_params, score_bias, config.heads, p, rng)
+        x = ops.add(x, ops.dropout(out, p, rng, train))
 
         pruned = rows is not None and i == last
         if pruned:
             # Keys and values above needed every position; the rest of the
             # network is row-wise, so it runs on the scored rows only.
             x = scored_rows(x)
-        pre = T.layer_norm(x, params[f"layer{i}.ln2_gain"], params[f"layer{i}.ln2_bias"])
-        inner = T.gelu(T.add(T.matmul(pre, params[f"layer{i}.ffn_w1"]), params[f"layer{i}.ffn_b1"]))
-        out = T.add(T.matmul(inner, params[f"layer{i}.ffn_w2"]), params[f"layer{i}.ffn_b2"])
+        pre = ops.layer_norm(x, params[f"layer{i}.ln2_gain"], params[f"layer{i}.ln2_bias"])
+        inner = ops.gelu(
+            ops.add(ops.matmul(pre, params[f"layer{i}.ffn_w1"]), params[f"layer{i}.ffn_b1"])
+        )
+        out = ops.add(ops.matmul(inner, params[f"layer{i}.ffn_w2"]), params[f"layer{i}.ffn_b2"])
         if pruned and train and p > 0.0:
             # the full-shape draw keeps the rng stream equal to the unpruned pass
-            out = T.mul(out, T.dropout_mask((b * t, h), p, rng)[rows])
+            out = ops.mul(out, T.dropout_mask((b * t, h), p, rng)[rows])
         else:
-            out = T.dropout(out, p, rng, train)
-        x = T.add(x, out)
+            out = ops.dropout(out, p, rng, train)
+        x = ops.add(x, out)
 
-    x = T.layer_norm(x, params["final_ln_gain"], params["final_ln_bias"])
-    head = T.gelu(T.add(T.matmul(x, params["mlm_w"]), params["mlm_b"]))
-    head = T.layer_norm(head, params["mlm_ln_gain"], params["mlm_ln_bias"])
-    logits = T.add(T.matmul(head, T.transpose(params["token_emb"])), params["mlm_out_bias"])
-    return logits
+    x = ops.layer_norm(x, params["final_ln_gain"], params["final_ln_bias"])
+    head = ops.gelu(ops.add(ops.matmul(x, params["mlm_w"]), params["mlm_b"]))
+    head = ops.layer_norm(head, params["mlm_ln_gain"], params["mlm_ln_bias"])
+    return ops.add(ops.matmul(head, ops.transpose(params["token_emb"])), params["mlm_out_bias"])
 
 
 def mlm_distributions(
@@ -198,9 +205,12 @@ def mlm_distributions(
 
     Each query's tokens at its masked positions are replaced by the mask
     id; the corrupted sentences are right-padded into one batch and one
-    eval forward pass, each row under its own condition, runs the head on
-    the masked positions only. Padding gets zero attention weight, so a
-    query's rows match a batch-1 pass up to floating-point summation order.
+    eval pass, each row under its own condition, runs the head on the
+    masked positions only. The pass runs `forward`'s layers on the
+    parameters' arrays, so its rows are the bits of the softmax of
+    `forward(..., rows=...)`, and builds no graph. Padding gets zero
+    attention weight, so a query's rows match a batch-1 pass up to
+    floating-point summation order.
     """
     sequences, conds, masked = [], [], []
     for tokens, masked_positions, cond_id in queries:
@@ -225,8 +235,9 @@ def mlm_distributions(
     batch = batch_from_examples(sequences, conds)
     t = batch.token_ids.shape[1]
     rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
-    logits = forward(params, config, batch, rows=rows)
-    return T.softmax(logits, axis=-1).data
+    arrays = {name: param.data for name, param in params.items()}
+    logits = _layers(T.ArrayOps, arrays, config, batch, None, rows)
+    return T.ArrayOps.softmax(logits)
 
 
 def mlm_distribution(

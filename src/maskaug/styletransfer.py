@@ -48,7 +48,7 @@ def attribute_words(clf: Classifier, example: LabeledExample) -> AttributionScor
     if not positions:
         raise SkipExample("no content tokens to attribute")
     logits = clf.config.deletion_logits(clf.params, example.tokens, positions)
-    probs = T.softmax(logits).data[:, example.label]
+    probs = T.ArrayOps.softmax(logits)[:, example.label]
     return AttributionScores(positions, probs[0] - probs[1:])
 
 

@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every continuous quantity in this package (embeddings, hidden states,
-logits, losses) lives in a Tensor. Ops build a graph of parent links as
-they run; Tensor.backward() replays it in reverse topological order.
-Tensors are treated as immutable once created: every op allocates a new
-array and never writes into its inputs, so a recorded graph stays valid.
-Only the optimizer writes into parameter leaves, between steps, once the
-step's graph is gone.
+Every continuous quantity that training differentiates (embeddings,
+hidden states, logits, losses) lives in a Tensor. Ops build a graph of
+parent links as they run; Tensor.backward() replays it in reverse
+topological order. Tensors are treated as immutable once created: every
+op allocates a new array and never writes into its inputs, so a recorded
+graph stays valid. Only the optimizer writes into parameter leaves,
+between steps, once the step's graph is gone. `ArrayOps` computes the
+same ops' values on plain arrays for inference, and builds no graph.
 
 Everything is float64. Softmax and the log-likelihood losses subtract the
 row maximum before exponentiating, so finite inputs never produce NaN/Inf.
@@ -176,13 +177,9 @@ def matmul(a, b) -> Tensor:
     the weight gradient is never built per batch entry and summed down.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    out_data = _matmul_value(a.data, b.data)
     if b.ndim == 2 and a.ndim > 2:
         a2 = a.data.reshape(-1, a.data.shape[-1])
-        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
         def _bwd_folded(g):
             g2 = g.reshape(-1, g.shape[-1])
@@ -193,8 +190,6 @@ def matmul(a, b) -> Tensor:
 
         return _node(out_data, (a, b), _bwd_folded)
 
-    out_data = np.matmul(a.data, b.data)
-
     def _bwd(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -204,6 +199,16 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return _node(out_data, (a, b), _bwd)
+
+
+def _matmul_value(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:  # the weight product, folded into one 2-d GEMM
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+    return np.matmul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +347,7 @@ def reduce_max(x, axis: int) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    out_data = np.maximum(x.data, 0.0)
+    out_data = ArrayOps.relu(x.data)
 
     def _bwd(g):
         _accumulate(x, g * (x.data > 0.0))
@@ -356,14 +361,19 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x) -> Tensor:
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out_data = x.data * cdf
+    out_data, cdf = _gelu_value(x.data)
 
     def _bwd(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
         _accumulate(x, g * (cdf + x.data * pdf))
 
     return _node(out_data, (x,), _bwd)
+
+
+def _gelu_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's value and the normal CDF its gradient reuses."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
 
 
 def tanh(x) -> Tensor:
@@ -399,10 +409,7 @@ def sigmoid(x) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    # exp and divide in place on the one new array the subtraction makes
-    out_data = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    out_data = ArrayOps.softmax(x.data, axis)
 
     def _bwd(g):
         _accumulate(x, _softmax_grad(out_data, g, axis))
@@ -479,19 +486,8 @@ def cross_entropy(logits, targets, ignore_index: int | None = None) -> tuple[Ten
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    h = x.data.shape[-1]
-    if h < 2:
-        raise ValueError(f"layer_norm needs last extent >= 2, got {x.shape}")
-    if gain.data.shape != (h,) or bias.data.shape != (h,):
-        raise ValueError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} disagree with H={h}"
-        )
-    mu = x.data.sum(axis=-1, keepdims=True) / h
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / h
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    out_data, xhat, inv = _layer_norm_value(x.data, gain.data, bias.data)
+    h = xhat.shape[-1]
 
     def _bwd(g):
         if gain.requires_grad:
@@ -505,6 +501,23 @@ def layer_norm(x, gain, bias) -> Tensor:
             _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
     return _node(out_data, (x, gain, bias), _bwd)
+
+
+def _layer_norm_value(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """layer_norm's value, and the normalized input and inverse deviation its gradient reuses."""
+    h = x.shape[-1]
+    if h < 2:
+        raise ValueError(f"layer_norm needs last extent >= 2, got {x.shape}")
+    if gain.shape != (h,) or bias.shape != (h,):
+        raise ValueError(
+            f"layer_norm affine shapes {gain.shape}/{bias.shape} disagree with H={h}"
+        )
+    mu = x.sum(axis=-1, keepdims=True) / h
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / h
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
 
 
 def _check_ids(ids: np.ndarray, v: int) -> None:
@@ -523,11 +536,8 @@ def _scatter_rows(ids: np.ndarray, g: np.ndarray, v: int) -> np.ndarray:
 def embedding_lookup(table, ids) -> Tensor:
     """Gather rows of a (V, H) table; gradients accumulate into repeated ids."""
     table = as_tensor(table)
-    if table.ndim != 2:
-        raise ValueError(f"embedding table must be 2-d, got {table.shape}")
     ids = np.asarray(ids, dtype=np.int64)
-    _check_ids(ids, table.data.shape[0])
-    out_data = table.data[ids]
+    out_data = ArrayOps.embedding_lookup(table.data, ids)
 
     def _bwd(g):
         _accumulate(table, _scatter_rows(ids, g, table.data.shape[0]))
@@ -545,20 +555,27 @@ def dropout(x, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
 
     Eval mode and p == 0 return the input unchanged (exact identity).
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
     x = as_tensor(x)
-    if not train or p == 0.0:
+    keep = _dropout_keep(x.data.shape, p, rng, train)
+    if keep is None:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
-    keep = dropout_mask(x.data.shape, p, rng)
     out_data = x.data * keep
 
     def _bwd(g):
         _accumulate(x, g * keep)
 
     return _node(out_data, (x,), _bwd)
+
+
+def _dropout_keep(shape, p: float, rng: np.random.Generator | None, train: bool):
+    """dropout's multiplier at `shape`, or None where it is the identity."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout in train mode needs an rng")
+    return dropout_mask(shape, p, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -662,32 +679,12 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias: np.ndarray, heads: 
     """
     x = as_tensor(x)
     params = tuple(as_tensor(w) for w in (wq, bq, wk, bk, wv, bv, wo, bo))
-    score_bias = np.asarray(score_bias, dtype=np.float64)
-    shapes = [w.data.shape for w in params]
-    if x.ndim == 3:
-        b, t, h = x.data.shape
-    if (
-        x.ndim != 3 or heads < 1 or h % heads or shapes != [(h, h), (h,)] * 4
-        or score_bias.ndim > 4
-        or any(m not in (1, n) for m, n in zip(score_bias.shape[::-1], (t, t, heads, b)))
-    ):
-        named = zip(("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"), shapes)
-        raise ValueError(f"attention shapes disagree: x {x.shape}, " + "".join(
-            f"{n} {shape}, " for n, shape in named) + f"score_bias {score_bias.shape}, heads {heads}")
+    out, (x2, q, k, v, s, attn, keep, dropped, ctx) = _attention_value(
+        x.data, *(w.data for w in params), score_bias, heads, p, rng
+    )
     wq, bq, wk, bk, wv, bv, wo, bo = params
+    b, t, h = x.data.shape
     dh = h // heads
-    s = 1.0 / math.sqrt(dh)
-    x2 = x.data.reshape(-1, h)
-
-    def project(w, bias):  # (B, heads, T, dh)
-        return (x2 @ w.data + bias.data).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-
-    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * s + score_bias
-    attn = softmax(scores).data
-    keep = dropout_mask(attn.shape, p, rng) if rng is not None and p > 0.0 else None
-    dropped = attn if keep is None else attn * keep
-    ctx = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(b * t, h)
 
     def _bwd(g):
         g2 = g.reshape(-1, h)
@@ -712,8 +709,42 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias: np.ndarray, heads: 
         if x.requires_grad:
             _accumulate(x, ((gx[0] + gx[1]) + gx[2]).reshape(b, t, h))
 
-    out = (ctx @ wo.data + bo.data).reshape(b, t, h)
     return _node(out, (x,) + params, _bwd)
+
+
+def _attention_value(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng):
+    """attention's value on arrays, and what its gradient reuses: the folded
+    input, the per-head q, k and v, the score scale, the attention weights,
+    their dropout multiplier (or None), the dropped weights and the merged
+    context."""
+    score_bias = np.asarray(score_bias, dtype=np.float64)
+    params = (wq, bq, wk, bk, wv, bv, wo, bo)
+    shapes = [w.shape for w in params]
+    if x.ndim == 3:
+        b, t, h = x.shape
+    if (
+        x.ndim != 3 or heads < 1 or h % heads or shapes != [(h, h), (h,)] * 4
+        or score_bias.ndim > 4
+        or any(m not in (1, n) for m, n in zip(score_bias.shape[::-1], (t, t, heads, b)))
+    ):
+        named = zip(("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"), shapes)
+        raise ValueError(f"attention shapes disagree: x {x.shape}, " + "".join(
+            f"{n} {shape}, " for n, shape in named) + f"score_bias {score_bias.shape}, heads {heads}")
+    dh = h // heads
+    s = 1.0 / math.sqrt(dh)
+    x2 = x.reshape(-1, h)
+
+    def project(w, bias):  # (B, heads, T, dh)
+        return (x2 @ w + bias).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * s + score_bias
+    attn = ArrayOps.softmax(scores)
+    keep = dropout_mask(attn.shape, p, rng) if rng is not None and p > 0.0 else None
+    dropped = attn if keep is None else attn * keep
+    ctx = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(b * t, h)
+    out = (ctx @ wo + bo).reshape(b, t, h)
+    return out, (x2, q, k, v, s, attn, keep, dropped, ctx)
 
 
 def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
@@ -794,3 +825,54 @@ def attention_mask_bias(pad_mask: np.ndarray) -> np.ndarray:
     """Additive (B, 1, 1, T) score bias that zeroes attention onto pad keys."""
     pad_mask = np.asarray(pad_mask, dtype=np.float64)
     return ((1.0 - pad_mask) * MASK_NEG)[:, None, None, :]
+
+
+class ArrayOps:
+    """The ops a layer sequence runs, on plain float64 arrays and without a
+    graph: each computes its value through the same helper, and makes the
+    same checks, as the graph op of the same name, so a sequence written
+    against `maskaug.tensor` gives the same bits when handed these instead.
+    The inference paths use them; a namespace, never instantiated."""
+
+    add = staticmethod(np.add)
+    mul = staticmethod(np.multiply)
+    reshape = staticmethod(np.reshape)
+    transpose = staticmethod(np.transpose)
+    matmul = staticmethod(_matmul_value)
+
+    @staticmethod
+    def relu(x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
+
+    @staticmethod
+    def gelu(x: np.ndarray) -> np.ndarray:
+        return _gelu_value(x)[0]
+
+    @staticmethod
+    def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+        # exp and divide in place on the one new array the subtraction makes
+        out = x - x.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
+        return out
+
+    @staticmethod
+    def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        return _layer_norm_value(x, gain, bias)[0]
+
+    @staticmethod
+    def embedding_lookup(table: np.ndarray, ids) -> np.ndarray:
+        if table.ndim != 2:
+            raise ValueError(f"embedding table must be 2-d, got {table.shape}")
+        ids = np.asarray(ids, dtype=np.int64)
+        _check_ids(ids, table.shape[0])
+        return table[ids]
+
+    @staticmethod
+    def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None, train: bool):
+        keep = _dropout_keep(x.shape, p, rng, train)
+        return x if keep is None else x * keep
+
+    @staticmethod
+    def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng) -> np.ndarray:
+        return _attention_value(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng)[0]

@@ -341,13 +341,12 @@ def pretrain_mlm(
     )
 
 
-def _check_label_count(dataset: Dataset) -> None:
-    """Refuse more labels than training rows, before a table is sized by them:
-    load_tsv counts labels as the largest + 1, so one far label asks for a
-    table that large."""
-    rows = len(dataset.train) + len(dataset.val)
-    if dataset.num_labels > rows:
-        raise ValueError(f"data has {dataset.num_labels} labels but only {rows} training rows")
+def _check_label_count(num_labels: int, rows: int) -> None:
+    """Refuse more labels than training rows (train + validation), before a
+    table is sized by them: load_tsv counts labels as the largest + 1, so
+    one far label asks for a table that large."""
+    if num_labels > rows:
+        raise ValueError(f"data has {num_labels} labels but only {rows} training rows")
 
 
 def finetune_cmlm(
@@ -365,7 +364,7 @@ def finetune_cmlm(
     """
     if dataset.num_labels < 1:
         raise ValueError("dataset must declare at least one label")
-    _check_label_count(dataset)
+    _check_label_count(dataset.num_labels, len(dataset.train) + len(dataset.val))
     params = swap_condition_table(
         pretrained, dataset.num_labels, derive_rng(cfg.seed, "cond-swap")
     )

@@ -553,8 +553,8 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate(dataset.train[:3], 2, CnnConfig(), folds=10, vocab_size=VOCAB_SIZE)
         # a fold of 3 held out of 5 leaves 2 examples: one to train, one to validate
-        check_folds(5, 2)
-        check_folds(3, 3)
+        check_folds(5, 2, 2)
+        check_folds(3, 3, 2)
         for n, folds in ((3, 2), (2, 2)):
             with pytest.raises(ValueError, match=f"{n} examples in {folds} folds leave 1 "):
                 cross_validate(dataset.train[:n], 2, CnnConfig(), folds=folds, vocab_size=VOCAB_SIZE)

@@ -1079,11 +1079,28 @@ class TestErrorCategories:
         assert not (out / "classifier.ckpt").exists()
         assert not (out / "classifier.ckpt.json").exists()
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            pytest.param(
+                (0, 1, 0),
+                "3 examples in 2 folds leave 1 outside the largest fold; "
+                "training and validation need 2",
+                id="no-training-split",
+            ),
+            # the whole set trains fine; a fold's 2 training rows cannot hold 3 labels
+            pytest.param(
+                (0, 1, 2, 0), "data has 3 labels but only 2 training rows",
+                id="fewer-fold-rows-than-labels",
+            ),
+        ],
+    )
     def test_cv_folds_that_leave_no_training_split_are_rejected_before_training(
-        self, tmp_path, capsys
+        self, labels, message, tmp_path, capsys
     ):
-        data = tmp_path / "three.tsv"
-        data.write_text("0\tthe movie was bad\n1\tthe film was great\n0\ta dull plot\n")
+        data = tmp_path / "rows.tsv"
+        sentences = ("the movie was bad", "the film was great", "a dull plot", "a fine cast")
+        data.write_text("".join(f"{label}\t{text}\n" for label, text in zip(labels, sentences)))
         assert main(["build-vocab", "--data", str(data), "--out", str(tmp_path / "v")]) == EXIT_OK
         capsys.readouterr()
         out = tmp_path / "clf"
@@ -1092,10 +1109,7 @@ class TestErrorCategories:
             "--cv", "2", "--epochs", "1", "--out", str(out),
         ])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "error[config]: 3 examples in 2 folds leave 1 outside the largest fold; "
-            "training and validation need 2\n"
-        )
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -174,11 +174,18 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, config, batch)
 
-    def test_condition_out_of_range(self, tiny):
+    @pytest.mark.parametrize("entry", ["forward", "mlm_distributions"])
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "num-conditions"])
+    def test_condition_out_of_range(self, tiny, entry, offset):
         params, config = tiny
-        batch = batch_from_examples([[CLS_ID, 4]], [config.num_conditions])
-        with pytest.raises(IndexError):
-            forward(params, config, batch)
+        cond = -1 if offset < 0 else config.num_conditions
+        message = rf"condition id {cond} out of range \[0, {config.num_conditions}\)"
+        with pytest.raises(IndexError, match=message):
+            if entry == "forward":
+                forward(params, config, batch_from_examples([[CLS_ID, 4]], [cond]))
+            else:
+                queries = [([CLS_ID, 4, 5], [1], 0), ([CLS_ID, 4], [1], cond)]
+                mlm_distributions(params, config, queries)
 
     def test_full_model_gradient_check(self, tiny):
         params, config = tiny
@@ -346,17 +353,30 @@ class TestBatchedDistributions:
             (([CLS_ID, 5], [0], 0), ValueError),
             (([CLS_ID, 5, PAD_ID], [2], 0), ValueError),
             (([CLS_ID, 5], [5], 0), IndexError),
+            (([CLS_ID] + [5] * 8, [1], 0), ValueError),  # the tiny config's max_len is 8
+            (([CLS_ID, 13, 5], [2], 0), IndexError),  # its vocabulary holds 13 ids
         ],
-        ids=["no-positions", "cls", "padding", "out-of-range"],
+        ids=["no-positions", "cls", "padding", "out-of-range", "too-long", "token-id"],
     )
     def test_every_query_is_checked(self, tiny, bad, error):
         params, config = tiny
         with pytest.raises(error):
             mlm_distributions(params, config, [([CLS_ID, 5, 6], [1], 0), bad])
 
-    def test_rows_are_the_bits_of_the_graph_softmax_over_the_scored_rows(self, tiny):
-        params, config = tiny
-        queries = [([CLS_ID, 5, 6, 7, 8, 9], [2, 5], 1), ([CLS_ID, 12, 4], [1], 0)]
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_rows_are_the_bits_of_the_graph_softmax_over_the_scored_rows(
+        self, tiny, layers, heads
+    ):
+        # eval mode, so a nonzero dropout rate must change nothing
+        config = replace(tiny[1], layers=layers, heads=heads, dropout=0.1)
+        params = init_params(config, np.random.default_rng(layers + 10 * heads))
+        queries = [
+            ([CLS_ID, 5, 6, 7, 8, 9], [2, 5], 1),
+            ([CLS_ID, 12, 4], [1, 2], 0),
+            ([CLS_ID, 7, 8, 9, 10, 11, 12], [6, 1, 3], 1),
+            ([CLS_ID, 4], [1], 0),
+        ]
         got = mlm_distributions(params, config, queries)
         corrupted = [
             [MASK_ID if i in positions else tok for i, tok in enumerate(tokens)]
@@ -372,6 +392,16 @@ class TestBatchedDistributions:
         params, config = tiny
         with pytest.raises(ValueError):
             mlm_distributions(params, config, [])
+
+    def test_builds_no_graph_node(self, tiny, monkeypatch):
+        params, config = tiny
+
+        def no_node(*args):
+            raise AssertionError("mlm_distributions built a graph node")
+
+        monkeypatch.setattr(T, "_node", no_node)
+        probs = mlm_distributions(params, config, [([CLS_ID, 5, 6, 7], [1, 3], 1)])
+        assert probs.shape == (2, config.vocab_size)
 
 class TestSwapConditionTable:
     def test_same_size_swap_is_identity(self, tiny):

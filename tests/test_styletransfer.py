@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maskaug import tensor as T
 from maskaug.augment import AugmentationPolicy, sample_replacement
 from maskaug.classify import (
     CnnConfig,
@@ -15,6 +16,7 @@ from maskaug.classify import (
 from maskaug.encoder import EncoderConfig, init_params, mlm_distribution, mlm_distributions
 from maskaug.augment import CHUNK_SIZE
 from maskaug.styletransfer import attribute_words, transfer_style, transfer_styles, write_style_pairs
+from maskaug.tensor import Tensor
 from maskaug.text import CLS_ID, NUM_SPECIALS, Dataset, LabeledExample, build_vocab
 from maskaug.training import SkipExample
 
@@ -69,6 +71,8 @@ def test_attribution_equals_the_stable_exp_formula_bitwise(kind):
         got = attribute_words(clf, example)
         assert got.positions == tuple(positions)
         assert np.array_equal(got.scores, probs[0] - probs[1:])
+        graph = T.softmax(Tensor(logits)).data[:, example.label]  # the Tensor path's scores
+        assert got.scores.tobytes() == (graph[0] - graph[1:]).tobytes()
 
 
 class TestAttribution:
