@@ -70,16 +70,12 @@ class AugmentationPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self, top_k=1, multiplier=1)
+        check_field_types(self, sampler=SAMPLERS, top_k=1, temperature="(0, inf]", multiplier=1)
         k = self.k
         pair = isinstance(k, tuple) and len(k) == 2 and all(map(is_int, k)) and 1 <= k[0] <= k[1]
         if not (is_int(k) and k >= 1 or pair):
             raise ValueError(f"k must be an int >= 1 or a (lo, hi) pair of ints with "
                              f"1 <= lo <= hi, got {k!r}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-        if not self.temperature > 0.0:  # NaN too
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass

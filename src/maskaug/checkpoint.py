@@ -83,6 +83,8 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             name = bytes(take(name_len)).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"parameter name is not UTF-8 in checkpoint: {path}") from None
+        if name in out:
+            raise CheckpointError(f"parameter '{name}' is stored twice in checkpoint: {path}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n_bytes = 8 * math.prod(shape)  # Python ints: extents past int64 cannot wrap around
@@ -104,9 +106,17 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_field_types(config, **least: int) -> None:
+def _in_interval(value, interval: str) -> bool:
+    """Whether `value` lies in an interval such as "[0, 1)" or "(0, inf]"; NaN lies in none."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    return above and (value <= hi if interval[-1] == "]" else value < hi)
+
+
+def check_field_types(config, **bounds: int | str | tuple) -> None:
     """Raise ValueError naming the first ill-typed field of a config dataclass,
-    then the first field named in `least` that lies below its least value.
+    then the first field named in `bounds` that breaks its bound: an int is a
+    least value, a string an interval and a tuple the allowed values.
 
     Fields annotated `int` take an integer, `tuple[int, ...]` a tuple of
     them, `float` a real number and `float | None` a real number or None; a
@@ -114,8 +124,10 @@ def check_field_types(config, **least: int) -> None:
     so without this a string or a fraction surfaces as an unrelated error
     deep inside the model, or not at all.
     """
+    types = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
+        types[field.name] = field.type
         if field.type in ("int", int):
             kind, ok = "an int", is_int(value)
         elif field.type == "tuple[int, ...]":
@@ -128,9 +140,16 @@ def check_field_types(config, **least: int) -> None:
             continue
         if not ok:
             raise ValueError(f"{field.name} must be {kind}, got {value!r}")
-    for name, n in least.items():
-        if getattr(config, name) < n:
-            raise ValueError(f"{name} must be >= {n}, got {getattr(config, name)}")
+    for name, bound in bounds.items():
+        value = getattr(config, name)
+        if isinstance(bound, tuple) and value not in bound:
+            raise ValueError(f"{name} must be one of {', '.join(map(repr, bound))}, got {value!r}")
+        # None has passed the type check only where the field's type takes it
+        if isinstance(bound, str) and value is not None and not _in_interval(value, bound):
+            null = " or be null" if types[name] == "float | None" else ""
+            raise ValueError(f"{name} must lie in {bound}{null}, got {value}")
+        if isinstance(bound, int) and value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
 
 
 def draw_params(layout: Layout, rng: np.random.Generator) -> dict[str, Tensor]:

@@ -31,14 +31,6 @@ CLF_CONFIG_FORMAT = "maskaug-classifier-config v1"
 _CLIP_NORM = 5.0  # global gradient-norm cap for both classifiers
 
 
-def _check_rates(cfg) -> None:
-    """The lr and dropout checks both classifier configs share."""
-    if not cfg.lr > 0:
-        raise ValueError(f"lr must be > 0, got {cfg.lr}")
-    if not 0.0 <= cfg.dropout < 1.0:
-        raise ValueError(f"dropout must lie in [0, 1), got {cfg.dropout}")
-
-
 @dataclass(frozen=True)
 class CnnConfig:
     kind: ClassVar[str] = "cnn"  # not a field: the config class names its classifier
@@ -56,12 +48,12 @@ class CnnConfig:
     def __post_init__(self):
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
         check_field_types(
-            self, num_filters=1, emb_dim=1, hidden_dim=1, max_epochs=1, batch_size=1, patience=1
+            self, num_filters=1, emb_dim=1, hidden_dim=1, max_epochs=1, batch_size=1, patience=1,
+            dropout="[0, 1)", lr="(0, inf)",
         )
         widths = self.filter_widths
         if not widths or min(widths) < 1 or len(set(widths)) < len(widths):
             raise ValueError(f"filter widths must be positive and distinct, got {widths}")
-        _check_rates(self)
 
     @property
     def min_len(self) -> int:
@@ -107,6 +99,7 @@ class CnnConfig:
         _check_vocab(max(tokens), params["emb"].shape[0])
         arrays = {name: param.data for name, param in params.items()}
         padded = np.array((*tokens, *(PAD_ID,) * self.min_len))
+        T._check_ids(padded, len(arrays["emb"]))  # a negative id too, as `logits` checks
         sentences = np.array((0, *(p + 1 for p in positions)))  # rows of each width's pool
         pooled = []
         for k in self.filter_widths:
@@ -173,8 +166,10 @@ class RnnConfig:
     patience: int = 5
 
     def __post_init__(self):
-        check_field_types(self, emb_dim=1, state_dim=1, max_epochs=1, batch_size=1, patience=1)
-        _check_rates(self)
+        check_field_types(
+            self, emb_dim=1, state_dim=1, max_epochs=1, batch_size=1, patience=1,
+            dropout="[0, 1)", lr="(0, inf)",
+        )
 
     def layout(self, vocab_size: int, num_labels: int) -> Layout:
         h = self.state_dim

@@ -38,14 +38,13 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_field_types(  # hidden >= 2: layer norm needs two features to normalise
-            self, vocab_size=1, ff=1, layers=0, hidden=2, heads=1, num_conditions=1, max_len=2
+            self, vocab_size=1, ff=1, layers=0, hidden=2, heads=1, num_conditions=1, max_len=2,
+            dropout="[0, 1)",
         )
         if self.hidden % self.heads != 0:
             raise ValueError(
                 f"hidden size {self.hidden} not divisible by {self.heads} heads"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 @dataclass

@@ -148,6 +148,11 @@ def load_vocab(path) -> Vocabulary:
     lines = read_lines(path)
     if tuple(lines[:NUM_SPECIALS]) != SPECIAL_TOKENS:
         raise ParseError(f"{path}: first {NUM_SPECIALS} lines must be {SPECIAL_TOKENS}")
+    seen = set()
+    for lineno, token in enumerate(lines, 1):
+        if token in seen:  # a second id for it would leave the first one unused
+            raise ParseError(f"{path}:{lineno}: {token!r} is listed twice")
+        seen.add(token)
     return _make_vocab(lines[NUM_SPECIALS:])
 
 

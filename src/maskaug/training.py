@@ -61,11 +61,7 @@ class MaskPolicy:
     k: int = 1
 
     def __post_init__(self):
-        check_field_types(self, k=1)
-        if self.mode not in ("ratio", "fixed_k"):
-            raise ValueError(f"unknown mask mode {self.mode!r}")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"mask ratio must lie in (0, 1], got {self.ratio}")
+        check_field_types(self, mode=("ratio", "fixed_k"), ratio="(0, 1]", k=1)
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,9 @@ class TrainConfig:
     clip_norm: float | None = 1.0
 
     def __post_init__(self):
-        check_field_types(self, batch_size=1, patience=1)
-        if not 1 <= self.epochs <= 50:
-            raise ValueError(f"epochs must lie in [1, 50], got {self.epochs}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be > 0 or null, got {self.clip_norm}")
+        check_field_types(
+            self, epochs="[1, 50]", batch_size=1, lr="(0, inf)", patience=1, clip_norm="(0, inf]"
+        )
 
 
 @dataclass
@@ -237,24 +229,27 @@ def fit(
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(len(examples))
         rows: list[tuple[float, int, float]] = []
-        for start in range(0, len(order), batch_size):
-            chunk = [examples[i] for i in order[start : start + batch_size]]
-            out = chunk_loss(params, chunk, drop_rng)
-            if out is None:
-                continue
-            loss, weight, acc = out
-            step += 1
-            if not np.isfinite(loss.data):
-                raise TrainingError(f"{phase}: loss diverged at step {step}")
-            loss.backward()
-            rows.append((float(loss.data), weight, acc))
-            del out, loss  # the step's graph dies here, not during the next forward
-            missing = [k for k, p in params.items() if p.grad is None]
-            if missing:
-                raise TrainingError(f"{phase}: no gradient for {missing}")
-            if clip_norm is not None:
-                clip_by_global_norm(state, clip_norm)
-            adam_step(state)  # updates `params` in place
+        # a diverging step overflows on its way to the guard below, which
+        # reports it in one line; validation keeps numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in range(0, len(order), batch_size):
+                chunk = [examples[i] for i in order[start : start + batch_size]]
+                out = chunk_loss(params, chunk, drop_rng)
+                if out is None:
+                    continue
+                loss, weight, acc = out
+                step += 1
+                if not np.isfinite(loss.data):
+                    raise TrainingError(f"{phase}: loss diverged at step {step}")
+                loss.backward()
+                rows.append((float(loss.data), weight, acc))
+                del out, loss  # the step's graph dies here, not during the next forward
+                missing = [k for k, p in params.items() if p.grad is None]
+                if missing:
+                    raise TrainingError(f"{phase}: no gradient for {missing}")
+                if clip_norm is not None:
+                    clip_by_global_norm(state, clip_norm)
+                adam_step(state)  # updates `params` in place
 
         if not rows:
             raise TrainingError(f"{phase}: epoch {epoch} made no training step")

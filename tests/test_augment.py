@@ -75,7 +75,7 @@ class TestPolicy:
     def test_nan_temperature_is_rejected(self):
         with pytest.raises(ValueError) as info:
             AugmentationPolicy(temperature=float("nan"))
-        assert str(info.value) == "temperature must be > 0, got nan"
+        assert str(info.value) == "temperature must lie in (0, inf], got nan"
 
 
 class TestSampleReplacement:

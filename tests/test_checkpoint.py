@@ -117,6 +117,15 @@ def test_extents_past_int64_are_a_checkpoint_error(tmp_path, extents, message):
     assert str(path) in str(info.value)
 
 
+def test_a_name_stored_twice_is_a_checkpoint_error_naming_it(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    entry = struct.pack("<H1sBI", 1, b"w", 1, 2) + np.arange(2.0).tobytes()
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + entry + entry)
+    with pytest.raises(CheckpointError, match="parameter 'w' is stored twice") as info:
+        load_arrays(path)
+    assert str(path) in str(info.value)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_arrays(tmp_path / "nope.ckpt")
@@ -247,6 +256,10 @@ def _classifier(**fields):
     return Classifier({}, CnnConfig(), **{"vocab_size": 9, "num_labels": 2, **fields})
 
 
+def _name(make, field):
+    return f"{make.__name__.strip('_')}-{field}"
+
+
 # every config field that check_field_types bounds below, with its least value
 LEAST = [
     *[(_encoder, name, n) for name, n in [("vocab_size", 1), ("ff", 1), ("layers", 0),
@@ -268,13 +281,64 @@ LEAST = [
 
 @pytest.mark.parametrize(
     "make, field, least",
-    [pytest.param(*row, id=f"{row[0].__name__.strip('_')}-{row[1]}") for row in LEAST],
+    [pytest.param(*row, id=_name(*row[:2])) for row in LEAST],
 )
 def test_each_bounded_config_field_rejects_one_below_its_least_value(make, field, least):
     with pytest.raises(ValueError) as info:
         make(**{field: least - 1})
     assert str(info.value) == f"{field} must be >= {least}, got {least - 1}"
     assert getattr(make(**{field: least}), field) == least
+
+
+INF, NAN = float("inf"), float("nan")
+
+# every config field that check_field_types keeps in an interval, as its
+# message prints it; its closed ends, accepted, and values outside it,
+# rejected; epochs is an int, so NaN and infinities are type errors there,
+# and its neighbours stand outside
+INTERVALS = [
+    (_encoder, "dropout", "[0, 1)", [0.0], [1.0, -0.1, NAN, -INF, INF]),
+    *[(make, "dropout", "[0, 1)", [0.0], [1.0, -0.1, NAN, -INF, INF])
+      for make in (CnnConfig, RnnConfig)],
+    *[(make, "lr", "(0, inf)", [], [0.0, -1.0, NAN, -INF, INF])
+      for make in (CnnConfig, RnnConfig, TrainConfig)],
+    (TrainConfig, "epochs", "[1, 50]", [1, 50], [0, 51]),
+    (TrainConfig, "clip_norm", "(0, inf] or be null", [INF, None], [0.0, -1.0, NAN, -INF]),
+    (MaskPolicy, "ratio", "(0, 1]", [1.0], [0.0, 1.5, NAN, -INF, INF]),
+    (AugmentationPolicy, "temperature", "(0, inf]", [INF], [0.0, -1.0, NAN, -INF]),
+]
+# every config field that check_field_types keeps to a list of choices
+CHOICES = [
+    (MaskPolicy, "mode", ("ratio", "fixed_k")),
+    (AugmentationPolicy, "sampler", ("greedy", "top_k", "temperature")),
+]
+
+
+@pytest.mark.parametrize(
+    "make, field, accepted",
+    [pytest.param(make, field, value, id=f"{_name(make, field)}-{value}")
+     for make, field, _, closed, _ in INTERVALS for value in closed]
+    + [pytest.param(make, field, value, id=f"{_name(make, field)}-{value}")
+       for make, field, choices in CHOICES for value in choices],
+)
+def test_each_closed_end_and_choice_is_accepted(make, field, accepted):
+    assert getattr(make(**{field: accepted}), field) == accepted
+
+
+@pytest.mark.parametrize(
+    "make, field, value, message",
+    [pytest.param(make, field, value, f"{field} must lie in {interval}, got {value}",
+                  id=f"{_name(make, field)}-{value}")
+     for make, field, interval, _, outside in INTERVALS for value in outside]
+    + [pytest.param(make, field, "beam",
+                    f"{field} must be one of {', '.join(map(repr, choices))}, got 'beam'",
+                    id=f"{_name(make, field)}-beam")
+       for make, field, choices in CHOICES],
+)
+def test_each_open_end_nan_infinity_and_wrong_choice_is_rejected(make, field, value, message):
+    with pytest.raises(ValueError) as info:
+        make(**{field: value})
+    assert str(info.value) == message
 
 
 def test_bounds_are_checked_after_every_type():

@@ -147,7 +147,7 @@ def test_fresh_parameters_equal_the_written_out_draws_bit_for_bit():
 def test_non_positive_lr_is_rejected(make, lr):
     with pytest.raises(ValueError) as info:
         make(lr=lr)
-    assert str(info.value) == f"lr must be > 0, got {lr}"
+    assert str(info.value) == f"lr must lie in (0, inf), got {lr}"
 
 
 @pytest.mark.parametrize("make", [CnnConfig, RnnConfig])

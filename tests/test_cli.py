@@ -406,6 +406,17 @@ def _poison(name, value):
     return apply
 
 
+def _stored_twice(name):
+    """Append a second entry for parameter `name`, keeping the first."""
+    def apply(ckpt):
+        blob, head = ckpt.read_bytes(), len(MAGIC) + 4
+        (count,) = struct.unpack_from("<I", blob, len(MAGIC))
+        save_arrays({name: load_arrays(ckpt)[name]}, ckpt)
+        entry = ckpt.read_bytes()[head:]
+        ckpt.write_bytes(MAGIC + struct.pack("<I", count + 1) + blob[head:] + entry)
+    return apply
+
+
 # (model file, fault, a word the message must name) triples; encoders load
 # through `finetune --init`, classifiers through `eval`
 MODEL_FILE_FAULTS = [
@@ -458,6 +469,10 @@ MODEL_FILE_FAULTS = [
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m["config"].update(dropout=1.5)), "dropout",
         id="classifier-bad-dropout",
+    ),
+    pytest.param(
+        "classifier", _edit_sidecar(lambda m: m["config"].update(lr=float("inf"))),
+        "lr must lie in (0, inf), got inf", id="classifier-infinite-lr",
     ),
     pytest.param(
         "classifier", _edit_sidecar(lambda m: m["config"].update(num_filters=0)),
@@ -515,6 +530,8 @@ MODEL_FILE_FAULTS = [
                  id="encoder-nan-weight"),
     pytest.param("classifier", _poison("fc1_w", np.inf), "parameter 'fc1_w' in ",
                  id="classifier-inf-weight"),
+    pytest.param("classifier", _stored_twice("fc2_b"), "parameter 'fc2_b' is stored twice",
+                 id="classifier-name-stored-twice"),
 ]
 
 
@@ -693,6 +710,20 @@ class TestErrorCategories:
         err = capsys.readouterr().err
         assert code == EXIT_PARSE, err
         assert err.startswith(f"error[parse]: {bad}:6: ") and err.count("\n") == 1, err
+
+    def test_vocab_token_listed_twice_is_parse_error(self, workdir, vocab_file, tmp_path, capsys):
+        bad = tmp_path / "vocab.txt"
+        lines = vocab_file.read_text().splitlines()
+        bad.write_text("\n".join([*lines, "movie"]) + "\n")
+        out = tmp_path / "clf"
+        code = main([
+            "train-classifier", "--data", str(workdir / "train.tsv"), "--vocab", str(bad),
+            "--epochs", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE, err
+        assert err == f"error[parse]: {bad}:{len(lines) + 1}: 'movie' is listed twice\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         pytest.param("good\tgreat\nbad\tbad\n",
@@ -908,6 +939,19 @@ class TestErrorCategories:
         assert code == EXIT_TRAINING
         assert capsys.readouterr().err.startswith("error[training]: cnn: loss diverged")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train-classifier", "--epochs", "2"], id="cnn"),
+        pytest.param(["pretrain", "--epochs", "1", "--layers", "1", "--hidden", "16",
+                      "--ff", "32", "--batch-size", "2"], id="pretrain"),
+    ])
+    def test_divergence_prints_no_numpy_warning(self, argv, workdir, vocab_file, tmp_path, capsys):
+        code = main([*argv, "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+                     "--lr", "1e300", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == EXIT_TRAINING, err
+        assert "encountered" not in err, err
+        assert err.startswith("error[training]: ") and err.count("\n") == 1, err
+
     def test_style_transfer_without_target_label_needs_binary_data(
         self, workdir, vocab_file, finetuned, tmp_path, capsys
     ):
@@ -960,8 +1004,10 @@ class TestErrorCategories:
                          "--seeds '1,1' repeats 1", id="repeated-seed"),
             pytest.param("ab-experiment", ["--arms", "none,none"],
                          "--arms 'none,none' repeats 'none'", id="repeated-arm"),
-            pytest.param("train-classifier", ["--lr", "-1"], "lr must be > 0, got -1.0",
+            pytest.param("train-classifier", ["--lr", "-1"], "lr must lie in (0, inf), got -1.0",
                          id="classifier-lr"),
+            pytest.param("train-classifier", ["--lr", "inf"], "lr must lie in (0, inf), got inf",
+                         id="classifier-lr-inf"),
             pytest.param("train-classifier", ["--dropout-rate", "1.5"],
                          "dropout must lie in [0, 1), got 1.5", id="classifier-dropout"),
             pytest.param("train-classifier", ["--num-filters", "0"],
@@ -1019,10 +1065,12 @@ class TestErrorCategories:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            pytest.param(["--lr", "-1"], "lr must be > 0, got -1.0", id="lr"),
-            pytest.param(["--clip-norm", "0"], "clip_norm must be > 0 or null, got 0.0",
-                         id="clip-norm-0"),
-            pytest.param(["--clip-norm", "-1"], "clip_norm must be > 0 or null, got -1.0",
+            pytest.param(["--lr", "-1"], "lr must lie in (0, inf), got -1.0", id="lr"),
+            pytest.param(["--lr", "inf"], "lr must lie in (0, inf), got inf", id="lr-inf"),
+            pytest.param(["--clip-norm", "0"],
+                         "clip_norm must lie in (0, inf] or be null, got 0.0", id="clip-norm-0"),
+            pytest.param(["--clip-norm", "-1"],
+                         "clip_norm must lie in (0, inf] or be null, got -1.0",
                          id="clip-norm-negative"),
             pytest.param(["--layers", "-1"], "layers must be >= 0, got -1", id="layers"),
             pytest.param(["--ff", "0"], "ff must be >= 1, got 0", id="ff"),

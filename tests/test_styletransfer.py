@@ -5,7 +5,9 @@ import pytest
 
 from maskaug import tensor as T
 from maskaug.augment import AugmentationPolicy, sample_replacement
+from maskaug.checkpoint import draw_params
 from maskaug.classify import (
+    Classifier,
     CnnConfig,
     RnnConfig,
     predict_logits,
@@ -158,6 +160,17 @@ def test_stacked_scores_keep_the_vocabulary_check(setup):
     _, classifier, _, _ = setup
     with pytest.raises(ValueError, match="vocabulary mismatch"):
         attribute_words(classifier, LabeledExample((CLS_ID, MARKER_POS, VOCAB_SIZE), 1))
+
+
+@pytest.mark.parametrize("make", [CnnConfig, RnnConfig])
+def test_scores_refuse_a_negative_token_id(make):
+    # numpy alone would read id -1 as the last embedding row
+    cfg = make()
+    params = draw_params(cfg.layout(VOCAB_SIZE, 2), np.random.default_rng(0))
+    clf = Classifier(params, cfg, VOCAB_SIZE, 2)
+    example = LabeledExample((CLS_ID, MARKER_POS, -1, NEUTRAL[0], NEUTRAL[1]), 1)
+    with pytest.raises(IndexError, match=rf"^embedding id out of range \[0, {VOCAB_SIZE}\)$"):
+        attribute_words(clf, example)
 
 
 class TestTransfer:

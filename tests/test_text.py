@@ -115,6 +115,13 @@ class TestVocabFile:
         with pytest.raises(ParseError):
             load_vocab(tmp_path / "bad.txt")
 
+    def test_token_listed_twice_is_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<unk>\n<mask>\n<cls>\nalpha\nbeta\nalpha\n")
+        with pytest.raises(ParseError) as exc:
+            load_vocab(path)
+        assert str(exc.value) == f"{path}:7: 'alpha' is listed twice"
+
     def test_non_utf8_is_parse_error_naming_path(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_bytes(b"<pad>\n<unk>\n<mask>\n<cls>\ncaf\xe9\n")

@@ -69,10 +69,10 @@ class TestConfigs:
         [("lr", -1.0), ("lr", 0), ("lr", float("nan")), ("clip_norm", 0.0), ("clip_norm", -1)],
     )
     def test_value_that_trains_the_wrong_way_is_rejected(self, field, value):
-        bound = "> 0" if field == "lr" else "> 0 or null"
+        bound = "(0, inf)" if field == "lr" else "(0, inf] or be null"
         with pytest.raises(ValueError) as info:
             TrainConfig(**{field: value})
-        assert str(info.value) == f"{field} must be {bound}, got {value}"
+        assert str(info.value) == f"{field} must lie in {bound}, got {value}"
 
     def test_clip_norm_may_be_off(self):
         assert TrainConfig(clip_norm=None).clip_norm is None
