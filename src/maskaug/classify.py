@@ -4,11 +4,11 @@ Two evaluators measure what an augmented training set buys: a convolutional
 classifier (filter widths over word embeddings, max-over-time pooling, a
 two-layer ReLU head, softmax) and a recurrent one (single-layer LSTM whose
 final state feeds an affine layer with softmax). Each config class owns its
-classifier's parameter layout, forward pass and the logits of a sentence's
-one-word-deleted variants, and `CONFIGS` finds the class
-by the kind a sidecar or `--classifier` names. Both train with Adam and
-dropout through the shared `training.fit` loop and stop early on validation
-accuracy.
+classifier's parameter layout, forward pass (on either op set: training
+runs it on `maskaug.tensor`, inference on `tensor.ArrayOps`) and the logits
+of a sentence's one-word-deleted variants; `CONFIGS` finds the class by the
+kind a sidecar or `--classifier` names. Both train with Adam and dropout
+through the shared `training.fit` loop and stop early on validation accuracy.
 """
 
 from __future__ import annotations
@@ -73,16 +73,15 @@ class CnnConfig:
         layout["fc2_b"] = ((num_labels,), np.zeros)
         return layout
 
-    def logits(
-        self, params: dict[str, Tensor], token_ids: np.ndarray, lengths: np.ndarray, rng
-    ) -> Tensor:
-        """(B, num_labels) logits; an rng trains (dropout on), None evaluates."""
+    def logits(self, ops, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng):
+        """(B, num_labels) logits on either op set, as `_head`; an rng trains
+        (dropout on), None evaluates."""
         widths = self.filter_widths
-        x = T.conv_max_pool(
+        x = ops.conv_max_pool(
             params["emb"], [params[f"conv{w}_w"] for w in widths],
             [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
         )  # (B, F·len(widths))
-        return self._head(T, params, x, rng)
+        return self._head(ops, params, x, rng)
 
     def deletion_logits(
         self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
@@ -183,13 +182,11 @@ class RnnConfig:
             "out_b": ((num_labels,), np.zeros),
         }
 
-    def logits(
-        self, params: dict[str, Tensor], token_ids: np.ndarray, lengths: np.ndarray, rng
-    ) -> Tensor:
+    def logits(self, ops, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng):
         emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
-        h = T.lstm(emb, w_ih, w_hh, b, token_ids, lengths, self.state_dim)  # (B, H) final states
-        h = T.dropout(h, self.dropout, rng, rng is not None)
-        return T.add(T.matmul(h, params["out_w"]), params["out_b"])
+        h = ops.lstm(emb, w_ih, w_hh, b, token_ids, lengths, self.state_dim)  # (B, H) final states
+        h = ops.dropout(h, self.dropout, rng, rng is not None)
+        return ops.add(ops.matmul(h, params["out_w"]), params["out_b"])
 
     def deletion_logits(
         self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
@@ -198,7 +195,8 @@ class RnnConfig:
         token at positions[j] deleted (row 1 + j), in one padded batch."""
         _check_vocab(max(tokens), params["emb"].shape[0])
         variants = [tokens] + [tokens[:pos] + tokens[pos + 1 :] for pos in positions]
-        return self.logits(params, *_pad_batch(variants, self.min_len), None).data
+        arrays = {name: param.data for name, param in params.items()}
+        return self.logits(T.ArrayOps, arrays, *_pad_batch(variants, self.min_len), None)
 
 
 # each classifier config class by the kind it names, as sidecars and --classifier spell it
@@ -249,12 +247,13 @@ def _check_vocab(top: int, vocab_size: int) -> None:
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
     _check_vocab(max(max(ex.tokens) for ex in examples), clf.vocab_size)
     token_ids, lengths = _pad_batch([ex.tokens for ex in examples], clf.config.min_len)
-    return clf.config.logits(clf.params, token_ids, lengths, None).data
+    arrays = {name: param.data for name, param in clf.params.items()}
+    return clf.config.logits(T.ArrayOps, arrays, token_ids, lengths, None)
 
 
 def predict_proba(clf: Classifier, example: LabeledExample) -> np.ndarray:
     """Class distribution for one example (eval mode, deterministic)."""
-    return T.softmax(predict_logits(clf, [example])[0]).data
+    return T.ArrayOps.softmax(predict_logits(clf, [example])[0])
 
 
 def evaluate(clf: Classifier, examples: Sequence[LabeledExample], split: str = "test") -> EvalReport:
@@ -292,7 +291,7 @@ def train_classifier(
     def chunk_loss(params, chunk, rng):
         token_ids, lengths = _pad_batch([ex.tokens for ex in chunk], cfg.min_len)
         labels = np.array([ex.label for ex in chunk], dtype=np.int64)
-        logits = cfg.logits(params, token_ids, lengths, rng)
+        logits = cfg.logits(T, params, token_ids, lengths, rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
 

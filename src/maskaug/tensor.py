@@ -832,7 +832,9 @@ class ArrayOps:
     graph: each computes its value through the same helper, and makes the
     same checks, as the graph op of the same name, so a sequence written
     against `maskaug.tensor` gives the same bits when handed these instead.
-    The inference paths use them; a namespace, never instantiated."""
+    `lstm` and `conv_max_pool` run the graph op itself: with no input that
+    requires grad, `_node` keeps no closure, so nothing saved outlives the
+    call. The inference paths use them; a namespace, never instantiated."""
 
     add = staticmethod(np.add)
     mul = staticmethod(np.multiply)
@@ -876,3 +878,11 @@ class ArrayOps:
     @staticmethod
     def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng) -> np.ndarray:
         return _attention_value(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng)[0]
+
+    @staticmethod
+    def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> np.ndarray:
+        return lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim).data
+
+    @staticmethod
+    def conv_max_pool(table, weights, biases, ids, lengths, widths) -> np.ndarray:
+        return conv_max_pool(table, weights, biases, ids, lengths, widths).data

@@ -215,7 +215,8 @@ def fit(
     may keep them past its call. Returns a copy of the
     parameters of the first epoch that beat all earlier ones, with that
     epoch number; stops after `patience` epochs without a new best. A non-finite
-    loss, a parameter left without gradient or an epoch with no step raises TrainingError.
+    loss, an overflow in validation, a parameter left without gradient or an
+    epoch with no step raises TrainingError.
     """
     # the arena trains a copy: backward() never deposits gradients on caller tensors
     state = init_adam(params, lr=lr)
@@ -230,7 +231,8 @@ def fit(
         order = shuffle_rng.permutation(len(examples))
         rows: list[tuple[float, int, float]] = []
         # a diverging step overflows on its way to the guard below, which
-        # reports it in one line; validation keeps numpy's warnings
+        # reports it in one line; validation raises on overflow instead, so
+        # parameters whose loss stayed finite (saturated gates) still stop here
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, len(order), batch_size):
                 chunk = [examples[i] for i in order[start : start + batch_size]]
@@ -253,7 +255,11 @@ def fit(
 
         if not rows:
             raise TrainingError(f"{phase}: epoch {epoch} made no training step")
-        score = validate(params, epoch, *_weighted_mean(rows))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                score = validate(params, epoch, *_weighted_mean(rows))
+        except FloatingPointError:
+            raise TrainingError(f"{phase}: loss diverged in validation at epoch {epoch}") from None
         if score > best_score:
             best_score, best_params, best_epoch = score, state.snapshot(), epoch
             since_best = 0

@@ -170,6 +170,70 @@ def test_predict_proba_equals_the_stable_exp_formula_bitwise(kind):
         assert np.array_equal(predict_proba(clf, example), e / e.sum())
 
 
+
+def drawn_params(cfg, seed, num_labels=3):
+    """Fresh trainable parameters with every entry, biases too, drawn, so no term is zero."""
+    rng = np.random.default_rng(seed)
+    params = draw_params(cfg.layout(VOCAB_SIZE, num_labels), rng)
+    for param in params.values():
+        param.data += rng.normal(0.0, 0.1, param.data.shape)
+    return params
+
+
+@pytest.mark.parametrize("cfg", [
+    CnnConfig(filter_widths=(1,), num_filters=5, emb_dim=4, hidden_dim=6),
+    CnnConfig(filter_widths=(3, 4, 5), num_filters=5, emb_dim=4, hidden_dim=6),
+    CnnConfig(filter_widths=(2, 7), num_filters=5, emb_dim=4, hidden_dim=6),
+    RnnConfig(emb_dim=4, state_dim=5),
+], ids=["cnn-1", "cnn-3-4-5", "cnn-2-7", "rnn"])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_array_logits_equal_the_graph_logits_bit_for_bit(cfg, mode):
+    # one padded batch of every length from 1 to the widest filter + 2, in
+    # shuffled order, so rows both shorter and longer than each filter
+    params = drawn_params(cfg, seed=sum(getattr(cfg, "filter_widths", (0,))))
+    arrays = {name: param.data for name, param in params.items()}
+    rng = np.random.default_rng(5)
+    rows = [rng.integers(0, VOCAB_SIZE, n) for n in rng.permutation(max(cfg.min_len, 5) + 2) + 1]
+    token_ids, lengths = classify._pad_batch(rows, cfg.min_len)
+
+    def dropout_rng():
+        return np.random.default_rng(9) if mode == "train" else None
+
+    want = cfg.logits(T, params, token_ids, lengths, dropout_rng())
+    got = cfg.logits(T.ArrayOps, arrays, token_ids, lengths, dropout_rng())
+    assert isinstance(got, np.ndarray) and got.shape == (len(rows), 3)
+    assert got.tobytes() == want.data.tobytes()
+
+
+# every classifier inference entry point, on a classifier and a few examples
+INFERENCE = {
+    "predict_logits": lambda clf, examples: predict_logits(clf, examples),
+    "evaluate": lambda clf, examples: evaluate(clf, examples),
+    "predict_proba": lambda clf, examples: predict_proba(clf, examples[0]),
+    "deletion_logits": lambda clf, examples: clf.config.deletion_logits(
+        clf.params, examples[0].tokens, [1, 2, 4]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", INFERENCE.values(), ids=INFERENCE.keys())
+@pytest.mark.parametrize("kind", ["cnn", "rnn"])
+def test_inference_builds_no_graph_node(kind, call, monkeypatch):
+    cfg = classify.CONFIGS[kind]()
+    params = drawn_params(cfg, seed=0, num_labels=2)
+    assert all(param.requires_grad for param in params.values())  # as training leaves them
+    clf = classify.Classifier(params, cfg, VOCAB_SIZE, 2)
+    real = T._node
+
+    def node(data, parents, backward):
+        if any(parent.requires_grad for parent in parents):
+            raise AssertionError("classifier inference built a graph node")
+        return real(data, parents, backward)
+
+    monkeypatch.setattr(T, "_node", node)
+    call(clf, separable_dataset(n=20).train[:5])
+
+
 class TestCnn:
     def test_separable_data_reaches_perfect_validation(self):
         dataset = separable_dataset()
@@ -257,8 +321,8 @@ class TestCnn:
         s1 = np.array([[ALPHA, BETA, ALPHA, BETA, ALPHA]])
         s2 = np.array([[BETA, ALPHA, BETA, ALPHA, BETA]])
         lengths = np.array([5])
-        l1 = cfg.logits(params, s1, lengths, None).data
-        l2 = cfg.logits(params, s2, lengths, None).data
+        l1 = cfg.logits(T, params, s1, lengths, None).data
+        l2 = cfg.logits(T, params, s2, lengths, None).data
         assert np.array_equal(l1, l2)
 
     @pytest.mark.parametrize("widths", [(1,), (3, 4, 5), (2, 7)], ids=str)
@@ -371,6 +435,13 @@ class TestRnn:
                 analytic = np.zeros_like(arrays[i])
             worst = max(worst, gradient_disagreement(analytic, numeric))
         assert worst < 1e-3
+
+
+    def test_divergence_raises_training_error(self):
+        # the saturated gates keep the loss finite; validation's overflow stops the run
+        dataset = separable_dataset(n=20)
+        with pytest.raises(TrainingError, match="rnn: loss diverged in validation at epoch 1"):
+            train_rnn(dataset, RnnConfig(lr=1e300, max_epochs=2), VOCAB_SIZE)
 
 
 @pytest.fixture(scope="module")
