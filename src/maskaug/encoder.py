@@ -115,9 +115,15 @@ def forward(
     batch: InputBatch,
     rng: np.random.Generator | None = None,
     rows: Sequence[int] | np.ndarray | None = None,
-) -> Tensor:
+    ops=T,
+) -> Tensor | np.ndarray:
     """Vocabulary logits (B, T, V) for every position of the batch; with an
     `rng` the pass runs in train mode and draws its dropout masks from it.
+
+    One body serves both op sets: `ops` is `maskaug.tensor` on Tensor
+    parameters, which builds the graph training differentiates, or
+    `tensor.ArrayOps` on their arrays, which gives the same bits as an
+    ndarray and builds no graph.
 
     With `rows`, a 1-d sequence of flat `b * T + t` position indices, the
     result is (len(rows), V), in the order given. The last layer's
@@ -129,13 +135,6 @@ def forward(
     Padding is excluded from attention by an additive score mask large
     enough that pad keys receive exactly zero weight.
     """
-    return _layers(T, params, config, batch, rng, rows)
-
-
-def _layers(ops, params, config: EncoderConfig, batch: InputBatch, rng, rows):
-    """The encoder's layer sequence, once for both op sets: `maskaug.tensor`
-    on Tensor parameters builds the graph `forward` returns, and
-    `tensor.ArrayOps` on their arrays computes the same values without one."""
     b, t = batch.token_ids.shape
     if rows is not None and np.ndim(rows) != 1:
         raise ValueError(f"rows must be a 1-d index sequence, got shape {np.shape(rows)}")
@@ -205,8 +204,8 @@ def mlm_distributions(
     Each query's tokens at its masked positions are replaced by the mask
     id; the corrupted sentences are right-padded into one batch and one
     eval pass, each row under its own condition, runs the head on the
-    masked positions only. The pass runs `forward`'s layers on the
-    parameters' arrays, so its rows are the bits of the softmax of
+    masked positions only. The pass runs `forward` on the parameters'
+    arrays with `tensor.ArrayOps`, so its rows are the bits of the softmax of
     `forward(..., rows=...)`, and builds no graph. Padding gets zero
     attention weight, so a query's rows match a batch-1 pass up to
     floating-point summation order.
@@ -235,7 +234,7 @@ def mlm_distributions(
     t = batch.token_ids.shape[1]
     rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
     arrays = {name: param.data for name, param in params.items()}
-    logits = _layers(T.ArrayOps, arrays, config, batch, None, rows)
+    logits = forward(arrays, config, batch, rows=rows, ops=T.ArrayOps)
     return T.ArrayOps.softmax(logits)
 
 

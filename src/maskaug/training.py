@@ -157,20 +157,22 @@ def masked_loss(
     config: EncoderConfig,
     batch: MaskedBatch,
     rng: np.random.Generator | None,
+    ops=T,
 ) -> tuple[Tensor, int, float]:
     """Cross-entropy over masked positions; returns (loss, scored, accuracy).
 
     Only the scored positions go through the vocabulary head. With an `rng`
     the encoder runs in train mode (dropout drawn from it); None is eval.
+    `ops` is `forward`'s: `tensor.ArrayOps` on arrays scores without a graph.
     """
     flat_targets = batch.targets.reshape(-1)
     rows = np.flatnonzero(flat_targets != IGNORE_ID)
-    logits = forward(params, config, batch, rng=rng, rows=rows)
+    logits = forward(params, config, batch, rng=rng, rows=rows, ops=ops)
     targets = flat_targets[rows]
     loss, scored = T.cross_entropy(logits, targets)
     if scored == 0:
         return loss, 0, 0.0
-    acc = float((logits.data.argmax(axis=1) == targets).mean())
+    acc = float((T.as_tensor(logits).data.argmax(axis=1) == targets).mean())
     return loss, scored, acc
 
 
@@ -292,6 +294,8 @@ def _train_masked_lm(
         for start in range(0, len(val_examples), cfg.batch_size)
     ]
     val_batches = [batch for batch in val_batches if batch is not None]
+    if val_examples and not val_batches:  # would train a whole run, then score nothing
+        raise TrainingError(f"{phase}: no validation sentence has a maskable word")
     history: list[dict] = []
 
     def chunk_loss(params, chunk, rng):
@@ -306,9 +310,10 @@ def _train_masked_lm(
             {"epoch": epoch, "split": "train", "loss": train_loss, "masked_acc": train_acc}
         )
         if val_examples:
+            arrays = {name: p.data for name, p in params.items()}
             rows = []
             for batch in val_batches:
-                loss, scored, acc = masked_loss(params, config, batch, None)
+                loss, scored, acc = masked_loss(arrays, config, batch, None, T.ArrayOps)
                 rows.append((float(loss.data), scored, acc))
             val_loss, val_acc = _weighted_mean(rows)
         else:

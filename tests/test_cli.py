@@ -9,7 +9,7 @@ import pytest
 
 from maskaug import classify, cli, encoder, training
 from maskaug.augment import AugmentationPolicy
-from maskaug.checkpoint import MAGIC, load_arrays, save_arrays
+from maskaug.checkpoint import MAGIC, CheckpointError, load_arrays, save_arrays
 from maskaug.classify import CnnConfig, RnnConfig
 from maskaug.cli import (
     EXIT_CHECKPOINT,
@@ -22,8 +22,8 @@ from maskaug.cli import (
 )
 from maskaug.encoder import EncoderConfig
 from maskaug.synthetic import sentiment_rows, write_rows_tsv
-from maskaug.text import load_tsv, load_vocab
-from maskaug.training import MaskPolicy, TrainConfig
+from maskaug.text import ParseError, load_tsv, load_vocab
+from maskaug.training import MaskPolicy, TrainConfig, TrainingError
 
 
 @pytest.fixture(scope="module")
@@ -939,6 +939,23 @@ class TestErrorCategories:
         assert code == EXIT_TRAINING
         assert capsys.readouterr().err.startswith("error[training]: cnn: loss diverged")
 
+    def test_validation_split_that_scores_nothing_is_training_error(self, tmp_path, capsys):
+        # the seed sends the empty row to validation: refused before training
+        data = tmp_path / "two.tsv"
+        data.write_text("0\tthe movie was bad\n1\t\n")
+        assert main(["build-vocab", "--data", str(data), "--out", str(tmp_path / "v")]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main([
+            "pretrain", "--data", str(data), "--vocab", str(tmp_path / "v" / "vocab.txt"),
+            "--val-fraction", "0.5", "--seed", "1", "--epochs", "1", "--layers", "1",
+            "--hidden", "16", "--ff", "32", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_TRAINING, err
+        assert err == "error[training]: pretrain: no validation sentence has a maskable word\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["train-classifier", "--epochs", "2"], id="cnn"),
         # the LSTM's saturated gates keep its loss finite: validation overflows instead
@@ -1289,6 +1306,41 @@ class TestFailedRunOut:
         assert [p.name for p in out.iterdir()] == ([held] if held else [])
         if held:
             assert (out / held).read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "error, code, tag",
+        [
+            (FileNotFoundError, EXIT_MISSING_FILE, "missing-file"),
+            (IsADirectoryError, EXIT_MISSING_FILE, "missing-file"),
+            (PermissionError, EXIT_MISSING_FILE, "missing-file"),
+            (ParseError, EXIT_PARSE, "parse"),  # a ValueError: its arm must come first
+            (CheckpointError, EXIT_CHECKPOINT, "checkpoint"),
+            (TrainingError, EXIT_TRAINING, "training"),
+            (ValueError, EXIT_USAGE, "config"),
+            (KeyError, EXIT_USAGE, "config"),
+            (IndexError, EXIT_USAGE, "config"),
+            (TypeError, None, None),  # a programming error is not caught
+            (RuntimeError, None, None),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else None,
+    )
+    def test_each_exception_class_has_its_exit_code(
+        self, error, code, tag, tmp_path, capsys, monkeypatch
+    ):
+        def failing(args, out):
+            raise error("probe")
+
+        monkeypatch.setattr(cli, "cmd_build_vocab", failing)
+        out = tmp_path / "run"
+        argv = ["build-vocab", "--data", "x", "--out", str(out)]
+        if code is None:
+            with pytest.raises(error, match="probe"):
+                main(argv)
+        else:
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert err.startswith(f"error[{tag}]: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestArgumentErrors:

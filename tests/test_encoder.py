@@ -308,6 +308,20 @@ class TestScoredRows:
         # layer 0's FFN, layer 1's FFN, then the masked-LM head
         assert shapes == [(b, t, config.ff), (len(rows), config.ff), (len(rows), config.hidden)]
 
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["all-positions", "shuffled-rows"])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_array_body_gives_the_graph_bits(self, tiny, layers, shuffled):
+        # eval mode, so a nonzero dropout rate must change nothing
+        config = replace(tiny[1], layers=layers, dropout=0.1)
+        params = init_params(config, np.random.default_rng(layers))
+        batch = batch_from_examples([[CLS_ID, 5, 6, 7, 8], [CLS_ID, 9, 10]], [0, 1])
+        rows = np.random.default_rng(layers).permutation(batch.token_ids.size) if shuffled else None
+        arrays = {name: p.data for name, p in params.items()}
+        got = forward(arrays, config, batch, rows=rows, ops=T.ArrayOps)
+        want = forward(params, config, batch, rows=rows).data
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_bad_rows_rejected(self, tiny):
         params, config = tiny
         batch = batch_from_examples([[CLS_ID, 5, 6]], [0])

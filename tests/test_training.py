@@ -1,3 +1,4 @@
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -368,10 +369,11 @@ def test_fit_names_a_parameter_left_without_gradient():
         _fit_on_w(params, _w_loss, lambda params, epoch, loss, acc: 0.0)
 
 
-def _val_pinned_run(phase, monkeypatch):
+def _val_pinned_run(phase, monkeypatch, around=nullcontext):
     """A 3-epoch run whose validation split holds skipped sentences and a
-    wholly skipped batch; returns (history, val examples, the encoder config
-    trained, the parameters each epoch's validation scored, policy, cfg)."""
+    wholly skipped batch, each validation call made inside `around()`;
+    returns (history, val examples, the encoder config trained, the
+    parameters each epoch's validation scored, policy, cfg)."""
     base = template_dataset()
     bare = LabeledExample((CLS_ID,), 1)  # no maskable token: collate skips it
     dataset = replace(base, val=base.val + [bare, bare])
@@ -387,7 +389,8 @@ def _val_pinned_run(phase, monkeypatch):
     def spy_fit(params, examples, chunk_loss, validate, **kw):
         def spy(p, *rest):
             scored.append({k: Tensor(v.data.copy()) for k, v in p.items()})
-            return validate(p, *rest)
+            with around():
+                return validate(p, *rest)
 
         return real_fit(params, examples, chunk_loss, spy, **kw)
 
@@ -425,6 +428,26 @@ def test_val_history_equals_serial_reference(phase, monkeypatch):
     assert [h for h in history if h["split"] == "val"] == want
 
 
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+def test_validation_builds_no_graph(phase, monkeypatch):
+    real_node, guarded = T._node, []
+
+    def node_without_trainable_parent(data, parents, backward):
+        if any(p.requires_grad for p in parents):
+            raise AssertionError("validation built a graph node on a trainable tensor")
+        return real_node(data, parents, backward)
+
+    @contextmanager
+    def no_graph():  # training steps outside validation still build their graphs
+        guarded.append(True)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_node", node_without_trainable_parent)
+            yield
+
+    history, *_ = _val_pinned_run(phase, monkeypatch, around=no_graph)
+    assert len(guarded) == 3 and len(history) == 6
+
+
 def test_eval_mask_stream_is_derived_once_per_run(monkeypatch):
     calls = []
     real = training.derive_rng
@@ -451,9 +474,16 @@ def test_training_split_of_skipped_sentences_is_training_error():
         pretrain_mlm(dataset, config, MaskPolicy(), cfg)
 
 
-def test_validation_split_of_skipped_sentences_is_training_error():
+def test_validation_split_of_skipped_sentences_is_training_error(monkeypatch):
+    # nothing in the split can be scored: refused before a training step runs
     dataset = replace(template_dataset(), val=[LabeledExample((CLS_ID,), 0)] * 3)
     config = EncoderConfig(vocab_size=14, layers=1, hidden=8, heads=2, ff=16, max_len=8)
     cfg = TrainConfig(epochs=2, batch_size=2, seed=1)
-    with pytest.raises(TrainingError, match="validation loss became NaN at epoch 1"):
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(training, "fit", no_fit)
+    message = "^pretrain: no validation sentence has a maskable word$"
+    with pytest.raises(TrainingError, match=message):
         pretrain_mlm(dataset, config, MaskPolicy(), cfg)
