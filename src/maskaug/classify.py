@@ -73,15 +73,14 @@ class CnnConfig:
         layout["fc2_b"] = ((num_labels,), np.zeros)
         return layout
 
-    def logits(self, ops, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng):
+    def logits(self, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng=None, ops=T):
         """(B, num_labels) logits on either op set, as `_head`; an rng trains
         (dropout on), None evaluates."""
-        widths = self.filter_widths
         x = ops.conv_max_pool(
-            params["emb"], [params[f"conv{w}_w"] for w in widths],
-            [params[f"conv{w}_b"] for w in widths], token_ids, lengths, widths,
-        )  # (B, F·len(widths))
-        return self._head(ops, params, x, rng)
+            params["emb"], [params[f"conv{w}_w"] for w in self.filter_widths],
+            [params[f"conv{w}_b"] for w in self.filter_widths], token_ids, lengths,
+        )  # (B, F·len(filter_widths))
+        return self._head(params, x, rng, ops)
 
     def deletion_logits(
         self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
@@ -103,12 +102,12 @@ class CnnConfig:
         pooled = []
         for k in self.filter_widths:
             gather, pool = _deletion_windows(len(tokens), k)
-            feat = arrays["emb"][padded[gather]].reshape(len(gather), -1) @ arrays[f"conv{k}_w"]
-            feat += arrays[f"conv{k}_b"]
-            pooled.append(np.maximum(feat, 0.0)[pool[sentences]].max(axis=1))
-        return self._head(T.ArrayOps, arrays, np.concatenate(pooled, axis=-1), None)
+            windows = arrays["emb"][padded[gather]].reshape(len(gather), -1)
+            feat = T._conv_features(windows, arrays[f"conv{k}_w"], arrays[f"conv{k}_b"])
+            pooled.append(feat[pool[sentences]].max(axis=1))
+        return self._head(arrays, np.concatenate(pooled, axis=-1), ops=T.ArrayOps)
 
-    def _head(self, ops, params: Mapping, x, rng):
+    def _head(self, params: Mapping, x, rng=None, ops=T):
         """The two-layer ReLU head over the pooled features, on either op
         set: `maskaug.tensor` with Tensor parameters, `tensor.ArrayOps` with arrays."""
         train = rng is not None
@@ -182,9 +181,9 @@ class RnnConfig:
             "out_b": ((num_labels,), np.zeros),
         }
 
-    def logits(self, ops, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng):
+    def logits(self, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng=None, ops=T):
         emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
-        h = ops.lstm(emb, w_ih, w_hh, b, token_ids, lengths, self.state_dim)  # (B, H) final states
+        h = ops.lstm(emb, w_ih, w_hh, b, token_ids, lengths)  # (B, H) final states
         h = ops.dropout(h, self.dropout, rng, rng is not None)
         return ops.add(ops.matmul(h, params["out_w"]), params["out_b"])
 
@@ -196,7 +195,7 @@ class RnnConfig:
         _check_vocab(max(tokens), params["emb"].shape[0])
         variants = [tokens] + [tokens[:pos] + tokens[pos + 1 :] for pos in positions]
         arrays = {name: param.data for name, param in params.items()}
-        return self.logits(T.ArrayOps, arrays, *_pad_batch(variants, self.min_len), None)
+        return self.logits(arrays, *_pad_batch(variants, self.min_len), ops=T.ArrayOps)
 
 
 # each classifier config class by the kind it names, as sidecars and --classifier spell it
@@ -248,7 +247,7 @@ def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.nd
     _check_vocab(max(max(ex.tokens) for ex in examples), clf.vocab_size)
     token_ids, lengths = _pad_batch([ex.tokens for ex in examples], clf.config.min_len)
     arrays = {name: param.data for name, param in clf.params.items()}
-    return clf.config.logits(T.ArrayOps, arrays, token_ids, lengths, None)
+    return clf.config.logits(arrays, token_ids, lengths, ops=T.ArrayOps)
 
 
 def predict_proba(clf: Classifier, example: LabeledExample) -> np.ndarray:
@@ -291,7 +290,7 @@ def train_classifier(
     def chunk_loss(params, chunk, rng):
         token_ids, lengths = _pad_batch([ex.tokens for ex in chunk], cfg.min_len)
         labels = np.array([ex.label for ex in chunk], dtype=np.int64)
-        logits = cfg.logits(T, params, token_ids, lengths, rng)
+        logits = cfg.logits(params, token_ids, lengths, rng)
         loss, _ = T.cross_entropy(logits, labels)
         return loss, len(chunk), float((logits.data.argmax(axis=1) == labels).mean())
 

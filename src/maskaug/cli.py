@@ -261,8 +261,8 @@ def cmd_finetune(args, out: Path) -> None:
 
 
 def _augment_policy(args: argparse.Namespace, arms) -> AugmentationPolicy:
-    """The policy of the `arms` augmenters, checked before any file is read.
-    The sampler flags apply only when some arm is a model (cbert or bert)."""
+    """The policy of the `arms` augmenters, checked before any file is read: the
+    sampler flags need a cbert or bert arm, --k and --multiplier an arm other than none."""
     if args.sampler != "top_k" and args.top_k != _default("top_k"):
         raise ValueError("--top-k applies only to --sampler top_k")
     keep = getattr(args, "keep_original", False)  # augment's switch, off by default
@@ -271,9 +271,13 @@ def _augment_policy(args: argparse.Namespace, arms) -> AugmentationPolicy:
         if moved or keep:
             flag = (moved or ["keep_original"])[0].replace("_", "-")
             raise ValueError(f"--{flag} applies only to the cbert and bert augmenters")
-    return _config(
+    policy = _config(
         AugmentationPolicy, args, k=_parse_k(args.k), exclude_original=not keep, seed=args.seed
     )
+    moved = [d for d in ("k", "multiplier") if getattr(policy, d) != _default(d)]
+    if moved and not {"cbert", "bert", "synonym"} & set(arms):
+        raise ValueError(f"--{moved[0]} applies only to the cbert, bert and synonym augmenters")
+    return policy
 
 
 def _augmenter(args: argparse.Namespace, vocab, policy, name: str, model_flag: str):

@@ -583,8 +583,8 @@ def _dropout_keep(shape, p: float, rng: np.random.Generator | None, train: bool)
 # ---------------------------------------------------------------------------
 
 
-def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
-    """Final hidden state (B, H) of a one-layer LSTM over right-padded ids.
+def lstm(emb, w_ih, w_hh, b, ids, lengths) -> Tensor:
+    """Final hidden state (B, H), H read from the (H, 4H) `w_hh`, of a one-layer LSTM.
 
     The whole sequence is one graph node. The 4H gate axis holds the input,
     forget, candidate and output gates in that order, and each step's
@@ -598,7 +598,7 @@ def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
     emb, w_ih, w_hh, b = (as_tensor(p) for p in (emb, w_ih, w_hh, b))
     ids = np.asarray(ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    d = int(state_dim)
+    d = w_hh.shape[0] if w_hh.ndim else 0
     if (
         emb.ndim != 2 or ids.ndim != 2 or lengths.shape != ids.shape[:1]
         or w_ih.shape != (emb.shape[1], 4 * d) or w_hh.shape != (d, 4 * d)
@@ -606,7 +606,7 @@ def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> Tensor:
     ):
         raise ValueError(
             f"lstm shapes disagree: emb {emb.shape}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
-            f"b {b.shape}, ids {ids.shape}, lengths {lengths.shape}, state_dim {d}"
+            f"b {b.shape}, ids {ids.shape}, lengths {lengths.shape}"
         )
     _check_ids(ids, emb.data.shape[0])
     n, t = ids.shape
@@ -747,16 +747,22 @@ def _attention_value(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rn
     return out, (x2, q, k, v, s, attn, keep, dropped, ctx)
 
 
-def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
-                  widths: Sequence[int]) -> Tensor:
-    """Max-over-time pooled convolution features (Kim, arXiv 1408.5882) of
-    right-padded ids as one graph node: (B, F·len(widths)).
+def _conv_features(windows: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """ReLU(windows @ weight + bias): one filter, as conv_max_pool and deletion_logits run it."""
+    feat = windows @ weight
+    feat += bias
+    return np.maximum(feat, 0.0, out=feat)
 
-    For each width w the (B, T-w+1, w·E) windows of the gathered embeddings
-    go through one folded GEMM with the (w·E, F) filter, the bias and a
-    ReLU. Windows that start past a row's length get `MASK_NEG`, so they
-    never win the max; a row shorter than w keeps its first window. The
-    backward pass is hand-written (the fused-kernel idea of Dao et al.,
+
+def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths) -> Tensor:
+    """Max-over-time pooled convolution features (Kim, arXiv 1408.5882) of
+    right-padded ids as one graph node: (B, F·len(weights)).
+
+    Each filter's width w is read from its (w·E, F) weight: its (B, T-w+1,
+    w·E) windows of the gathered embeddings go through `_conv_features` as
+    one folded GEMM. Windows that start past a row's length get `MASK_NEG`,
+    so they never win the max; a row shorter than w keeps its first window.
+    The backward pass is hand-written (the fused-kernel idea of Dao et al.,
     arXiv 2205.14135). Each product and sum is the one the per-op graph of
     unfold_windows, matmul, add, relu, add, reduce_max and concat makes, in
     the same order, so the value and every gradient equal it bit for bit.
@@ -766,48 +772,43 @@ def conv_max_pool(table, weights: Sequence, biases: Sequence, ids, lengths,
     biases = tuple(as_tensor(b) for b in biases)
     ids = np.asarray(ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    widths = tuple(int(w) for w in widths)
-    if table.ndim == 2 and weights and weights[0].ndim == 2:
-        e, f = table.shape[1], weights[0].shape[1]
+    e = table.shape[1] if table.ndim == 2 else 0
+    widths = [w.shape[0] // e if e and w.ndim == 2 else 0 for w in weights]
     if (
         table.ndim != 2 or ids.ndim != 2 or lengths.shape != ids.shape[:1] or not widths
-        or not weights or weights[0].ndim != 2 or len(weights) != len(widths)
-        or len(biases) != len(widths) or min(widths) < 1 or max(widths) > ids.shape[1]
-        or any(w.shape != (k * e, f) for w, k in zip(weights, widths))
-        or any(b.shape != (f,) for b in biases)
+        or min(widths) < 1 or max(widths) > ids.shape[1] or len(biases) != len(weights)
+        or any(w.shape != (k * e, weights[0].shape[1]) for w, k in zip(weights, widths))
+        or any(b.shape != weights[0].shape[1:] for b in biases)
     ):
         raise ValueError(
             f"conv_max_pool shapes disagree: table {table.shape}, weights "
             f"{[w.shape for w in weights]}, biases {[b.shape for b in biases]}, "
-            f"ids {ids.shape}, lengths {lengths.shape}, widths {widths}"
+            f"ids {ids.shape}, lengths {lengths.shape}"
         )
     _check_ids(ids, table.data.shape[0])
-    b, t = ids.shape
+    (b, t), f = ids.shape, weights[0].shape[1]
     emb = table.data[ids]  # (B, T, E)
     rows, cols = np.arange(b)[:, None], np.arange(f)[None, :]
     pooled, saved = [], []
     for k, weight, bias in zip(widths, weights, biases):
         n = t - k + 1
         win2 = unfold_windows(emb, k).data.reshape(-1, k * e)
-        pre = (win2 @ weight.data).reshape(b, n, f)
-        pre += bias.data
+        feat = _conv_features(win2, weight.data, bias.data).reshape(b, n, f)
         n_valid = np.maximum(lengths - k + 1, 1)
         invalid = np.arange(n)[None, :] >= n_valid[:, None]
-        feat = np.maximum(pre, 0.0)
         feat += np.where(invalid, MASK_NEG, 0.0)[:, :, None]
         pooled.append(feat.max(axis=1))
-        saved.append((win2, pre, feat))  # the argmax waits for a backward pass
+        saved.append((win2, feat))  # the argmax waits for a backward pass
 
     def _bwd(g):
         gemb = None
-        for i, (k, weight, bias, (win2, pre, feat)) in enumerate(
-            zip(widths, weights, biases, saved)
-        ):
+        for i, (k, weight, bias, (win2, feat)) in enumerate(zip(widths, weights, biases, saved)):
             n = t - k + 1
-            # each pooled gradient goes to the first window attaining the max, then the ReLU
+            # each pooled gradient goes to the first window attaining the max, then the
+            # ReLU: a row's max is a valid window's, where the mask added nothing
             at = (rows, feat.argmax(axis=1), cols)
             gf = np.zeros((b, n, f))
-            gf[at] = g[:, i * f : (i + 1) * f] * (pre[at] > 0.0)
+            gf[at] = g[:, i * f : (i + 1) * f] * (feat[at] > 0.0)
             _accumulate(bias, gf.sum(axis=(0, 1)))
             g2 = gf.reshape(-1, f)
             if weight.requires_grad:
@@ -880,9 +881,9 @@ class ArrayOps:
         return _attention_value(x, wq, bq, wk, bk, wv, bv, wo, bo, score_bias, heads, p, rng)[0]
 
     @staticmethod
-    def lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim: int) -> np.ndarray:
-        return lstm(emb, w_ih, w_hh, b, ids, lengths, state_dim).data
+    def lstm(emb, w_ih, w_hh, b, ids, lengths) -> np.ndarray:
+        return lstm(emb, w_ih, w_hh, b, ids, lengths).data
 
     @staticmethod
-    def conv_max_pool(table, weights, biases, ids, lengths, widths) -> np.ndarray:
-        return conv_max_pool(table, weights, biases, ids, lengths, widths).data
+    def conv_max_pool(table, weights, biases, ids, lengths) -> np.ndarray:
+        return conv_max_pool(table, weights, biases, ids, lengths).data

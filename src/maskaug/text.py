@@ -35,10 +35,13 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """token<->id maps; ids 0-3 are always pad/unk/mask/cls."""
+    """token<->id maps, `token_to_id` built from `id_to_token`; ids 0-3 are pad/unk/mask/cls."""
 
     id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int] = field(repr=False)
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.id_to_token)})
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -53,11 +56,6 @@ class Vocabulary:
         if not 0 <= idx < len(self.id_to_token):
             raise IndexError(f"token id {idx} out of range [0, {len(self.id_to_token)})")
         return self.id_to_token[idx]
-
-
-def _make_vocab(tokens: Sequence[str]) -> Vocabulary:
-    id_to_token = SPECIAL_TOKENS + tuple(tokens)
-    return Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)})
 
 
 def build_vocab(
@@ -83,7 +81,7 @@ def build_vocab(
     kept.sort(key=lambda item: (-item[1], item[0]))
     if max_size is not None:
         kept = kept[: max_size - NUM_SPECIALS]
-    return _make_vocab([tok for tok, _ in kept])
+    return Vocabulary(SPECIAL_TOKENS + tuple(tok for tok, _ in kept))
 
 
 def encode(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
@@ -153,7 +151,7 @@ def load_vocab(path) -> Vocabulary:
         if token in seen:  # a second id for it would leave the first one unused
             raise ParseError(f"{path}:{lineno}: {token!r} is listed twice")
         seen.add(token)
-    return _make_vocab(lines[NUM_SPECIALS:])
+    return Vocabulary(tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,8 @@ def _train_masked_lm(
 
     def chunk_loss(params, chunk, rng):
         batch = collate_masked(chunk, policy, vocab_size, mask_rng, label_conditions)
-        if batch is None:
-            return None
-        loss, scored, acc = masked_loss(params, config, batch, rng)
-        return (loss, scored, acc) if scored else None
+        # collate_masked drops the rows without a target, so a batch always scores
+        return None if batch is None else masked_loss(params, config, batch, rng)
 
     def validate(params, epoch, train_loss, train_acc):
         history.append(

@@ -199,8 +199,8 @@ def test_array_logits_equal_the_graph_logits_bit_for_bit(cfg, mode):
     def dropout_rng():
         return np.random.default_rng(9) if mode == "train" else None
 
-    want = cfg.logits(T, params, token_ids, lengths, dropout_rng())
-    got = cfg.logits(T.ArrayOps, arrays, token_ids, lengths, dropout_rng())
+    want = cfg.logits(params, token_ids, lengths, dropout_rng())
+    got = cfg.logits(arrays, token_ids, lengths, dropout_rng(), ops=T.ArrayOps)
     assert isinstance(got, np.ndarray) and got.shape == (len(rows), 3)
     assert got.tobytes() == want.data.tobytes()
 
@@ -321,8 +321,8 @@ class TestCnn:
         s1 = np.array([[ALPHA, BETA, ALPHA, BETA, ALPHA]])
         s2 = np.array([[BETA, ALPHA, BETA, ALPHA, BETA]])
         lengths = np.array([5])
-        l1 = cfg.logits(T, params, s1, lengths, None).data
-        l2 = cfg.logits(T, params, s2, lengths, None).data
+        l1 = cfg.logits(params, s1, lengths).data
+        l2 = cfg.logits(params, s2, lengths).data
         assert np.array_equal(l1, l2)
 
     @pytest.mark.parametrize("widths", [(1,), (3, 4, 5), (2, 7)], ids=str)
@@ -413,9 +413,7 @@ class TestRnn:
         weights = np.random.default_rng(2).normal(size=(len(lengths), 3))
 
         def states(ps):
-            return T.lstm(
-                ps["emb"], ps["w_ih"], ps["w_hh"], ps["b"], token_ids, lengths, cfg.state_dim
-            )
+            return T.lstm(ps["emb"], ps["w_ih"], ps["w_hh"], ps["b"], token_ids, lengths)
 
         def run(arrays):
             ps = dict(zip(names, (Tensor(a) for a in arrays)))

@@ -1062,6 +1062,14 @@ class TestErrorCategories:
                              id=f"ab-synonym{'-'.join(flags)}")
                 for flags in (["--sampler", "greedy"], ["--top-k", "3"], ["--temperature", "0.5"])
             ],
+            # with no augmenting arm, the augmentation width and pass count do nothing
+            *[
+                pytest.param("ab-experiment", ["--arms", "none", *flags, *ABSENT_INPUTS,
+                                               "--test", "absent.tsv"],
+                             f"{flags[0]} applies only to the cbert, bert and synonym augmenters",
+                             id=f"ab-none{'-'.join(flags)}")
+                for flags in (["--k", "3"], ["--k", "2,4"], ["--multiplier", "2"])
+            ],
         ],
     )
     def test_bad_value_is_one_line_config_error(

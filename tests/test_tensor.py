@@ -387,10 +387,10 @@ def lstm_inputs(vocab, batch, steps, emb_dim, state_dim, seed):
     return arrays, ids, lengths, rng.normal(size=(batch, state_dim))
 
 
-def per_step_lstm(params, state_dim, ids, lengths):
+def per_step_lstm(params, ids, lengths):
     """The LSTM as one small graph per time step: the formula T.lstm fuses."""
     emb, w_ih, w_hh, b = params
-    d = state_dim
+    d = w_hh.shape[0]
     h = Tensor(np.zeros((ids.shape[0], d)))
     c = Tensor(np.zeros((ids.shape[0], d)))
     for step in range(ids.shape[1]):
@@ -414,7 +414,7 @@ class TestLstm:
         arrays, ids, lengths, w = lstm_inputs(vocab=7, batch=4, steps=4, emb_dim=3,
                                               state_dim=2, seed=12)
         err = check_gradients(
-            lambda xs: weighted_sum(T.lstm(*xs, ids, lengths, 2), w), arrays
+            lambda xs: weighted_sum(T.lstm(*xs, ids, lengths), w), arrays
         )
         assert err < GRAD_TOL
 
@@ -424,8 +424,8 @@ class TestLstm:
                                               state_dim=64, seed=vocab + steps)
         fused = [Tensor(a, requires_grad=True) for a in arrays]
         stepped = [Tensor(a, requires_grad=True) for a in arrays]
-        out = T.lstm(*fused, ids, lengths, 64)
-        want = per_step_lstm(stepped, 64, ids, lengths)
+        out = T.lstm(*fused, ids, lengths)
+        want = per_step_lstm(stepped, ids, lengths)
         weighted_sum(out, g).backward()
         weighted_sum(want, g).backward()
         assert out._parents == tuple(fused)  # the whole recurrence is one node
@@ -437,9 +437,9 @@ class TestLstm:
     def test_padding_leaves_the_state_unchanged(self):
         arrays, ids, lengths, _ = lstm_inputs(vocab=9, batch=5, steps=6, emb_dim=3,
                                               state_dim=2, seed=13)
-        short = T.lstm(*arrays, ids[:, :4], np.minimum(lengths, 4), 2).data
+        short = T.lstm(*arrays, ids[:, :4], np.minimum(lengths, 4)).data
         padded = np.concatenate([ids[:, :4], np.zeros((5, 3), dtype=np.int64)], axis=1)
-        longer = T.lstm(*arrays, padded, np.minimum(lengths, 4), 2).data
+        longer = T.lstm(*arrays, padded, np.minimum(lengths, 4)).data
         assert np.max(np.abs(longer - short)) <= 1e-12
 
     @pytest.mark.parametrize("vocab, steps", [(21, 6), (5000, 25)])
@@ -450,19 +450,39 @@ class TestLstm:
 
         def table_grad():
             emb = Tensor(arrays[0], requires_grad=True)
-            weighted_sum(T.lstm(emb, *arrays[1:], ids, lengths, 4), g).backward()
+            weighted_sum(T.lstm(emb, *arrays[1:], ids, lengths), g).backward()
             return emb.grad
 
         shipped = table_grad()
         monkeypatch.setattr(T, "_scatter_rows", add_at_scatter)
         assert shipped.tobytes() == table_grad().tobytes()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda a: a[:2] + [a[2][:, :-1]] + a[3:], id="w_hh-not-h-by-4h"),
+            pytest.param(lambda a: a[:2] + [a[2][:1]] + a[3:], id="w_hh-rows"),
+            pytest.param(lambda a: a[:2] + [a[2][0]] + a[3:], id="w_hh-1d"),
+            pytest.param(lambda a: a[:1] + [a[1][:, :4]] + a[2:], id="w_ih-gates"),
+            pytest.param(lambda a: a[:1] + [a[1][:-1]] + a[2:], id="w_ih-rows"),
+            pytest.param(lambda a: a[:3] + [a[3][:-1]], id="b-short"),
+        ],
+    )
+    def test_bad_shapes_raise_one_error_naming_them(self, edit):
+        arrays, ids, lengths, _ = lstm_inputs(vocab=5, batch=2, steps=3, emb_dim=2,
+                                              state_dim=2, seed=14)
+        arrays = edit(arrays)
+        for lstm in (T.lstm, T.ArrayOps.lstm):
+            with pytest.raises(ValueError, match=r"lstm shapes disagree: emb .* w_ih .* "
+                                                 r"w_hh .* b .* ids .* lengths"):
+                lstm(*arrays, ids, lengths)
+
     def test_out_of_range_id(self):
         arrays, ids, lengths, _ = lstm_inputs(vocab=5, batch=2, steps=3, emb_dim=2,
                                               state_dim=2, seed=14)
         ids[1, 0] = 5
         with pytest.raises(IndexError):
-            T.lstm(*arrays, ids, lengths, 2)
+            T.lstm(*arrays, ids, lengths)
 
 
 def attention_inputs(batch, steps, hidden, seed):
@@ -562,13 +582,14 @@ def cnn_inputs(vocab, batch, steps, emb_dim, filters, widths, seed):
     return arrays, ids, lengths, rng.normal(size=(batch, filters * len(widths)))
 
 
-def per_op_cnn(table, weights, biases, ids, lengths, widths):
+def per_op_cnn(table, weights, biases, ids, lengths):
     """The CNN feature extractor as a graph of small ops: the formula
     T.conv_max_pool fuses."""
     t = ids.shape[1]
     emb = T.embedding_lookup(table, ids)  # (B, T, E)
     pooled = []
-    for w, weight, bias in zip(widths, weights, biases):
+    for weight, bias in zip(weights, biases):
+        w = weight.shape[0] // table.shape[1]  # a (w·E, F) filter
         windows = T.unfold_windows(emb, w)  # (B, T-w+1, w*E)
         feat = T.relu(T.add(T.matmul(windows, weight), bias))
         n_valid = np.maximum(lengths - w + 1, 1)
@@ -591,7 +612,7 @@ class TestConvMaxPool:
 
         def build(xs):
             table, weights, biases = split_cnn(xs, widths)
-            return weighted_sum(T.conv_max_pool(table, weights, biases, ids, lengths, widths), w)
+            return weighted_sum(T.conv_max_pool(table, weights, biases, ids, lengths), w)
 
         assert check_gradients(build, arrays) < GRAD_TOL
 
@@ -606,8 +627,8 @@ class TestConvMaxPool:
                                              filters=16, widths=widths, seed=steps + len(widths))
         fused = [Tensor(a, requires_grad=True) for a in arrays]
         per_op = [Tensor(a, requires_grad=True) for a in arrays]
-        out = T.conv_max_pool(*split_cnn(fused, widths), ids, lengths, widths)
-        want = per_op_cnn(*split_cnn(per_op, widths), ids, lengths, widths)
+        out = T.conv_max_pool(*split_cnn(fused, widths), ids, lengths)
+        want = per_op_cnn(*split_cnn(per_op, widths), ids, lengths)
         assert out._parents == tuple(fused)  # the whole extractor is one node
         assert np.array_equal(out.data, want.data)
         weighted_sum(out, g).backward()
@@ -618,30 +639,33 @@ class TestConvMaxPool:
     @pytest.mark.parametrize(
         "edit",
         [
-            pytest.param(lambda a, ids, lens, w: ([a[0][0]] + a[1:], ids, lens, w), id="table-1d"),
-            pytest.param(lambda a, ids, lens, w: (a[:1] + [a[1][:-1]] + a[2:], ids, lens, w),
+            pytest.param(lambda a, ids, lens: ([a[0][0]] + a[1:], ids, lens), id="table-1d"),
+            pytest.param(lambda a, ids, lens: (a[:1] + [a[1][:-1]] + a[2:], ids, lens),
                          id="weight-rows"),
-            pytest.param(lambda a, ids, lens, w: (a[:2] + [a[2][:, :2]] + a[3:], ids, lens, w),
+            # fewer rows than E: a filter of width 0
+            pytest.param(lambda a, ids, lens: (a[:1] + [a[1][:2]] + a[2:], ids, lens),
+                         id="weight-rows-under-emb-dim"),
+            pytest.param(lambda a, ids, lens: (a[:2] + [a[2][:, :2]] + a[3:], ids, lens),
                          id="filters-differ"),
-            pytest.param(lambda a, ids, lens, w: (a[:3] + [a[3][:2]] + a[4:], ids, lens, w),
+            pytest.param(lambda a, ids, lens: (a[:3] + [a[3][:2]] + a[4:], ids, lens),
                          id="bias-short"),
-            pytest.param(lambda a, ids, lens, w: (a[:4], ids, lens, w), id="bias-missing"),
-            pytest.param(lambda a, ids, lens, w: (a, ids[0], lens, w), id="ids-1d"),
-            pytest.param(lambda a, ids, lens, w: (a, ids, lens[:1], w), id="lengths-short"),
-            pytest.param(lambda a, ids, lens, w: (a, ids[:, :2], lens, w),
+            pytest.param(lambda a, ids, lens: (a[:4] + [np.append(a[4], 0.0)], ids, lens),
+                         id="bias-long"),
+            pytest.param(lambda a, ids, lens: (a[:4], ids, lens), id="bias-missing"),
+            pytest.param(lambda a, ids, lens: (a, ids[0], lens), id="ids-1d"),
+            pytest.param(lambda a, ids, lens: (a, ids, lens[:1]), id="lengths-short"),
+            pytest.param(lambda a, ids, lens: (a, ids[:, :2], lens),
                          id="ids-shorter-than-width"),
-            pytest.param(lambda a, ids, lens, w: (a, ids, lens, ()), id="no-widths"),
-            pytest.param(lambda a, ids, lens, w: (a, ids, lens, (0, 3)), id="width-0"),
         ],
     )
     def test_bad_shapes_raise_one_error_naming_them(self, edit):
-        widths = (2, 3)
         arrays, ids, lengths, _ = cnn_inputs(vocab=7, batch=2, steps=4, emb_dim=3, filters=4,
-                                             widths=widths, seed=21)
-        arrays, ids, lengths, widths = edit(arrays, ids, lengths, widths)
-        with pytest.raises(ValueError, match=r"conv_max_pool shapes disagree: table .* "
-                                             r"weights .* biases .* ids .* lengths .* widths"):
-            T.conv_max_pool(arrays[0], arrays[1:3], arrays[3:], ids, lengths, widths)
+                                             widths=(2, 3), seed=21)
+        arrays, ids, lengths = edit(arrays, ids, lengths)
+        for conv_max_pool in (T.conv_max_pool, T.ArrayOps.conv_max_pool):
+            with pytest.raises(ValueError, match=r"conv_max_pool shapes disagree: table .* "
+                                                 r"weights .* biases .* ids .* lengths"):
+                conv_max_pool(arrays[0], arrays[1:3], arrays[3:], ids, lengths)
 
     @pytest.mark.parametrize("bad_id", [-1, 7])
     def test_out_of_range_id(self, bad_id):
@@ -649,7 +673,7 @@ class TestConvMaxPool:
                                              widths=(2,), seed=23)
         ids[1, 0] = bad_id
         with pytest.raises(IndexError):
-            T.conv_max_pool(arrays[0], arrays[1:2], arrays[2:], ids, lengths, (2,))
+            T.conv_max_pool(arrays[0], arrays[1:2], arrays[2:], ids, lengths)
 
 
 class TestGraph:

@@ -70,6 +70,12 @@ class TestBuildVocab:
         b = build_vocab(corpus)
         assert a.id_to_token == b.id_to_token
 
+    def test_token_to_id_is_derived_from_id_to_token(self):
+        vocab = text.Vocabulary(text.SPECIAL_TOKENS + ("cat", "dog"))
+        assert vocab.token_to_id == {t: i for i, t in enumerate(vocab.id_to_token)}
+        with pytest.raises(TypeError):  # a second map that could disagree is not taken
+            text.Vocabulary(vocab.id_to_token, {"cat": 0})
+
 
 class TestEncodeDecode:
     @pytest.fixture
