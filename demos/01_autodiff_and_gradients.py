@@ -6,7 +6,7 @@ import numpy as np
 
 from maskaug import tensor as T
 from maskaug.gradcheck import check_gradients
-from maskaug.optim import adam_step, init_adam
+from maskaug.optim import AdamState, adam_step
 from maskaug.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -34,8 +34,9 @@ for name, build, shapes in [
 print("softmax([1000, 0]) =", T.softmax(Tensor([1000.0, 0.0])).data)
 
 # Adam walks a quadratic bowl to the bottom. The optimizer state owns a copy
-# of the parameters; each adam_step takes their .grad and updates them in place.
-state = init_adam({"p": Tensor(np.array([2.0, -1.5, 0.5]))}, lr=0.1)
+# of the parameters; each adam_step takes their .grad and updates them in place
+# (adam_step(state, clip_norm) also clips the gradients to that global norm).
+state = AdamState({"p": Tensor(np.array([2.0, -1.5, 0.5]))}, lr=0.1)
 p = state.params["p"]
 for step in range(120):
     bowl = T.reduce_sum(T.mul(p, p))

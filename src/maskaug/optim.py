@@ -1,12 +1,13 @@
 """Adam with bias correction, updated in place over one flat arena.
 
-`init_adam` copies the parameters into one contiguous float64 buffer and
+`AdamState` copies the parameters into one contiguous float64 buffer and
 hands out, per name, a trainable Tensor whose data views into it; the
-gradient and both moments live in buffers of the same layout. Each step,
-`clip_by_global_norm` (optional) and `adam_step` first move every
-parameter's `.grad` into its gradient view, then work on the whole buffers
-with no per-step allocation. The elementwise operations and their order are
-those of the per-tensor formula, so the parameters keep their bits.
+gradient and both moments live in buffers of the same layout. Each step is
+one `adam_step(state, clip_norm)` call: it moves every parameter's `.grad`
+into its gradient view, rescales the gradients with `clip_by_global_norm`
+when `clip_norm` is set, then updates the whole buffers with no per-step
+allocation. The elementwise operations and their order are those of the
+per-tensor formula, so the parameters keep their bits.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ class AdamState:
         self.step = 0
         self._shapes = [p.data.shape for p in params.values()]
         size = sum(math.prod(shape) for shape in self._shapes)
-        self._flat, self._grad = np.empty(size), np.empty(size)
+        self._flat, self._grad = np.empty(size), np.zeros(size)
         self._m, self._v = np.zeros(size), np.zeros(size)
         self._scratch = np.empty((2, size))
-        self._grads_taken = False
         self.params: dict[str, Tensor] = {}
         for (name, p), view in zip(params.items(), _views(self._flat, self._shapes)):
             view[...] = p.data
@@ -64,29 +64,8 @@ class AdamState:
         return {name: Tensor(view, requires_grad=True) for name, view in zip(self.params, views)}
 
 
-def init_adam(params: Mapping[str, Tensor], lr: float = 1e-3) -> AdamState:
-    """An arena holding a copy of `params`, with zero moments; train `state.params`."""
-    return AdamState(params, lr)
-
-
-def _take_grads(state: AdamState) -> None:
-    """Move each parameter's `.grad` into its gradient view, once per step."""
-    if state._grads_taken:
-        return
-    for (name, p), view in zip(state.params.items(), state.grads.values()):
-        g = p.grad
-        if g is None or g.shape != view.shape:
-            got = None if g is None else g.shape
-            raise ValueError(f"gradient for '{name}' is {got}, parameter shape is {view.shape}")
-        view[...] = g
-        p.grad = None
-    state._grads_taken = True
-
-
 def clip_by_global_norm(state: AdamState, max_norm: float) -> None:
-    """Take this step's gradients into the arena and rescale them in place so
-    their joint L2 norm is at most max_norm."""
-    _take_grads(state)
+    """Rescale the arena's gradients in place so their joint L2 norm is at most max_norm."""
     np.multiply(state._grad, state._grad, out=state._scratch[0])
     # summed view by view in name order, as the per-tensor norm was, so the factor keeps its
     # bits; np.add.reduce is np.sum without its Python-level wrapper
@@ -96,15 +75,23 @@ def clip_by_global_norm(state: AdamState, max_norm: float) -> None:
     state._grad *= max_norm / norm
 
 
-def adam_step(state: AdamState) -> None:
+def adam_step(state: AdamState, clip_norm: float | None = None) -> None:
     """One bias-corrected Adam update of the parameters, in place.
 
-    Takes this step's gradients first, unless `clip_by_global_norm` already
-    did. Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), then
+    Moves each parameter's `.grad` into the arena (and clears it), clips the
+    gradients to joint norm `clip_norm` unless it is None, then per element:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), and
     p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
     """
-    _take_grads(state)
-    state._grads_taken = False
+    for (name, p), view in zip(state.params.items(), state.grads.values()):
+        g = p.grad
+        if g is None or g.shape != view.shape:
+            got = None if g is None else g.shape
+            raise ValueError(f"gradient for '{name}' is {got}, parameter shape is {view.shape}")
+        view[...] = g
+        p.grad = None
+    if clip_norm is not None:
+        clip_by_global_norm(state, clip_norm)
     state.step += 1
     t = state.step
     g, m, v = state._grad, state._m, state._v

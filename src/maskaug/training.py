@@ -27,7 +27,7 @@ from .encoder import (
     init_params,
     swap_condition_table,
 )
-from .optim import adam_step, clip_by_global_norm, init_adam
+from .optim import AdamState, adam_step
 from .seeding import derive_rng
 from .tensor import Tensor
 from .text import Dataset, LabeledExample, MASK_ID, NUM_SPECIALS, pad_rows, write_text
@@ -221,7 +221,7 @@ def fit(
     epoch with no step raises TrainingError.
     """
     # the arena trains a copy: backward() never deposits gradients on caller tensors
-    state = init_adam(params, lr=lr)
+    state = AdamState(params, lr)
     params = state.params
     shuffle_rng = derive_rng(seed, phase, "shuffle")
     drop_rng = derive_rng(seed, phase, "dropout")
@@ -251,9 +251,7 @@ def fit(
                 missing = [k for k, p in params.items() if p.grad is None]
                 if missing:
                     raise TrainingError(f"{phase}: no gradient for {missing}")
-                if clip_norm is not None:
-                    clip_by_global_norm(state, clip_norm)
-                adam_step(state)  # updates `params` in place
+                adam_step(state, clip_norm)  # updates `params` in place
 
         if not rows:
             raise TrainingError(f"{phase}: epoch {epoch} made no training step")

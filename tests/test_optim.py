@@ -4,7 +4,7 @@ import pytest
 from maskaug import tensor as T
 from maskaug.checkpoint import draw_params
 from maskaug.encoder import EncoderConfig, param_layout
-from maskaug.optim import BETA1, BETA2, EPS, adam_step, clip_by_global_norm, init_adam
+from maskaug.optim import BETA1, BETA2, EPS, AdamState, adam_step, clip_by_global_norm
 from maskaug.tensor import Tensor
 
 
@@ -41,7 +41,7 @@ def set_grads(state, grads):
 
 class TestAdam:
     def test_zero_gradient_leaves_params_bitwise_unchanged(self):
-        state = init_adam(make_params({"w": [[1.5, -2.0], [0.25, 3.0]]}), lr=0.1)
+        state = AdamState(make_params({"w": [[1.5, -2.0], [0.25, 3.0]]}), lr=0.1)
         before = state.params["w"].data.copy()
         set_grads(state, {"w": np.zeros((2, 2))})
         adam_step(state)
@@ -49,14 +49,14 @@ class TestAdam:
         assert state.step == 1
 
     def test_first_step_moves_by_learning_rate(self):
-        state = init_adam(make_params({"w": [1.0]}), lr=0.1)
+        state = AdamState(make_params({"w": [1.0]}), lr=0.1)
         set_grads(state, {"w": np.array([1.0])})
         adam_step(state)
         # bias correction makes the first update exactly lr / (1 + eps)
         assert state.params["w"].data[0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
     def test_quadratic_bowl_converges(self):
-        state = init_adam(make_params({"p": [1.0, -0.6, 0.3]}), lr=0.1)
+        state = AdamState(make_params({"p": [1.0, -0.6, 0.3]}), lr=0.1)
         p = state.params["p"]
         for _ in range(100):
             T.reduce_sum(T.mul(p, p)).backward()
@@ -68,7 +68,7 @@ class TestAdam:
         config = EncoderConfig(vocab_size=30, layers=1, hidden=8, heads=2, ff=16, max_len=8)
         rng = np.random.default_rng(0)
         start = draw_params(param_layout(config), rng)
-        state = init_adam(start, lr=3e-3)
+        state = AdamState(start, lr=3e-3)
         ref_p = {k: p.data.copy() for k, p in start.items()}
         ref_m = {k: np.zeros_like(p) for k, p in ref_p.items()}
         ref_v = {k: np.zeros_like(p) for k, p in ref_p.items()}
@@ -82,8 +82,7 @@ class TestAdam:
                 clipped = reference_clip(grads, 1.0)
                 clipped_steps += any(clipped[k] is not grads[k] for k in grads)
                 grads = clipped
-                clip_by_global_norm(state, 1.0)
-            adam_step(state)
+            adam_step(state, 1.0 if clip else None)
             ref_p, ref_m, ref_v = reference_adam(ref_p, grads, ref_m, ref_v, step, 3e-3)
             for k in ref_p:
                 assert np.array_equal(state.params[k].data, ref_p[k]), (step, k)
@@ -94,7 +93,7 @@ class TestAdam:
 
     def test_init_copies_and_never_touches_the_callers_tensors(self):
         params = make_params({"a": [[1.0, 2.0]], "b": [3.0]})
-        state = init_adam(params, lr=0.1)
+        state = AdamState(params, lr=0.1)
         assert list(state.params) == ["a", "b"]
         p = state.params["a"]
         T.reduce_sum(T.mul(p, p)).backward()
@@ -104,13 +103,13 @@ class TestAdam:
         assert params["a"].grad is None and params["b"].grad is None
 
     def test_shape_mismatch(self):
-        state = init_adam(make_params({"w": np.zeros((2, 3))}))
+        state = AdamState(make_params({"w": np.zeros((2, 3))}), lr=1e-3)
         state.params["w"].grad = np.zeros(3)  # would broadcast into the view
         with pytest.raises(ValueError, match="'w'"):
             adam_step(state)
 
     def test_missing_gradient_is_named(self):
-        state = init_adam(make_params({"a": [1.0], "b": [2.0]}))
+        state = AdamState(make_params({"a": [1.0], "b": [2.0]}), lr=1e-3)
         state.params["a"].grad = np.ones(1)
         with pytest.raises(ValueError, match="'b' is None"):
             adam_step(state)
@@ -122,23 +121,40 @@ class TestClipping:
         return float(np.sqrt(sum(float(np.sum(g * g)) for g in state.grads.values())))
 
     def test_cap_applied(self):
-        state = init_adam(make_params({"a": [0.0, 0.0]}))
+        state = AdamState(make_params({"a": [0.0, 0.0]}), lr=1e-3)
         set_grads(state, {"a": np.array([3.0, 4.0])})  # norm 5
-        clip_by_global_norm(state, 1.0)
+        adam_step(state, 1.0)
         assert self.norm(state) == pytest.approx(1.0)
 
     def test_below_cap_untouched(self):
-        state = init_adam(make_params({"a": [0.0, 0.0]}))
+        state = AdamState(make_params({"a": [0.0, 0.0]}), lr=1e-3)
         set_grads(state, {"a": np.array([0.3, 0.4])})
-        clip_by_global_norm(state, 1.0)
+        adam_step(state, 1.0)
         assert np.array_equal(state.grads["a"], [0.3, 0.4])
 
     def test_adam_step_uses_the_clipped_gradient_once(self):
-        state = init_adam(make_params({"a": [0.0, 0.0]}), lr=0.1)
+        state = AdamState(make_params({"a": [0.0, 0.0]}), lr=0.1)
         set_grads(state, {"a": np.array([3.0, 4.0])})
-        clip_by_global_norm(state, 1.0)
-        adam_step(state)
+        adam_step(state, 1.0)
         assert np.allclose(state.m["a"], [0.1 * 0.6, 0.1 * 0.8])
         # the next step needs fresh gradients again
         with pytest.raises(ValueError, match="None"):
             adam_step(state)
+
+    def test_clipping_alone_leaves_the_next_step_its_own_gradients(self):
+        # a clip outside adam_step rescales only the arena's last gradients: the
+        # step applies everything backward left on the parameters since the last one
+        state = AdamState(make_params({"a": [0.0, 0.0]}), lr=0.1)
+        a = state.params["a"]
+        T.reduce_sum(T.mul(a, Tensor(np.array([3.0, 4.0])))).backward()
+        clip_by_global_norm(state, 1.0)
+        T.reduce_sum(T.mul(a, Tensor(np.array([7.0, 6.0])))).backward()
+        adam_step(state)
+        grads = {"a": np.array([10.0, 10.0])}
+        want_p, want_m, want_v = reference_adam(
+            {"a": np.zeros(2)}, grads, {"a": np.zeros(2)}, {"a": np.zeros(2)}, 0, 0.1
+        )
+        assert np.array_equal(state.grads["a"], grads["a"])
+        assert np.array_equal(state.m["a"], want_m["a"]) and np.array_equal(state.v["a"], want_v["a"])
+        assert np.array_equal(a.data, want_p["a"])
+        assert a.grad is None

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from maskaug import optim
 from maskaug import tensor as T
 from maskaug import training
 from maskaug.encoder import EncoderConfig, forward, init_params
+from maskaug.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from maskaug.seeding import derive_rng
 from maskaug.text import CLS_ID, MASK_ID, NUM_SPECIALS, UNK_ID, Dataset, LabeledExample
 from maskaug.training import (
@@ -332,11 +334,11 @@ def test_fit_shuffles_and_drops_out_from_its_seed_and_phase():
     assert len(draws) == 6 and draws == [dropout.random() for _ in draws]
 
 
-def _fit_on_w(params, chunk_loss, validate, epochs=3):
+def _fit_on_w(params, chunk_loss, validate, epochs=3, clip_norm=1.0):
     examples = [example(1, start=NUM_SPECIALS + i) for i in range(4)]
     return fit(
-        params, examples, chunk_loss, validate,
-        epochs=epochs, batch_size=2, lr=0.1, patience=epochs, clip_norm=1.0, seed=0, phase="probe",
+        params, examples, chunk_loss, validate, epochs=epochs, batch_size=2, lr=0.1,
+        patience=epochs, clip_norm=clip_norm, seed=0, phase="probe",
     )
 
 
@@ -361,6 +363,78 @@ def test_fit_returns_parameters_that_later_steps_do_not_move():
     assert epoch == 1 and len(seen) == 3
     assert np.array_equal(best["w"].data, seen[0])
     assert not np.array_equal(seen[0], seen[2])
+
+
+def _take_clip_step(flat, m, v, grads, step, lr, clip_norm):
+    """The three-call optimizer step on flat copies: take the gradients into one
+    buffer, clip them by their norm summed parameter by parameter, then update
+    with Adam's element operations in their order. Returns (params, m, v, fired)."""
+    g = np.concatenate([grad.ravel() for grad in grads])
+    fired = False
+    if clip_norm is not None:
+        squares, start, total = g * g, 0, 0.0
+        for grad in grads:
+            part = squares[start : start + grad.size].reshape(grad.shape)
+            total += float(np.add.reduce(part, axis=None))
+            start += grad.size
+        norm = float(np.sqrt(total))
+        fired = not (norm <= clip_norm or norm == 0.0)
+        if fired:
+            g = g * (clip_norm / norm)
+    t = step + 1
+    m = m * BETA1 + g * (1.0 - BETA1)
+    v = v * BETA2 + (g * g) * (1.0 - BETA2)
+    update = (m / (1.0 - BETA1**t)) * lr / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
+    return flat - update, m, v, fired
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("clip", ["fires", "quiet", "off"])
+def test_one_adam_step_call_equals_take_clip_step_in_bytes(seed, clip):
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(int(n) for n in rng.integers(1, 60, size=rng.integers(1, 3)))
+              for _ in range(rng.integers(2, 5))]
+    start = {f"p{i}": Tensor(rng.normal(size=shape)) for i, shape in enumerate(shapes)}
+    lr = float(rng.uniform(1e-3, 0.1))
+    clip_norm = {"fires": 0.5, "quiet": 1e6, "off": None}[clip]
+    state = AdamState(start, lr)
+    flat = np.concatenate([p.data.ravel() for p in start.values()])
+    m, v = np.zeros(flat.size), np.zeros(flat.size)
+    for step in range(3):
+        grads = [rng.normal(size=shape) for shape in shapes]  # joint norm well above 0.5
+        for p, grad in zip(state.params.values(), grads):
+            p.grad = grad.copy()
+        adam_step(state, clip_norm)
+        flat, m, v, fired = _take_clip_step(flat, m, v, grads, step, lr, clip_norm)
+        assert fired == (clip == "fires")
+        params = [p.data for p in state.params.values()]
+        for got, want in [(params, flat), (state.m.values(), m), (state.v.values(), v)]:
+            assert np.concatenate([x.ravel() for x in got]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, None])
+def test_fit_calls_the_optimizer_once_per_step(clip_norm, monkeypatch):
+    calls = {"adam_step": 0, "clip_by_global_norm": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(training, "adam_step", counted(optim.adam_step))
+    monkeypatch.setattr(optim, "clip_by_global_norm", counted(optim.clip_by_global_norm))
+    steps = []
+
+    def chunk_loss(params, chunk, rng):
+        steps.append(chunk)
+        return _w_loss(params, chunk, rng)
+
+    _fit_on_w({"w": Tensor(np.array([1.0, -2.0]))}, chunk_loss,
+              lambda params, epoch, loss, acc: 0.0, clip_norm=clip_norm)
+    assert len(steps) == 6
+    assert calls == {"adam_step": 6, "clip_by_global_norm": 6 if clip_norm else 0}
 
 
 def test_fit_names_a_parameter_left_without_gradient():
