@@ -4,8 +4,8 @@ Two evaluators measure what an augmented training set buys: a convolutional
 classifier (filter widths over word embeddings, max-over-time pooling, a
 two-layer ReLU head, softmax) and a recurrent one (single-layer LSTM whose
 final state feeds an affine layer with softmax). Each config class owns its
-classifier's parameter layout, forward pass (on either op set: training
-runs it on `maskaug.tensor`, inference on `tensor.ArrayOps`) and the logits
+classifier's parameter layout, forward pass (its op set follows the
+parameters: Tensors in training, their arrays in inference) and the logits
 of a sentence's one-word-deleted variants; `CONFIGS` finds the class by the
 kind a sidecar or `--classifier` names. Both train with Adam and dropout
 through the shared `training.fit` loop and stop early on validation accuracy.
@@ -73,14 +73,14 @@ class CnnConfig:
         layout["fc2_b"] = ((num_labels,), np.zeros)
         return layout
 
-    def logits(self, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng=None, ops=T):
-        """(B, num_labels) logits on either op set, as `_head`; an rng trains
-        (dropout on), None evaluates."""
-        x = ops.conv_max_pool(
+    def logits(self, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng=None):
+        """(B, num_labels) logits on the parameters' op set, as `_head`; an
+        rng trains (dropout on), None evaluates."""
+        x = T.op_set(params["emb"]).conv_max_pool(
             params["emb"], [params[f"conv{w}_w"] for w in self.filter_widths],
             [params[f"conv{w}_b"] for w in self.filter_widths], token_ids, lengths,
         )  # (B, F·len(filter_widths))
-        return self._head(params, x, rng, ops)
+        return self._head(params, x, rng)
 
     def deletion_logits(
         self, params: dict[str, Tensor], tokens: Sequence[int], positions: Sequence[int]
@@ -94,10 +94,9 @@ class CnnConfig:
         per deletion that bridge the gap, and each variant max-pools its
         own windows out of that block.
         """
-        _check_vocab(max(tokens), params["emb"].shape[0])
         arrays = {name: param.data for name, param in params.items()}
         padded = np.array((*tokens, *(PAD_ID,) * self.min_len))
-        T._check_ids(padded, len(arrays["emb"]))  # a negative id too, as `logits` checks
+        T._check_ids(padded, len(arrays["emb"]))  # as `logits` checks
         sentences = np.array((0, *(p + 1 for p in positions)))  # rows of each width's pool
         pooled = []
         for k in self.filter_widths:
@@ -105,12 +104,11 @@ class CnnConfig:
             windows = arrays["emb"][padded[gather]].reshape(len(gather), -1)
             feat = T._conv_features(windows, arrays[f"conv{k}_w"], arrays[f"conv{k}_b"])
             pooled.append(feat[pool[sentences]].max(axis=1))
-        return self._head(arrays, np.concatenate(pooled, axis=-1), ops=T.ArrayOps)
+        return self._head(arrays, np.concatenate(pooled, axis=-1))
 
-    def _head(self, params: Mapping, x, rng=None, ops=T):
-        """The two-layer ReLU head over the pooled features, on either op
-        set: `maskaug.tensor` with Tensor parameters, `tensor.ArrayOps` with arrays."""
-        train = rng is not None
+    def _head(self, params: Mapping, x, rng=None):
+        """The two-layer ReLU head over the pooled features, on the parameters' op set."""
+        ops, train = T.op_set(params["fc1_w"]), rng is not None
         x = ops.dropout(x, self.dropout, rng, train)
         x = ops.relu(ops.add(ops.matmul(x, params["fc1_w"]), params["fc1_b"]))
         x = ops.dropout(x, self.dropout, rng, train)
@@ -181,8 +179,9 @@ class RnnConfig:
             "out_b": ((num_labels,), np.zeros),
         }
 
-    def logits(self, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng=None, ops=T):
+    def logits(self, params: Mapping, token_ids: np.ndarray, lengths: np.ndarray, rng=None):
         emb, w_ih, w_hh, b = (params[k] for k in ("emb", "w_ih", "w_hh", "b"))
+        ops = T.op_set(emb)
         h = ops.lstm(emb, w_ih, w_hh, b, token_ids, lengths)  # (B, H) final states
         h = ops.dropout(h, self.dropout, rng, rng is not None)
         return ops.add(ops.matmul(h, params["out_w"]), params["out_b"])
@@ -192,10 +191,9 @@ class RnnConfig:
     ) -> np.ndarray:
         """Eval-mode logits of `tokens` (row 0) and of each variant with the
         token at positions[j] deleted (row 1 + j), in one padded batch."""
-        _check_vocab(max(tokens), params["emb"].shape[0])
         variants = [tokens] + [tokens[:pos] + tokens[pos + 1 :] for pos in positions]
         arrays = {name: param.data for name, param in params.items()}
-        return self.logits(arrays, *_pad_batch(variants, self.min_len), ops=T.ArrayOps)
+        return self.logits(arrays, *_pad_batch(variants, self.min_len))
 
 
 # each classifier config class by the kind it names, as sidecars and --classifier spell it
@@ -238,16 +236,10 @@ def _pad_batch(rows: Sequence[Sequence[int]], min_len: int) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _check_vocab(top: int, vocab_size: int) -> None:
-    if top >= vocab_size:
-        raise ValueError(f"vocabulary mismatch: example id {top} >= classifier vocab {vocab_size}")
-
-
 def predict_logits(clf: Classifier, examples: Sequence[LabeledExample]) -> np.ndarray:
-    _check_vocab(max(max(ex.tokens) for ex in examples), clf.vocab_size)
     token_ids, lengths = _pad_batch([ex.tokens for ex in examples], clf.config.min_len)
     arrays = {name: param.data for name, param in clf.params.items()}
-    return clf.config.logits(arrays, token_ids, lengths, ops=T.ArrayOps)
+    return clf.config.logits(arrays, token_ids, lengths)
 
 
 def predict_proba(clf: Classifier, example: LabeledExample) -> np.ndarray:

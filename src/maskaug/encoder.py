@@ -115,15 +115,12 @@ def forward(
     batch: InputBatch,
     rng: np.random.Generator | None = None,
     rows: Sequence[int] | np.ndarray | None = None,
-    ops=T,
 ) -> Tensor | np.ndarray:
     """Vocabulary logits (B, T, V) for every position of the batch; with an
     `rng` the pass runs in train mode and draws its dropout masks from it.
 
-    One body serves both op sets: `ops` is `maskaug.tensor` on Tensor
-    parameters, which builds the graph training differentiates, or
-    `tensor.ArrayOps` on their arrays, which gives the same bits as an
-    ndarray and builds no graph.
+    The op set follows the parameters (`tensor.op_set`): Tensors build the
+    graph training differentiates; their arrays give the same bits, no graph.
 
     With `rows`, a 1-d sequence of flat `b * T + t` position indices, the
     result is (len(rows), V), in the order given. The last layer's
@@ -145,6 +142,7 @@ def forward(
         bad = low if low < 0 else high
         raise IndexError(f"condition id {int(bad)} out of range [0, {config.num_conditions})")
     p, train, h = config.dropout, rng is not None, config.hidden
+    ops = T.op_set(params["token_emb"])
 
     x = ops.add(
         ops.add(
@@ -205,10 +203,10 @@ def mlm_distributions(
     id; the corrupted sentences are right-padded into one batch and one
     eval pass, each row under its own condition, runs the head on the
     masked positions only. The pass runs `forward` on the parameters'
-    arrays with `tensor.ArrayOps`, so its rows are the bits of the softmax of
-    `forward(..., rows=...)`, and builds no graph. Padding gets zero
-    attention weight, so a query's rows match a batch-1 pass up to
-    floating-point summation order.
+    arrays, so its rows are the bits of the softmax of `forward(...,
+    rows=...)`, and builds no graph. Padding gets zero attention weight,
+    so a query's rows match a batch-1 pass up to floating-point summation
+    order.
     """
     sequences, conds, masked = [], [], []
     for tokens, masked_positions, cond_id in queries:
@@ -234,7 +232,7 @@ def mlm_distributions(
     t = batch.token_ids.shape[1]
     rows = [b * t + pos for b, positions in enumerate(masked) for pos in positions]
     arrays = {name: param.data for name, param in params.items()}
-    logits = forward(arrays, config, batch, rows=rows, ops=T.ArrayOps)
+    logits = forward(arrays, config, batch, rows=rows)
     return T.ArrayOps.softmax(logits)
 
 

@@ -7,7 +7,7 @@ topological order. Tensors are treated as immutable once created: every
 op allocates a new array and never writes into its inputs, so a recorded
 graph stays valid. Only the optimizer writes into parameter leaves,
 between steps, once the step's graph is gone. `ArrayOps` computes the
-same ops' values on plain arrays for inference, and builds no graph.
+same ops' values on plain arrays with no graph; `op_set` picks the set.
 
 Everything is float64. Softmax and the log-likelihood losses subtract the
 row maximum before exponentiating, so finite inputs never produce NaN/Inf.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -831,11 +832,10 @@ def attention_mask_bias(pad_mask: np.ndarray) -> np.ndarray:
 class ArrayOps:
     """The ops a layer sequence runs, on plain float64 arrays and without a
     graph: each computes its value through the same helper, and makes the
-    same checks, as the graph op of the same name, so a sequence written
-    against `maskaug.tensor` gives the same bits when handed these instead.
-    `lstm` and `conv_max_pool` run the graph op itself: with no input that
-    requires grad, `_node` keeps no closure, so nothing saved outlives the
-    call. The inference paths use them; a namespace, never instantiated."""
+    same checks, as the graph op of the same name, so a body gives the same
+    bits on either op set. `lstm`, `conv_max_pool` and `cross_entropy` run
+    the graph op itself: with no input that requires grad, `_node` keeps no
+    closure, so nothing saved outlives the call. Never instantiated."""
 
     add = staticmethod(np.add)
     mul = staticmethod(np.multiply)
@@ -887,3 +887,14 @@ class ArrayOps:
     @staticmethod
     def conv_max_pool(table, weights, biases, ids, lengths) -> np.ndarray:
         return conv_max_pool(table, weights, biases, ids, lengths).data
+
+    @staticmethod
+    def cross_entropy(logits, targets, ignore_index=None) -> tuple[np.ndarray, int]:
+        loss, scored = cross_entropy(logits, targets, ignore_index)
+        return loss.data, scored
+
+
+def op_set(param):
+    """The op set a model body runs on, picked once per call from one of its
+    parameters: `ArrayOps` on an ndarray, else this module's graph ops."""
+    return ArrayOps if isinstance(param, np.ndarray) else sys.modules[__name__]

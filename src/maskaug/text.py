@@ -68,6 +68,8 @@ def build_vocab(
     Retention order is (frequency desc, token asc); the four specials are
     always present and count toward max_size.
     """
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if max_size is not None and max_size < NUM_SPECIALS:
         raise ValueError(f"max_size must be >= {NUM_SPECIALS}, got {max_size}")
     counts: Counter[str] = Counter()

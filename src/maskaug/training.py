@@ -157,19 +157,18 @@ def masked_loss(
     config: EncoderConfig,
     batch: MaskedBatch,
     rng: np.random.Generator | None,
-    ops=T,
-) -> tuple[Tensor, int, float]:
+) -> tuple[Tensor | np.ndarray, int, float]:
     """Cross-entropy over masked positions; returns (loss, scored, accuracy).
 
     Only the scored positions go through the vocabulary head. With an `rng`
     the encoder runs in train mode (dropout drawn from it); None is eval.
-    `ops` is `forward`'s: `tensor.ArrayOps` on arrays scores without a graph.
+    As in `forward`, the op set follows the parameters: arrays give an ndarray loss.
     """
     flat_targets = batch.targets.reshape(-1)
     rows = np.flatnonzero(flat_targets != IGNORE_ID)
-    logits = forward(params, config, batch, rng=rng, rows=rows, ops=ops)
+    logits = forward(params, config, batch, rng=rng, rows=rows)
     targets = flat_targets[rows]
-    loss, scored = T.cross_entropy(logits, targets)
+    loss, scored = T.op_set(params["token_emb"]).cross_entropy(logits, targets)
     if scored == 0:
         return loss, 0, 0.0
     acc = float((T.as_tensor(logits).data.argmax(axis=1) == targets).mean())
@@ -180,7 +179,7 @@ def _weighted_mean(rows: Sequence[tuple[float, int, float]]) -> tuple[float, flo
     """(loss, accuracy) of (loss, weight, accuracy) rows, each weighted; (nan, 0.0) if none."""
     total_loss, total_weight, total_correct = 0.0, 0, 0.0
     for loss, weight, acc in rows:
-        total_loss += loss * weight
+        total_loss += float(loss) * weight
         total_weight += weight
         total_correct += acc * weight
     if not total_weight:
@@ -307,11 +306,9 @@ def _train_masked_lm(
         )
         if val_examples:
             arrays = {name: p.data for name, p in params.items()}
-            rows = []
-            for batch in val_batches:
-                loss, scored, acc = masked_loss(arrays, config, batch, None, T.ArrayOps)
-                rows.append((float(loss.data), scored, acc))
-            val_loss, val_acc = _weighted_mean(rows)
+            val_loss, val_acc = _weighted_mean(
+                [masked_loss(arrays, config, batch, None) for batch in val_batches]
+            )
         else:
             val_loss, val_acc = train_loss, train_acc
         history.append(

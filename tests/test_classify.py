@@ -26,11 +26,12 @@ from maskaug.classify import (
     write_records,
 )
 from maskaug.checkpoint import draw_params
+from maskaug.encoder import EncoderConfig, batch_from_examples, forward, init_params
 from maskaug.gradcheck import gradient_disagreement, numeric_gradient
 from maskaug.tensor import Tensor
 from maskaug import tensor as T
 from maskaug.text import CLS_ID, NUM_SPECIALS, UNK_ID, Dataset, LabeledExample
-from maskaug.training import TrainingError
+from maskaug.training import IGNORE_ID, MaskedBatch, TrainingError, masked_loss
 from test_tensor import per_op_cnn
 
 ALPHA = NUM_SPECIALS  # word that marks label 1
@@ -200,7 +201,7 @@ def test_array_logits_equal_the_graph_logits_bit_for_bit(cfg, mode):
         return np.random.default_rng(9) if mode == "train" else None
 
     want = cfg.logits(params, token_ids, lengths, dropout_rng())
-    got = cfg.logits(arrays, token_ids, lengths, dropout_rng(), ops=T.ArrayOps)
+    got = cfg.logits(arrays, token_ids, lengths, dropout_rng())
     assert isinstance(got, np.ndarray) and got.shape == (len(rows), 3)
     assert got.tobytes() == want.data.tobytes()
 
@@ -223,15 +224,66 @@ def test_inference_builds_no_graph_node(kind, call, monkeypatch):
     params = drawn_params(cfg, seed=0, num_labels=2)
     assert all(param.requires_grad for param in params.values())  # as training leaves them
     clf = classify.Classifier(params, cfg, VOCAB_SIZE, 2)
+    refuse_graph_nodes(monkeypatch)
+    call(clf, separable_dataset(n=20).train[:5])
+
+
+def refuse_graph_nodes(monkeypatch):
+    """Make `tensor._node` fail on a node with a parent that requires grad."""
     real = T._node
 
     def node(data, parents, backward):
         if any(parent.requires_grad for parent in parents):
-            raise AssertionError("classifier inference built a graph node")
+            raise AssertionError("inference built a graph node")
         return real(data, parents, backward)
 
     monkeypatch.setattr(T, "_node", node)
-    call(clf, separable_dataset(n=20).train[:5])
+
+
+# every model body by name: (its parameters, freshly drawn; a call of it on
+# those parameters, or on their arrays, and a dropout rng)
+ENCODER = EncoderConfig(
+    vocab_size=VOCAB_SIZE, layers=1, hidden=8, heads=2, ff=16, max_len=8, num_conditions=2,
+    dropout=0.1,
+)
+SENTENCES = [[CLS_ID, ALPHA, FILLERS[0], BETA], [CLS_ID, FILLERS[1]]]
+INPUTS = batch_from_examples(SENTENCES, [0, 1])
+SCORED = MaskedBatch(
+    INPUTS.token_ids, INPUTS.cond_ids, INPUTS.pad_mask,
+    np.where(np.arange(INPUTS.token_ids.shape[1]) == 1, INPUTS.token_ids, IGNORE_ID),
+)
+
+
+def classifier_body(cfg):
+    token_ids, lengths = classify._pad_batch(SENTENCES, cfg.min_len)
+    return (lambda: drawn_params(cfg, seed=1),
+            lambda params, rng: cfg.logits(params, token_ids, lengths, rng))
+
+
+BODIES = {
+    "forward": (lambda: init_params(ENCODER, np.random.default_rng(1)),
+                lambda params, rng: forward(params, ENCODER, INPUTS, rng)),
+    "masked_loss": (lambda: init_params(ENCODER, np.random.default_rng(1)),
+                    lambda params, rng: masked_loss(params, ENCODER, SCORED, rng)[0]),
+    "cnn-logits": classifier_body(CnnConfig(filter_widths=(1, 3), num_filters=5, emb_dim=4)),
+    "rnn-logits": classifier_body(RnnConfig(emb_dim=4, state_dim=5)),
+}
+
+
+@pytest.mark.parametrize("draw, body", BODIES.values(), ids=BODIES.keys())
+def test_a_body_given_arrays_returns_an_array_and_builds_no_graph(draw, body, monkeypatch):
+    arrays = {name: param.data for name, param in draw().items()}
+    refuse_graph_nodes(monkeypatch)
+    assert type(body(arrays, np.random.default_rng(3))) is np.ndarray
+
+
+@pytest.mark.parametrize("draw, body", BODIES.values(), ids=BODIES.keys())
+def test_a_body_given_tensors_returns_a_tensor_that_reaches_every_parameter(draw, body):
+    params = draw()
+    out = body(params, np.random.default_rng(3))
+    assert isinstance(out, Tensor)
+    out.backward()
+    assert [name for name, param in params.items() if param.grad is None] == []
 
 
 class TestCnn:
@@ -474,7 +526,8 @@ class TestEvaluate:
     def test_vocabulary_mismatch_rejected(self, clf):
         clf, _ = clf
         alien = [LabeledExample((CLS_ID, clf.vocab_size + 3), 0)]
-        with pytest.raises(ValueError, match="vocabulary"):
+        message = rf"^embedding id out of range \[0, {clf.vocab_size}\)$"
+        with pytest.raises(IndexError, match=message):
             evaluate(clf, alien, "test")
 
     def test_repeated_evaluation_identical(self, clf):

@@ -1017,6 +1017,12 @@ class TestErrorCategories:
     @pytest.mark.parametrize(
         "subcommand, flags, message",
         [
+            pytest.param("build-vocab", ["--min-freq", "0"], "min_freq must be >= 1, got 0",
+                         id="min-freq-0"),
+            pytest.param("build-vocab", ["--min-freq", "-3"], "min_freq must be >= 1, got -3",
+                         id="min-freq-negative"),
+            pytest.param("build-vocab", ["--max-size", "3"], "max_size must be >= 4, got 3",
+                         id="max-size"),
             pytest.param("train-classifier", ["--val-fraction", "1.5"],
                          "val_fraction must be in [0, 1), got 1.5", id="val-fraction"),
             pytest.param("train-classifier", ["--max-len", "0"],
@@ -1076,18 +1082,19 @@ class TestErrorCategories:
         self, subcommand, flags, message, workdir, vocab_file, tmp_path, capsys
     ):
         out = tmp_path / "run"
-        # augment takes neither a test split nor epochs
-        training = [] if subcommand == "augment" else [
+        # build-vocab reads no vocabulary; it and augment take neither a test split nor epochs
+        inputs = [] if subcommand == "build-vocab" else ["--vocab", str(vocab_file)]
+        training = [] if subcommand in ("augment", "build-vocab") else [
             "--test", str(workdir / "test.tsv"), "--epochs", "1",
         ]
         code = main([
-            subcommand, "--data", str(workdir / "train.tsv"), "--vocab", str(vocab_file),
+            subcommand, "--data", str(workdir / "train.tsv"), *inputs,
             "--out", str(out), *training, *flags,
         ])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error[config]: {message}\n"
         # config.json is the record of a finished run, so a failed one has none
-        assert not {"classifier.ckpt", "records.tsv", "config.json"} & {
+        assert not {"classifier.ckpt", "records.tsv", "config.json", "vocab.txt"} & {
             p.name for p in out.glob("*")
         }
 

@@ -317,7 +317,7 @@ class TestScoredRows:
         batch = batch_from_examples([[CLS_ID, 5, 6, 7, 8], [CLS_ID, 9, 10]], [0, 1])
         rows = np.random.default_rng(layers).permutation(batch.token_ids.size) if shuffled else None
         arrays = {name: p.data for name, p in params.items()}
-        got = forward(arrays, config, batch, rows=rows, ops=T.ArrayOps)
+        got = forward(arrays, config, batch, rows=rows)
         want = forward(params, config, batch, rows=rows).data
         assert type(got) is np.ndarray and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -156,21 +156,19 @@ def test_stacked_scores_match_per_variant_formula(kind, cfg):
         assert np.max(np.abs(got.scores - np.array(want))) <= 1e-12
 
 
-def test_stacked_scores_keep_the_vocabulary_check(setup):
-    _, classifier, _, _ = setup
-    with pytest.raises(ValueError, match="vocabulary mismatch"):
-        attribute_words(classifier, LabeledExample((CLS_ID, MARKER_POS, VOCAB_SIZE), 1))
-
-
+@pytest.mark.parametrize("call", [
+    attribute_words, lambda clf, example: predict_logits(clf, [example]),
+], ids=["attribute_words", "predict_logits"])
 @pytest.mark.parametrize("make", [CnnConfig, RnnConfig])
-def test_scores_refuse_a_negative_token_id(make):
+@pytest.mark.parametrize("bad", [VOCAB_SIZE, -1], ids=["V", "negative"])
+def test_scores_refuse_an_out_of_range_token_id(bad, make, call):
     # numpy alone would read id -1 as the last embedding row
     cfg = make()
     params = draw_params(cfg.layout(VOCAB_SIZE, 2), np.random.default_rng(0))
     clf = Classifier(params, cfg, VOCAB_SIZE, 2)
-    example = LabeledExample((CLS_ID, MARKER_POS, -1, NEUTRAL[0], NEUTRAL[1]), 1)
+    example = LabeledExample((CLS_ID, MARKER_POS, bad, NEUTRAL[0], NEUTRAL[1]), 1)
     with pytest.raises(IndexError, match=rf"^embedding id out of range \[0, {VOCAB_SIZE}\)$"):
-        attribute_words(clf, example)
+        call(clf, example)
 
 
 class TestTransfer:

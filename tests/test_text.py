@@ -56,6 +56,12 @@ class TestBuildVocab:
         vocab = build_vocab([["zed", "ant"]], max_size=5)
         assert "ant" in vocab and "zed" not in vocab
 
+    @pytest.mark.parametrize("min_freq", [0, -3])
+    def test_min_freq_below_one_is_refused(self, min_freq):
+        with pytest.raises(ValueError) as info:
+            build_vocab([["a"]], min_freq=min_freq)
+        assert str(info.value) == f"min_freq must be >= 1, got {min_freq}"
+
     def test_max_size_too_small(self):
         with pytest.raises(ValueError):
             build_vocab([["a"]], max_size=3)
